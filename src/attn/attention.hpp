@@ -3,19 +3,33 @@
 //
 // One decode step per sequence is: rotate the fresh K by its position
 // and append (K, V) to the cache; rotate Q by the same position; then
-// for every query head, stream over the cached context computing
-// softmax(scale * Q·Kᵀ)·V without ever materializing the logit row.
-// The softmax is the numerically-safe online form — running max with
-// rescale-on-new-max, fp32 accumulation — tested against a long-double
-// two-pass oracle (tests/test_attn.cpp) including adversarial logits
-// (large-magnitude, all-equal, single-survivor).
+// compute softmax(scale * Q·Kᵀ)·V over the cached context without ever
+// materializing a full logit row. attend() is GQA-grouped and
+// token-blocked: for each KV head it makes one pass over that head's
+// paged K/V serving all n_heads / n_kv_heads query heads of its group,
+// 16 context tokens at a time. Per block it computes the group's logits
+// (register-resident 16-lane reductions), takes one block max per head
+// and rescales that head's running sum and accumulator at most once,
+// turns the logits into weights with the vector exp, and FMAs each V
+// row into every group head's accumulator, while the next block's rows
+// are prefetched. Each KV byte is read from memory once per step, where
+// a per-head loop would re-read it once per query head.
 //
-// Bit-exactness discipline: the only reductions are Q·Kᵀ dots, which go
-// through the deterministic 16-lane helpers in core/reduce.hpp; the
-// exp() is the repo's scalar fast_exp (one call per context token per
-// head — never a bottleneck); everything else is elementwise. So the
-// scalar, AVX2, and AVX-512 paths produce identical bits, which the GQA
-// head-mapping tests assert with ==, exactly like the epilogue kernels.
+// The softmax is the numerically-safe online form — running max with
+// rescale-on-new-max, fp32 accumulation — folded a block at a time
+// (OnlineSoftmax::fold) and tested against a long-double two-pass
+// oracle (tests/test_attn.cpp) including adversarial logits
+// (large-magnitude, all-equal, single-survivor, a new max arriving
+// mid-block). A non-finite logit (inf/NaN in Q or the cached K) is a
+// typed FAILED_PRECONDITION from attend(), never a throw.
+//
+// Bit-exactness discipline: each logit is reduced through the same
+// 16-lane tree as simd::dot (core/reduce.hpp), the weights come from
+// fast_exp and its bit-exact vector mirrors (fast_exp16 / fast_exp8),
+// the sum adds the weights in token order, and the attention·V update
+// is one fma per element per token in token order. So the scalar,
+// AVX2, and AVX-512 paths produce identical bits, which the tests
+// assert with ==, exactly like the epilogue kernels.
 //
 // GQA: query head h reads KV head h / (n_heads / n_kv_heads) — the
 // grouped-query layout (n_kv_heads < n_heads) that shrinks the cache by
@@ -28,6 +42,7 @@
 
 #include "attn/kv_cache.hpp"
 #include "core/reduce.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
 
@@ -52,29 +67,38 @@ struct AttnConfig {
   [[nodiscard]] Status validate() const;
 };
 
-/// Online (streaming) softmax accumulator for one head: feed logits and
-/// their V rows in context order; the running max keeps every exp()
+/// Online (streaming) softmax accumulator for one head: fold logits in
+/// context order, a block at a time; the running max keeps every exp()
 /// argument <= 0 so nothing overflows no matter the logit magnitudes.
-/// Exposed (rather than buried in attend) so the numerics tests can
-/// drive it directly against the long-double oracle.
+/// Exposed (rather than buried in attend) so the numerics tests drive
+/// the same fold attend runs against the long-double oracle.
 struct OnlineSoftmax {
   float m = -std::numeric_limits<float>::infinity();  ///< running max
   float s = 0.0f;  ///< running sum of exp(logit - m)
 
-  /// Fold one (logit, v[n]) pair into acc[n] (fp32, caller-zeroed).
-  /// On a new max the previous sum and accumulator are rescaled by
-  /// exp(old_max - new_max) — never the other way, so no exp() argument
-  /// is ever positive.
-  void add(float logit, const float* v, float* acc, index_t n,
+  /// Fold a block of @p count >= 1 logits (context order) into the
+  /// running state: when the block max exceeds m, rescale s and acc[n]
+  /// by exp(old_max - new_max) once (never the other way, so no exp()
+  /// argument is ever positive); then write the weights
+  /// w[t] = exp(logit[t] - m) and add them into s in token order. The
+  /// caller completes the fold with acc[j] = fma(w[t], v_t[j], acc[j])
+  /// in token order. Returns false, leaving the state untouched, when a
+  /// logit is not finite.
+  bool fold(const float* logits, index_t count, float* w, float* acc,
+            index_t n, Kernel kernel = Kernel::kAuto);
+  /// The one-logit fold: fold {logit}, then acc += w * v (fp32,
+  /// acc caller-zeroed before the first add). Returns fold's result.
+  bool add(float logit, const float* v, float* acc, index_t n,
            Kernel kernel = Kernel::kAuto);
-  /// Normalize: acc[d] *= 1/s. Requires at least one add().
+  /// Normalize: acc[d] *= 1/s. Requires at least one successful fold.
   void finish(float* acc, index_t n, Kernel kernel = Kernel::kAuto) const;
 };
 
 /// The per-layer decode attention operator. Owns the RoPE frequency
-/// table and the per-head accumulator scratch; one instance per decoder
-/// plan, serialized by the plan's run mutex (attend uses member scratch
-/// and is not thread-safe).
+/// table and every scratch buffer attend() touches, sized at
+/// construction so the decode hot path never allocates. One instance
+/// per decoder plan, serialized by the plan's run mutex (rope, append,
+/// and attend write member scratch and are not thread-safe).
 class DecodeAttention {
  public:
   /// Throws CheckError on invalid geometry (plan factories validate
@@ -85,18 +109,21 @@ class DecodeAttention {
 
   /// Rotate @p heads half-split head vectors of @p x in place by
   /// position @p pos (RoPE: pair (i, i + head_dim/2) by angle
-  /// pos * theta^(-2i/head_dim)).
-  void rope(float* x, index_t heads, index_t pos) const;
+  /// pos * theta^(-2i/head_dim)). The head_dim/2 (cos, sin) pairs are
+  /// computed once per call and shared by every head.
+  void rope(float* x, index_t heads, index_t pos);
 
   /// Rotate the fresh K (kv_dim floats, in place) by the sequence's
   /// current length and append (K, V) to the cache. Propagates the
   /// cache's typed statuses (NOT_FOUND / RESOURCE_EXHAUSTED).
   [[nodiscard]] Status append(KvCache& cache, std::uint64_t seq_id, float* k,
-                              const float* v) const;
+                              const float* v);
 
   /// Rotate Q (q_dim floats, in place) by the last cached position and
   /// write streaming-softmax attention over the cached context to
-  /// @p out (q_dim floats). FAILED_PRECONDITION on an empty context.
+  /// @p out (q_dim floats). FAILED_PRECONDITION on an empty context or
+  /// on a non-finite logit or softmax sum (inf/NaN in Q or the cached
+  /// K); @p out is unspecified after an error.
   [[nodiscard]] Status attend(const KvCache& cache, std::uint64_t seq_id,
                               float* q, float* out);
 
@@ -110,8 +137,17 @@ class DecodeAttention {
  private:
   AttnConfig config_;
   float scale_ = 0.0f;           ///< 1 / sqrt(head_dim)
+  index_t group_ = 0;            ///< query heads per KV head
+  index_t ld_ = 0;               ///< head_dim rounded up to 16 floats
   std::vector<float> inv_freq_;  ///< head_dim/2 RoPE inverse frequencies
-  std::vector<float> acc_;       ///< head_dim accumulator scratch
+  std::vector<float> rope_cs_;   ///< head_dim/2 cos, then head_dim/2 sin
+  AlignedBuffer scratch_;        ///< every buffer below, 64-byte aligned
+  float* q_ = nullptr;           ///< the group's Q, pre-scaled by scale_
+  float* acc_ = nullptr;         ///< the group's attention·V accumulators
+  float* logits_ = nullptr;      ///< group x 16-token logit block
+  float* w_ = nullptr;           ///< group x 16-token softmax weights
+  float* zero_row_ = nullptr;    ///< head_dim zeros: short-block padding
+  std::vector<OnlineSoftmax> sm_;  ///< one running state per group head
 };
 
 }  // namespace nmspmm::attn

@@ -1,10 +1,13 @@
-// Decode attention + KV cache: the deterministic 16-lane reductions must
-// be bit-identical across scalar/AVX2/AVX-512, the streaming softmax must
-// match a long-double two-pass oracle on adversarial logits, RoPE must be
+// Decode attention + KV cache: the deterministic 16-lane reductions and
+// the GQA-grouped, token-blocked attend loop must be bit-identical across
+// scalar/AVX2/AVX-512, the streaming softmax (per logit and per block)
+// and attend must match a long-double two-pass oracle on adversarial
+// logits, non-finite logits must be typed errors, RoPE must be
 // an isometry with position 0 the identity, and the paged KvCache must
 // enforce its typed lifecycle statuses, page budget, and recycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -106,8 +109,12 @@ std::vector<float> oracle_softmax(const std::vector<float>& logits,
   return out;
 }
 
+/// Stream @p logits (V rows seeded) through OnlineSoftmax and compare
+/// with the oracle: one add() per logit when @p block is 0, otherwise
+/// fold() @p block logits at a time followed by acc += w[t] * v_t in
+/// token order, as attend drives it.
 void check_online_vs_oracle(const std::vector<float>& logits,
-                            double tolerance) {
+                            double tolerance, index_t block = 0) {
   const index_t n = 24;
   Rng rng(11);
   std::vector<std::vector<float>> vs;
@@ -117,15 +124,28 @@ void check_online_vs_oracle(const std::vector<float>& logits,
   }
   std::vector<float> acc(static_cast<std::size_t>(n), 0.0f);
   OnlineSoftmax sm;
-  for (std::size_t t = 0; t < logits.size(); ++t) {
-    sm.add(logits[t], vs[t].data(), acc.data(), n);
+  if (block == 0) {
+    for (std::size_t t = 0; t < logits.size(); ++t) {
+      sm.add(logits[t], vs[t].data(), acc.data(), n);
+    }
+  } else {
+    const auto len = static_cast<index_t>(logits.size());
+    std::vector<float> w(static_cast<std::size_t>(block));
+    for (index_t t0 = 0; t0 < len; t0 += block) {
+      const index_t count = std::min(block, len - t0);
+      ASSERT_TRUE(sm.fold(logits.data() + t0, count, w.data(), acc.data(), n));
+      for (index_t t = 0; t < count; ++t) {
+        simd::axpy(w[static_cast<std::size_t>(t)],
+                   vs[static_cast<std::size_t>(t0 + t)].data(), acc.data(), n);
+      }
+    }
   }
   sm.finish(acc.data(), n);
   const std::vector<float> want = oracle_softmax(logits, vs, n);
   for (index_t j = 0; j < n; ++j) {
     EXPECT_NEAR(want[static_cast<std::size_t>(j)],
                 acc[static_cast<std::size_t>(j)], tolerance)
-        << "element " << j;
+        << "block " << block << " element " << j;
   }
 }
 
@@ -162,6 +182,75 @@ TEST(OnlineSoftmax, FinishedWeightsSumToOne) {
   sm.finish(&acc, 1);
   // v == 1 everywhere, so the attention output is the weight sum.
   EXPECT_NEAR(1.0f, acc, 1e-6);
+}
+
+TEST(OnlineSoftmax, BlockFoldMatchesOracleAtEveryBlockSize) {
+  // The same adversarial sets as above, folded 1, 3, 16 and 40 logits at
+  // a time: new maxima arrive mid-block, at a block start, and in later
+  // blocks, next to ±500 magnitudes and exact ties.
+  Rng rng(14);
+  const MatrixF l = random_matrix(1, 40, rng, -4.0f, 4.0f);
+  std::vector<float> mixed(l.row(0), l.row(0) + 40);
+  mixed[5] = 9.0f;     // new max mid-block
+  mixed[16] = 12.0f;   // new max at the second block's start
+  mixed[21] = 500.0f;  // new max mid-way through a later block
+  mixed[22] = -500.0f;
+  mixed[30] = 499.0f;
+  mixed[38] = 500.0f;  // ties the max in the last block
+  for (index_t block : {1, 3, 16, 40}) {
+    check_online_vs_oracle(mixed, 5e-5, block);
+    check_online_vs_oracle({480.0f, 500.0f, 495.0f, -500.0f, 499.0f}, 5e-5,
+                           block);
+    check_online_vs_oracle({7.25f, 7.25f, 7.25f, 7.25f}, 5e-5, block);
+    check_online_vs_oracle({-150.0f, 50.0f, -150.0f, -180.0f}, 5e-5, block);
+  }
+}
+
+TEST(OnlineSoftmax, BlockFoldBitExactAcrossKernels) {
+  // 37 logits in blocks of 16: the exp runs full vectors and a ragged
+  // tail, and the rescale fires mid-stream.
+  Rng rng(15);
+  const MatrixF l = random_matrix(1, 37, rng, -30.0f, 30.0f);
+  const MatrixF v = random_matrix(37, 19, rng, -1.0f, 1.0f);
+  auto run = [&](ReduceKernel kernel) {
+    std::vector<float> acc(19, 0.0f), w(16);
+    OnlineSoftmax sm;
+    for (index_t t0 = 0; t0 < 37; t0 += 16) {
+      const index_t count = std::min<index_t>(16, 37 - t0);
+      EXPECT_TRUE(
+          sm.fold(l.row(0) + t0, count, w.data(), acc.data(), 19, kernel));
+      for (index_t t = 0; t < count; ++t) {
+        simd::axpy(w[static_cast<std::size_t>(t)], v.row(t0 + t), acc.data(),
+                   19, kernel);
+      }
+    }
+    acc.push_back(sm.s);
+    acc.push_back(sm.m);
+    return acc;
+  };
+  const std::vector<float> want = run(ReduceKernel::kScalar);
+  for (ReduceKernel k : compiled_kernels()) {
+    EXPECT_EQ(want, run(k)) << simd::to_string(k);
+  }
+}
+
+TEST(OnlineSoftmax, NonFiniteLogitIsRejectedWithoutStateChange) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float one = 1.0f;
+  for (float bad : {inf, -inf, nan}) {
+    OnlineSoftmax sm;
+    float acc = 0.0f;
+    ASSERT_TRUE(sm.add(2.0f, &one, &acc, 1));
+    const float m = sm.m, s = sm.s, a = acc;
+    const float block[3] = {1.0f, bad, 3.0f};
+    float w[3];
+    EXPECT_FALSE(sm.fold(block, 3, w, &acc, 1)) << bad;
+    EXPECT_FALSE(sm.add(bad, &one, &acc, 1)) << bad;
+    EXPECT_EQ(m, sm.m);
+    EXPECT_EQ(s, sm.s);
+    EXPECT_EQ(a, acc);
+  }
 }
 
 // ---------------------------------------------------------------- RoPE
@@ -376,6 +465,246 @@ TEST(DecodeAttention, GqaBitExactAcrossKernels) {
   const std::vector<float> want = run(ReduceKernel::kScalar);
   for (ReduceKernel kernel : compiled_kernels()) {
     EXPECT_EQ(want, run(kernel)) << simd::to_string(kernel);
+  }
+}
+
+/// Decode @p steps tokens of seeded Q/K/V through a fresh cache and
+/// return every step's attention output, concatenated.
+std::vector<float> decode_outputs(AttnConfig cfg, index_t page_tokens,
+                                  int steps, std::uint64_t seed) {
+  KvCacheOptions kv_opt;
+  kv_opt.n_kv_heads = cfg.n_kv_heads;
+  kv_opt.head_dim = cfg.head_dim;
+  kv_opt.page_tokens = page_tokens;
+  kv_opt.max_tokens = steps;
+  Rng rng(seed);
+  const MatrixF qs = random_matrix(steps, cfg.q_dim(), rng);
+  const MatrixF ks = random_matrix(steps, cfg.kv_dim(), rng);
+  const MatrixF vs = random_matrix(steps, cfg.kv_dim(), rng);
+  DecodeAttention op(cfg);
+  KvCache cache(kv_opt);
+  NMSPMM_CHECK_OK(cache.begin_sequence(1));
+  std::vector<float> out(static_cast<std::size_t>(steps) * cfg.q_dim());
+  std::vector<float> q(static_cast<std::size_t>(cfg.q_dim()));
+  std::vector<float> k(static_cast<std::size_t>(cfg.kv_dim()));
+  for (int t = 0; t < steps; ++t) {
+    std::copy_n(qs.row(t), cfg.q_dim(), q.data());
+    std::copy_n(ks.row(t), cfg.kv_dim(), k.data());
+    NMSPMM_CHECK_OK(op.decode_step(
+        cache, 1, q.data(), k.data(), vs.row(t),
+        out.data() + static_cast<std::size_t>(t) * cfg.q_dim()));
+  }
+  return out;
+}
+
+TEST(DecodeAttention, BlockedLoopBitExactAcrossKernelsGrid) {
+  // Group sizes 1 (MHA) through 8, head_dim 24 (ragged 16-lane tail) and
+  // 64, pages of 3 and 64 tokens. 70 steps visit contexts 1..70: every
+  // ragged last block (count 1..15), exact multiples of the 16-token
+  // block, and blocks that straddle page boundaries.
+  for (index_t group : {1, 2, 4, 8}) {
+    for (index_t head_dim : {24, 64}) {
+      for (index_t page_tokens : {3, 64}) {
+        AttnConfig cfg;
+        cfg.n_kv_heads = 2;
+        cfg.n_heads = 2 * group;
+        cfg.head_dim = head_dim;
+        cfg.kernel = ReduceKernel::kScalar;
+        const std::vector<float> want = decode_outputs(cfg, page_tokens, 70,
+                                                       101 + group);
+        for (ReduceKernel kernel : compiled_kernels()) {
+          cfg.kernel = kernel;
+          EXPECT_EQ(want, decode_outputs(cfg, page_tokens, 70, 101 + group))
+              << simd::to_string(kernel) << " group " << group
+              << " head_dim " << head_dim << " page_tokens " << page_tokens;
+        }
+      }
+    }
+  }
+}
+
+/// Two-pass long-double attention for every query head over the cached
+/// context, from the rotated Q attend leaves in place.
+std::vector<float> oracle_attend(const AttnConfig& cfg,
+                                 const KvCache::SeqView& view,
+                                 const std::vector<float>& q_rot) {
+  const index_t hd = cfg.head_dim;
+  const index_t group = cfg.n_heads / cfg.n_kv_heads;
+  const long double scale = 1.0L / sqrtl(static_cast<long double>(hd));
+  std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
+  std::vector<long double> logits(static_cast<std::size_t>(view.len));
+  for (index_t h = 0; h < cfg.n_heads; ++h) {
+    const float* qh = q_rot.data() + h * hd;
+    const index_t off = (h / group) * hd;
+    long double m = -std::numeric_limits<long double>::infinity();
+    for (index_t t = 0; t < view.len; ++t) {
+      long double dot = 0.0L;
+      for (index_t j = 0; j < hd; ++j) {
+        dot += static_cast<long double>(qh[j]) * view.k(t)[off + j];
+      }
+      logits[static_cast<std::size_t>(t)] = scale * dot;
+      m = std::max(m, scale * dot);
+    }
+    long double denom = 0.0L;
+    for (long double l : logits) denom += expl(l - m);
+    for (index_t j = 0; j < hd; ++j) {
+      long double acc = 0.0L;
+      for (index_t t = 0; t < view.len; ++t) {
+        acc += expl(logits[static_cast<std::size_t>(t)] - m) *
+               view.v(t)[off + j];
+      }
+      out[static_cast<std::size_t>(h * hd + j)] =
+          static_cast<float>(acc / denom);
+    }
+  }
+  return out;
+}
+
+TEST(DecodeAttention, AttendMatchesLongDoubleOracleOnAdversarialLogits) {
+  // K rows are one-hot on the coordinate where head 0's rotated query is
+  // largest, scaled so head 0 sees chosen logits: a new max mid-block,
+  // another at a later block's start and mid-way through it, ±500
+  // magnitudes, and a tie in the last (ragged) block. Head 1 is head 0
+  // halved (exactly, through RoPE's linearity), so it sees the same
+  // pattern at half the magnitude. head_dim 64 makes the 1/8 logit scale
+  // exact, so the only fp32 logit error is one rounding.
+  AttnConfig cfg;
+  cfg.n_heads = 2;
+  cfg.n_kv_heads = 1;
+  cfg.head_dim = 64;
+  const index_t len = 40;  // blocks of 16, 16 and 8
+  KvCacheOptions kv_opt;
+  kv_opt.n_kv_heads = 1;
+  kv_opt.head_dim = cfg.head_dim;
+  kv_opt.page_tokens = 7;
+  kv_opt.max_tokens = len;
+  KvCache cache(kv_opt);
+  NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+  DecodeAttention op(cfg);
+
+  Rng rng(41);
+  const MatrixF q0 = random_matrix(1, cfg.head_dim, rng);
+  std::vector<float> q(static_cast<std::size_t>(cfg.q_dim()));
+  for (index_t j = 0; j < cfg.head_dim; ++j) {
+    q[static_cast<std::size_t>(j)] = q0.row(0)[j];
+    q[static_cast<std::size_t>(cfg.head_dim + j)] = 0.5f * q0.row(0)[j];
+  }
+  std::vector<float> q_rot = q;
+  op.rope(q_rot.data(), cfg.n_heads, len - 1);  // what attend will apply
+  index_t hot = 0;
+  for (index_t j = 1; j < cfg.head_dim; ++j) {
+    if (std::fabs(q_rot[static_cast<std::size_t>(j)]) >
+        std::fabs(q_rot[static_cast<std::size_t>(hot)])) {
+      hot = j;
+    }
+  }
+
+  const MatrixF base = random_matrix(1, len, rng, -2.0f, 2.0f);
+  std::vector<float> want_logits(base.row(0), base.row(0) + len);
+  want_logits[5] = 8.0f;     // new max mid-block
+  want_logits[9] = 12.0f;    // and again in the same block
+  want_logits[16] = 40.0f;   // new max at the second block's start
+  want_logits[21] = 500.0f;  // new max mid-way through it
+  want_logits[22] = -500.0f;
+  want_logits[30] = 497.0f;
+  want_logits[35] = -500.0f;
+  want_logits[37] = 500.0f;  // ties the max in the ragged last block
+  const MatrixF vs = random_matrix(len, cfg.kv_dim(), rng, -1.0f, 1.0f);
+  const float unit = 0.125f * q_rot[static_cast<std::size_t>(hot)];
+  for (index_t t = 0; t < len; ++t) {
+    std::vector<float> k(static_cast<std::size_t>(cfg.kv_dim()), 0.0f);
+    k[static_cast<std::size_t>(hot)] =
+        want_logits[static_cast<std::size_t>(t)] / unit;
+    NMSPMM_ASSERT_OK(cache.append(1, k.data(), vs.row(t)));  // K as given
+  }
+
+  std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
+  NMSPMM_ASSERT_OK(op.attend(cache, 1, q.data(), out.data()));
+  ASSERT_EQ(q_rot, q);  // attend rotated Q in place exactly as predicted
+  const auto view = cache.view(1);
+  NMSPMM_ASSERT_OK(view.status());
+  const std::vector<float> want = oracle_attend(cfg, *view, q_rot);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(want[i], out[i], 5e-5) << "element " << i;
+  }
+}
+
+TEST(DecodeAttention, AttendMatchesLongDoubleOracleOnRandomContexts) {
+  // Random Q/K/V through decode_step (RoPE on both sides), GQA group 4,
+  // ragged head_dim 24, 3-token pages: every step's output against the
+  // two-pass oracle over the cache as it stands after that step.
+  AttnConfig cfg;
+  cfg.n_heads = 8;
+  cfg.n_kv_heads = 2;
+  cfg.head_dim = 24;
+  const int steps = 37;
+  KvCacheOptions kv_opt;
+  kv_opt.n_kv_heads = cfg.n_kv_heads;
+  kv_opt.head_dim = cfg.head_dim;
+  kv_opt.page_tokens = 3;
+  kv_opt.max_tokens = steps;
+  KvCache cache(kv_opt);
+  NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+  DecodeAttention op(cfg);
+  Rng rng(43);
+  std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
+  for (int t = 0; t < steps; ++t) {
+    const MatrixF qm = random_matrix(1, cfg.q_dim(), rng, -3.0f, 3.0f);
+    const MatrixF km = random_matrix(1, cfg.kv_dim(), rng, -3.0f, 3.0f);
+    const MatrixF vm = random_matrix(1, cfg.kv_dim(), rng);
+    std::vector<float> q(qm.row(0), qm.row(0) + cfg.q_dim());
+    std::vector<float> k(km.row(0), km.row(0) + cfg.kv_dim());
+    NMSPMM_ASSERT_OK(
+        op.decode_step(cache, 1, q.data(), k.data(), vm.row(0), out.data()));
+    const auto view = cache.view(1);
+    NMSPMM_ASSERT_OK(view.status());
+    const std::vector<float> want = oracle_attend(cfg, *view, q);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(want[i], out[i], 5e-5) << "step " << t << " element " << i;
+    }
+  }
+}
+
+TEST(DecodeAttention, NonFiniteLogitIsTypedErrorNotThrow) {
+  // A poisoned key (±inf / NaN) in one KV head, or a poisoned query,
+  // yields FAILED_PRECONDITION from attend; a clean sequence in the same
+  // cache still attends normally afterwards.
+  AttnConfig cfg;
+  cfg.n_heads = 4;
+  cfg.n_kv_heads = 2;
+  cfg.head_dim = 16;
+  KvCacheOptions kv_opt;
+  kv_opt.n_kv_heads = cfg.n_kv_heads;
+  kv_opt.head_dim = cfg.head_dim;
+  kv_opt.page_tokens = 4;
+  kv_opt.max_tokens = 64;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(47);
+  const MatrixF clean_q = random_matrix(1, cfg.q_dim(), rng);
+  const MatrixF kv = random_matrix(1, cfg.kv_dim(), rng);
+  for (float bad : {inf, -inf, nan}) {
+    for (bool poison_query : {false, true}) {
+      KvCache cache(kv_opt);
+      DecodeAttention op(cfg);
+      NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+      NMSPMM_ASSERT_OK(cache.begin_sequence(2));
+      for (int t = 0; t < 20; ++t) {
+        std::vector<float> k(kv.row(0), kv.row(0) + cfg.kv_dim());
+        NMSPMM_ASSERT_OK(cache.append(2, k.data(), kv.row(0)));
+        if (!poison_query && t == 17) k[cfg.head_dim + 3] = bad;  // KV head 1
+        NMSPMM_ASSERT_OK(cache.append(1, k.data(), kv.row(0)));
+      }
+      std::vector<float> q(clean_q.row(0), clean_q.row(0) + cfg.q_dim());
+      if (poison_query) q[5] = bad;
+      std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
+      const Status st = op.attend(cache, 1, q.data(), out.data());
+      EXPECT_EQ(StatusCode::kFailedPrecondition, st.code())
+          << bad << " query " << poison_query << ": " << st.to_string();
+      std::copy_n(clean_q.row(0), cfg.q_dim(), q.data());
+      NMSPMM_EXPECT_OK(op.attend(cache, 2, q.data(), out.data()));
+      for (float o : out) EXPECT_TRUE(std::isfinite(o));
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -336,6 +337,99 @@ TEST(DecoderPlan, SequenceLifecycleStatusesStayTyped) {
   NMSPMM_ASSERT_OK(plan.decode(x.cview(), &id, out.view(), &row));
   NMSPMM_ASSERT_OK(row);
   EXPECT_EQ(plan.stats().kv.pages_recycled, 1u);
+}
+
+TEST(DecoderPlan, PoisonedContextIsARowErrorNotAThrow) {
+  // One sequence's input row carries +inf, -inf, or NaN. Through the
+  // RMSNorm prologue and the QKV projection it poisons that sequence's
+  // Q and cached K, so attend sees non-finite logits: the row gets a
+  // typed FAILED_PRECONDITION, the batch status stays Ok, nothing
+  // throws, and the batchmates' outputs match a twin plan fed only
+  // clean rows bit for bit. The poison stays in the context, so the
+  // sequence's next (clean) step fails the same way.
+  Rng rng(45);
+  const NMConfig cfg{2, 4, 16};
+  const model::DecoderLayer layer = make_layer(rng, cfg);
+  const index_t seqs = 3;
+  const std::vector<std::uint64_t> ids = {1, 2, 3};
+  for (float bad : {std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    Engine engine;
+    auto poisoned_or = engine.plan_decoder(seqs, layer, cache_for(seqs * 8));
+    NMSPMM_ASSERT_OK(poisoned_or.status());
+    auto clean_or = engine.plan_decoder(seqs, layer, cache_for(seqs * 8));
+    NMSPMM_ASSERT_OK(clean_or.status());
+    model::DecoderPlan& poisoned = **poisoned_or;
+    model::DecoderPlan& clean = **clean_or;
+    for (std::uint64_t id : ids) {
+      NMSPMM_ASSERT_OK(poisoned.begin_sequence(id));
+      NMSPMM_ASSERT_OK(clean.begin_sequence(id));
+    }
+    const index_t hidden = poisoned.hidden();
+    std::vector<Status> rows(seqs), clean_rows(seqs);
+    MatrixF out(seqs, hidden), want(seqs, hidden);
+    for (int step = 0; step < 3; ++step) {
+      const MatrixF x = random_matrix(seqs, hidden, rng, -0.5f, 0.5f);
+      MatrixF x_bad = x;
+      if (step == 1) x_bad(1, 7) = bad;
+      NMSPMM_ASSERT_OK(
+          poisoned.decode(x_bad.cview(), ids.data(), out.view(), rows.data()));
+      NMSPMM_ASSERT_OK(
+          clean.decode(x.cview(), ids.data(), want.view(), clean_rows.data()));
+      for (const Status& row : clean_rows) NMSPMM_ASSERT_OK(row);
+      for (index_t i = 0; i < seqs; ++i) {
+        const Status& row = rows[static_cast<std::size_t>(i)];
+        if (i == 1 && step >= 1) {
+          EXPECT_EQ(row.code(), StatusCode::kFailedPrecondition)
+              << "value " << bad << " step " << step << ": "
+              << row.to_string();
+          continue;
+        }
+        NMSPMM_ASSERT_OK(row);
+        for (index_t j = 0; j < hidden; ++j) {
+          ASSERT_EQ(want(i, j), out(i, j))
+              << "value " << bad << " step " << step << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DecoderPlan, UnnormalizedFeedbackEndsInRowErrorsNotAThrow) {
+  // Without norm gains, feeding the layer its own output grows the
+  // activations geometrically until Q·Kᵀ overflows. That used to throw
+  // out of decode(); it now surfaces as typed row errors.
+  Rng rng(46);
+  const NMConfig cfg{2, 4, 16};
+  model::DecoderLayer layer = make_layer(rng, cfg);
+  layer.attn_norm.clear();
+  layer.ffn.input_norm.clear();
+  Engine engine;
+  const index_t seqs = 2;
+  auto plan_or = engine.plan_decoder(seqs, layer, cache_for(seqs * 256));
+  NMSPMM_ASSERT_OK(plan_or.status());
+  model::DecoderPlan& plan = **plan_or;
+  const std::vector<std::uint64_t> ids = {1, 2};
+  for (std::uint64_t id : ids) NMSPMM_ASSERT_OK(plan.begin_sequence(id));
+  const index_t hidden = plan.hidden();
+  MatrixF x = random_matrix(seqs, hidden, rng, -0.5f, 0.5f);
+  MatrixF out(seqs, hidden);
+  std::vector<Status> rows(seqs);
+  int failed_at = -1;
+  for (int step = 0; step < 256 && failed_at < 0; ++step) {
+    NMSPMM_ASSERT_OK(
+        plan.decode(x.cview(), ids.data(), out.view(), rows.data()));
+    for (const Status& row : rows) {
+      if (!row.ok()) {
+        EXPECT_EQ(row.code(), StatusCode::kFailedPrecondition)
+            << row.to_string();
+        failed_at = step;
+      }
+    }
+    x = out;
+  }
+  EXPECT_GT(failed_at, 0) << "the activations never overflowed";
 }
 
 TEST(DecoderPlan, BatchStatusesStayBatchLevel) {
