@@ -6,6 +6,7 @@
 // vector-wise format exposes as a tunable.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "core/nmspmm.hpp"
 #include "util/stats.hpp"
@@ -31,8 +32,8 @@ int main() {
       const NMMask rnd = random_mask(k, n, cfg, rng);
 
       auto error_of = [&](const NMMask& mask) {
-        const CompressedNM compressed = compress(
-            apply_mask(B.view(), mask).view(), mask);
+        const auto compressed = std::make_shared<const CompressedNM>(
+            compress(apply_mask(B.view(), mask).view(), mask));
         MatrixF c(m, n);
         NMSPMM_CHECK_OK(engine.spmm(A.view(), compressed, c.view()));
         return approximation_error(c_dense.view(), c.view());

@@ -1,6 +1,5 @@
 #include "core/engine.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <utility>
@@ -8,39 +7,6 @@
 #include "util/hash.hpp"
 
 namespace nmspmm {
-
-namespace {
-
-/// Cheap content fingerprint of caller-owned weights: FNV over the shape
-/// plus strided samples of the values and index matrices. Guards the
-/// wrapped-copy cache against the two ways the (address, buffer, shape,
-/// config) identity can lie — an allocator handing a recycled buffer to
-/// a different same-shape matrix (near-certain detection: independent
-/// contents differ in the samples), and in-place mutation of the values
-/// between calls (best-effort: only edits touching a sampled position
-/// are caught — mutating weights the engine has wrapped is outside the
-/// overload's contract). O(1) work (128 samples) per call.
-std::uint64_t weights_fingerprint(const CompressedNM& B) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  constexpr index_t kSamples = 64;
-  const index_t nv = B.rows() * B.cols;
-  for (index_t s = 0; s < std::min(kSamples, nv); ++s) {
-    const index_t pos = nv <= kSamples ? s : s * (nv - 1) / (kSamples - 1);
-    mix(std::bit_cast<std::uint32_t>(B.values(pos / B.cols, pos % B.cols)));
-  }
-  const index_t nd = B.rows() * B.num_groups();
-  for (index_t s = 0; s < std::min(kSamples, nd); ++s) {
-    const index_t pos = nd <= kSamples ? s : s * (nd - 1) / (kSamples - 1);
-    mix(B.indices(pos / B.num_groups(), pos % B.num_groups()));
-  }
-  return h;
-}
-
-}  // namespace
 
 std::size_t Engine::KeyHash::operator()(const Key& k) const noexcept {
   std::size_t h = std::hash<const void*>{}(k.weights);
@@ -87,10 +53,10 @@ StatusOr<std::shared_ptr<const SpmmPlan>> Engine::plan_for(
   // and so a serial engine's null pool_ stays serial inside the plan.
   // Residency is engine policy for the same reason. One exception: an
   // explicit num_threads == 1 requests a strictly serial plan. The
-  // Server's split execute policy runs several such products
-  // concurrently on the engine pool; a pool-parallel plan there would
-  // nest run_chunks waits inside pool workers, which can deadlock once
-  // every worker is blocked waiting for queued chunks.
+  // Server's split lanes run several such products concurrently on the
+  // engine pool; a pool-parallel plan there would nest run_chunks waits
+  // inside pool workers, which can deadlock once every worker is blocked
+  // waiting for queued chunks.
   if (options.num_threads != 1) options.num_threads = normalized_num_threads();
   options.residency = options_.residency;
   if (options.residency == mem::ResidencyMode::kPackedOnly &&
@@ -164,62 +130,6 @@ Status Engine::spmm(ConstViewF A, std::shared_ptr<const CompressedNM> B,
   return (*plan)->execute(A, C);
 }
 
-std::shared_ptr<const CompressedNM> Engine::wrap_weights(
-    const CompressedNM& B) {
-  const std::uint64_t fp = weights_fingerprint(B);
-  auto matches = [&](const WrappedWeights& w) {
-    return w.values_data == B.values.data() && w.orig_rows == B.orig_rows &&
-           w.cols == B.cols && w.config == B.config && w.fingerprint == fp;
-  };
-  {
-    std::lock_guard lock(mutex_);
-    if (auto it = wrapped_.find(&B); it != wrapped_.end()) {
-      if (matches(it->second)) return it->second.copy;
-      // Address reuse or in-place mutation: a different matrix now lives
-      // at &B. Drop the stale wrapper; its plans age out of the LRU
-      // cache on their own.
-      wrapped_.erase(it);
-    }
-  }
-  // Deep-copy outside the lock — this is the expensive O(weights) step
-  // the wrapper cache exists to amortize.
-  auto copy = std::make_shared<const CompressedNM>(B);
-
-  std::lock_guard lock(mutex_);
-  auto [it, inserted] = wrapped_.try_emplace(&B);
-  if (!inserted && matches(it->second)) {
-    return it->second.copy;  // racing caller copied first; use theirs
-  }
-  it->second = WrappedWeights{B.values.data(), B.orig_rows, B.cols, B.config,
-                              fp, std::move(copy)};
-  // Bound the wrapper map like the plan cache; evicting an arbitrary
-  // other entry only costs a re-copy if that matrix comes back.
-  while (wrapped_.size() > options_.plan_cache_capacity) {
-    auto victim = wrapped_.begin();
-    if (victim->first == &B) ++victim;
-    wrapped_.erase(victim);
-  }
-  return it->second.copy;
-}
-
-Status Engine::spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-                    SpmmOptions options) {
-  if (A.rows() < 1) {
-    return Status::InvalidArgument("activation batch is empty");
-  }
-  // The deep copy inside wrap_weights can fail (bad_alloc on huge
-  // weights); keep the no-throw Status contract of the serving surface.
-  try {
-    return spmm(A, wrap_weights(B), C, std::move(options));
-  } catch (const CheckError& e) {
-    return Status::InvalidArgument(e.what());
-  } catch (const std::bad_alloc& e) {
-    return Status::ResourceExhausted(e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(e.what());
-  }
-}
-
 Engine::CacheStats Engine::cache_stats() const {
   std::lock_guard lock(mutex_);
   CacheStats stats = stats_;
@@ -231,19 +141,6 @@ void Engine::clear_cache() {
   std::lock_guard lock(mutex_);
   index_.clear();
   lru_.clear();
-  wrapped_.clear();
-}
-
-Engine& Engine::global() {
-  static Engine engine;
-  return engine;
-}
-
-// Deprecated one-shot shim retained for source compatibility; routes
-// through the global engine's pool, throwing like the historical API.
-void nm_spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-             SpmmOptions options) {
-  Engine::global().spmm(A, B, C, std::move(options)).check_ok();
 }
 
 }  // namespace nmspmm

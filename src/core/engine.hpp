@@ -83,19 +83,6 @@ class Engine {
   Status spmm(ConstViewF A, std::shared_ptr<const CompressedNM> B, ViewF C,
               SpmmOptions options = {});
 
-  /// Convenience overload for caller-owned weights. The engine deep-copies
-  /// @p B once, remembers the copy keyed by the caller's matrix identity
-  /// (address + buffer + shape + config + a sampled content fingerprint),
-  /// and routes every subsequent call through the plan cache — the
-  /// deprecated nm_spmm() shim is O(weights) on first contact with a
-  /// matrix, not per request. A *different* matrix reusing the address is
-  /// detected; mutating the same matrix in place between calls is caught
-  /// only when a sampled position changes, so treat wrapped weights as
-  /// immutable. Prefer the shared_ptr overload for serving: it never
-  /// copies at all.
-  Status spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-              SpmmOptions options = {});
-
   /// Fetch (building if needed) the cached plan serving batches of up to
   /// m rows. The returned plan is immutable and safe to execute from any
   /// thread; it stays valid after eviction as long as the caller holds
@@ -159,8 +146,8 @@ class Engine {
   /// groups — normalize through this so the rules cannot diverge.
   /// Exception: a call passing an explicit num_threads == 1 gets a
   /// strictly serial plan even on a pooled engine (cached under its own
-  /// key) — the building block of the Server's split execute policy,
-  /// which runs several serial products concurrently on the pool.
+  /// key) — the building block of the Server's split lanes, which run
+  /// several serial products concurrently on the pool.
   [[nodiscard]] unsigned normalized_num_threads() const {
     return options_.num_threads == 1 ? 1u : 0u;
   }
@@ -170,9 +157,6 @@ class Engine {
   /// largest representable power of two (2^62 for int64 index_t) get an
   /// exact bucket of m itself instead of overflowing.
   static index_t bucket_batch(index_t m, index_t min_bucket);
-
-  /// Process-global engine backing the deprecated nm_spmm() shim.
-  static Engine& global();
 
  private:
   struct Key {
@@ -195,23 +179,6 @@ class Engine {
     /// different matrix that reused the address.
     std::weak_ptr<const CompressedNM> origin;
   };
-  /// One remembered deep copy of caller-owned weights (the raw-reference
-  /// spmm overload). The identity fields plus a sampled content
-  /// fingerprint detect address reuse and in-place mutation, so a stale
-  /// wrapper cannot be served for a matrix that changed.
-  struct WrappedWeights {
-    const void* values_data = nullptr;
-    index_t orig_rows = 0;
-    index_t cols = 0;
-    NMConfig config;
-    std::uint64_t fingerprint = 0;
-    std::shared_ptr<const CompressedNM> copy;
-  };
-
-  /// Deep-copy @p B on first contact (or identity change) and reuse the
-  /// cached copy after, giving the raw reference a stable cache key.
-  std::shared_ptr<const CompressedNM> wrap_weights(const CompressedNM& B);
-
   EngineOptions options_;
   std::shared_ptr<ThreadPool> pool_;  ///< null when running serially
   std::shared_ptr<mem::WeightStore> store_;
@@ -219,7 +186,6 @@ class Engine {
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  std::unordered_map<const CompressedNM*, WrappedWeights> wrapped_;
   CacheStats stats_;
 };
 

@@ -172,11 +172,4 @@ class SpmmPlan {
   std::shared_ptr<const PackedWeights> packed_;
 };
 
-/// One-shot convenience wrapper: plan + execute through the process-global
-/// Engine. Deprecated: use Engine::spmm, which reuses plans across calls
-/// and reports errors as Status instead of throwing.
-[[deprecated("use nmspmm::Engine::spmm")]]
-void nm_spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-             SpmmOptions options = {});
-
 }  // namespace nmspmm

@@ -64,7 +64,8 @@ inline constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kCount);
 
 const char* to_string(SpanKind kind);
 
-/// How the request's batch was executed (ExecutePolicy resolution).
+/// How the request's batch was executed: bypassed, gathered into one
+/// execution, or (prefill-heavy plain-SpMM batches) split into lanes.
 enum class ExecLane : std::uint8_t {
   kNone = 0,  ///< not an execute-bearing span (or unknown)
   kBypass,    ///< served synchronously on the submitting thread

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 
 #include "serve/fault.hpp"
 #include "util/hash.hpp"
@@ -96,12 +97,39 @@ std::uint8_t trace_cls_byte(serve::RequestClass cls) {
   return static_cast<std::uint8_t>(cls);
 }
 
+/// A plain-SpMM batch splits into concurrent serial lanes once its
+/// average rows per request reach this many: each request keeps a core
+/// busy on its own, and skipping the gather/scatter of large row blocks
+/// beats amortizing one weight read. Decode bursts stay well below it —
+/// for them the shared weight read is the whole win.
+constexpr index_t kSplitMinAvgRows = 16;
+
+/// An already-resolved future (per-request rejections).
+std::future<Status> ready(Status status) {
+  std::promise<Status> done;
+  done.set_value(std::move(status));
+  return done.get_future();
+}
+
+/// std::visit over one lambda per Server target type.
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+/// The object a Server target points at: its group identity (null for
+/// a null target).
+template <class Target>
+const void* address_of(const Target& target) {
+  return std::visit([](const auto& p) -> const void* { return p.get(); },
+                    target);
+}
+
 }  // namespace
 
 std::size_t Server::GroupKeyHash::operator()(
     const GroupKey& k) const noexcept {
   std::size_t h = std::hash<const void*>{}(k.target);
-  hash_combine(h, static_cast<unsigned>(k.kind));
   hash_combine(h, hash_value(k.options));
   return h;
 }
@@ -143,7 +171,6 @@ Server::Server(ServerOptions options)
     : options_(options), engine_(options.engine) {
   if (options_.max_batch_rows < 1) options_.max_batch_rows = 1;
   if (options_.max_groups < 1) options_.max_groups = 1;
-  if (options_.split_min_avg_rows < 1) options_.split_min_avg_rows = 1;
   if (options_.num_shards == 0) {
     // Auto: half the hardware threads for dispatch, clamped to [1, 4] —
     // the engine pool is the bottleneck long before 4 dispatchers are.
@@ -197,139 +224,101 @@ Server::Shard& Server::shard_of(const void* target) const {
   return *shards_[mix_pointer(target) % shards_.size()];
 }
 
+Server::TargetShape Server::shape_of(const Target& target) {
+  return std::visit(
+      Overloaded{
+          [](const std::shared_ptr<const CompressedNM>& weights) {
+            return TargetShape{weights->orig_rows, weights->cols, 0};
+          },
+          [](const std::shared_ptr<model::ModelPlan>& plan) {
+            return TargetShape{plan->hidden_in(), plan->hidden_out(),
+                               plan->planned_tokens()};
+          },
+          [](const std::shared_ptr<model::DecoderPlan>& plan) {
+            return TargetShape{plan->hidden(), plan->hidden(),
+                               plan->planned_tokens()};
+          }},
+      target);
+}
+
+Status Server::validate(const Target& target, const SpmmOptions& options,
+                        ConstViewF A, ViewF C) {
+  if (address_of(target) == nullptr) {
+    return Status::InvalidArgument("target shared_ptr is null");
+  }
+  if (A.rows() < 1) {
+    return Status::InvalidArgument("activation batch is empty");
+  }
+  const TargetShape shape = shape_of(target);
+  if (A.cols() != shape.k) {
+    std::ostringstream os;
+    os << "A depth " << A.cols() << " != target depth " << shape.k;
+    return Status::InvalidArgument(os.str());
+  }
+  if (C.rows() != A.rows() || C.cols() != shape.n) {
+    std::ostringstream os;
+    os << "C is " << C.rows() << "x" << C.cols() << " but must be "
+       << A.rows() << "x" << shape.n;
+    return Status::InvalidArgument(os.str());
+  }
+  if (shape.max_rows != 0 && A.rows() > shape.max_rows) {
+    // Such a request could never be served.
+    std::ostringstream os;
+    os << "request of " << A.rows() << " tokens exceeds the plan's "
+       << shape.max_rows << "-token budget";
+    return Status::FailedPrecondition(os.str());
+  }
+  if (options.epilogue.active()) {
+    return Status::InvalidArgument(
+        "batched submissions cannot carry epilogue operands; submit whole "
+        "FFN blocks through submit_ffn instead");
+  }
+  return Status();
+}
+
 std::future<Status> Server::submit(ConstViewF A,
                                    std::shared_ptr<const CompressedNM> B,
                                    ViewF C, SpmmOptions options,
                                    std::uint64_t deadline_us) {
-  const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
-  // Per-request validation: a malformed submission resolves immediately
-  // and can never poison the batch it would have joined.
-  if (B == nullptr) {
-    done.set_value(Status::InvalidArgument("weights shared_ptr is null"));
-    return result;
-  }
-  if (A.rows() < 1) {
-    done.set_value(Status::InvalidArgument("activation batch is empty"));
-    return result;
-  }
-  if (A.cols() != B->orig_rows) {
-    std::ostringstream os;
-    os << "A depth " << A.cols() << " != weights k " << B->orig_rows;
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  if (C.rows() != A.rows() || C.cols() != B->cols) {
-    std::ostringstream os;
-    os << "C is " << C.rows() << "x" << C.cols() << " but must be "
-       << A.rows() << "x" << B->cols;
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  if (options.epilogue.active()) {
-    done.set_value(Status::InvalidArgument(
-        "batched submissions cannot carry epilogue operands; submit whole "
-        "FFN blocks through submit_ffn instead"));
-    return result;
-  }
   // Requests batch only when one plan serves them all: normalize the
   // thread count exactly as the engine does for its cache key.
   options.num_threads = engine_.normalized_num_threads();
-  GroupKey key{B.get(), TargetKind::kSpmm, options};
-  return enqueue(std::move(key), std::move(B), nullptr, nullptr, A, C,
-                 deadline_us, submitted, std::move(done), std::move(result));
+  return enqueue(std::move(B), options, A, C, deadline_us);
 }
 
 std::future<Status> Server::submit_ffn(ConstViewF A,
                                        std::shared_ptr<model::ModelPlan> plan,
                                        ViewF out, std::uint64_t deadline_us) {
-  const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
-  if (plan == nullptr) {
-    done.set_value(Status::InvalidArgument("model plan shared_ptr is null"));
-    return result;
-  }
-  if (A.rows() < 1) {
-    done.set_value(Status::InvalidArgument("activation batch is empty"));
-    return result;
-  }
-  if (A.cols() != plan->hidden_in()) {
-    std::ostringstream os;
-    os << "A depth " << A.cols() << " != model hidden " << plan->hidden_in();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  if (out.rows() != A.rows() || out.cols() != plan->hidden_out()) {
-    std::ostringstream os;
-    os << "out is " << out.rows() << "x" << out.cols() << " but must be "
-       << A.rows() << "x" << plan->hidden_out();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  if (A.rows() > plan->planned_tokens()) {
-    std::ostringstream os;
-    os << "request of " << A.rows() << " tokens exceeds the plan's "
-       << plan->planned_tokens() << "-token budget";
-    done.set_value(Status::FailedPrecondition(os.str()));
-    return result;
-  }
-  GroupKey key{plan.get(), TargetKind::kFfn, SpmmOptions{}};
-  return enqueue(std::move(key), nullptr, std::move(plan), nullptr, A, out,
-                 deadline_us, submitted, std::move(done), std::move(result));
+  return enqueue(std::move(plan), SpmmOptions{}, A, out, deadline_us);
 }
 
 std::future<Status> Server::submit_decode(
     std::uint64_t seq_id, ConstViewF A,
     std::shared_ptr<model::DecoderPlan> plan, ViewF out,
     std::uint64_t deadline_us) {
-  const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
-  if (plan == nullptr) {
-    done.set_value(Status::InvalidArgument("decoder plan shared_ptr is null"));
-    return result;
-  }
   if (A.rows() != 1) {
-    done.set_value(Status::InvalidArgument(
+    return ready(Status::InvalidArgument(
         "submit_decode takes exactly one token row per sequence step"));
-    return result;
   }
-  if (A.cols() != plan->hidden()) {
-    std::ostringstream os;
-    os << "A depth " << A.cols() << " != decoder hidden " << plan->hidden();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  if (out.rows() != 1 || out.cols() != plan->hidden()) {
-    std::ostringstream os;
-    os << "out is " << out.rows() << "x" << out.cols() << " but must be 1x"
-       << plan->hidden();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
-  }
-  GroupKey key{plan.get(), TargetKind::kDecode, SpmmOptions{}};
-  return enqueue(std::move(key), nullptr, nullptr, std::move(plan), A, out,
-                 deadline_us, submitted, std::move(done), std::move(result),
+  return enqueue(std::move(plan), SpmmOptions{}, A, out, deadline_us,
                  seq_id);
 }
 
-std::future<Status> Server::enqueue(GroupKey key,
-                                    std::shared_ptr<const CompressedNM>
-                                        weights,
-                                    std::shared_ptr<model::ModelPlan> plan,
-                                    std::shared_ptr<model::DecoderPlan> decode,
+std::future<Status> Server::enqueue(Target target, SpmmOptions options,
                                     ConstViewF A, ViewF C,
                                     std::uint64_t deadline_us,
-                                    Clock::time_point submitted,
-                                    std::promise<Status> done,
-                                    std::future<Status> result,
                                     std::uint64_t seq_id) {
-  Shard& shard = shard_of(key.target);
+  const auto submitted = Clock::now();
+  // Per-request validation: a malformed submission resolves immediately
+  // and can never poison the batch it would have joined.
+  if (Status invalid = validate(target, options, A, C); !invalid.ok()) {
+    return ready(std::move(invalid));
+  }
+  const void* address = address_of(target);
+  GroupKey key{address, std::move(options)};
+  Shard& shard = shard_of(address);
   if (stop_.load(std::memory_order_seq_cst)) {
-    done.set_value(Status::Unavailable("server is shut down"));
-    return result;
+    return ready(Status::Unavailable("server is shut down"));
   }
   const auto cls = serve::classify_rows(A.rows());
 
@@ -354,18 +343,7 @@ std::future<Status> Server::enqueue(GroupKey key,
     std::shared_ptr<Group> group;
     {
       std::lock_guard lock(shard.mutex);
-      std::shared_ptr<Group>& slot = shard.groups[key];
-      if (slot == nullptr) {
-        slot = std::make_shared<Group>();
-        slot->weights = weights;
-        slot->ffn_plan = plan;
-        slot->decode_plan = decode;
-        if (options_.telemetry) {
-          slot->telemetry = std::make_shared<serve::Telemetry>();
-        }
-        shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
-      }
-      group = slot;
+      group = make_group(shard, key, std::move(target));
       prune_idle_groups(shard, group.get());
     }
     Group& g = *group;
@@ -376,24 +354,12 @@ std::future<Status> Server::enqueue(GroupKey key,
     shard.totals.rows.fetch_add(1, std::memory_order_relaxed);
     shard.totals.bypassed.fetch_add(1, std::memory_order_relaxed);
     const auto exec_start = Clock::now();
-    Status status;
-    switch (key.kind) {
-      case TargetKind::kFfn:
-        status = g.ffn_plan->run(A, C);
-        break;
-      case TargetKind::kDecode: {
-        // DecoderPlan serializes internally, so bypassing while the
-        // dispatcher later batches the same plan is safe. Per-sequence
-        // failures surface through the single row's status.
-        Status row;
-        status = g.decode_plan->decode(A, &seq_id, C, &row);
-        if (status.ok()) status = row;
-        break;
-      }
-      case TargetKind::kSpmm:
-        status = engine_.spmm(A, g.weights, C, key.options);
-        break;
-    }
+    // A DecoderPlan serializes internally, so bypassing while the
+    // dispatcher later batches the same plan is safe. Per-sequence
+    // failures surface through the single row's status.
+    Status row;
+    Status status = execute(g, key.options, A, &seq_id, C, &row);
+    if (status.ok()) status = row;
     const auto resolved = Clock::now();
     const bool violated =
         deadline_us != 0 && resolved > deadline_from(submitted, deadline_us);
@@ -437,8 +403,7 @@ std::future<Status> Server::enqueue(GroupKey key,
       emit(obs::SpanKind::kExecute, exec_start, resolved);
       emit(obs::SpanKind::kTotal, submitted, resolved);
     }
-    done.set_value(status);
-    return result;
+    return ready(status);
   }
 
   // Admission control. A request is sheddable when the policy says so
@@ -466,11 +431,10 @@ std::future<Status> Server::enqueue(GroupKey key,
             options_.shed_pending_bytes;
     if (over_rows || over_bytes) {
       count_shed();
-      done.set_value(Status::ResourceExhausted(
+      return ready(Status::ResourceExhausted(
           over_rows ? "request shed: shard pending rows over high-water mark"
                     : "request shed: shard pending bytes over high-water "
                       "mark"));
-      return result;
     }
   }
 
@@ -484,8 +448,7 @@ std::future<Status> Server::enqueue(GroupKey key,
   shard.entrants.fetch_add(1, std::memory_order_seq_cst);
   if (stop_.load(std::memory_order_seq_cst)) {
     shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
-    done.set_value(Status::Unavailable("server is shut down"));
-    return result;
+    return ready(Status::Unavailable("server is shut down"));
   }
   // inflight (and the admission pending gauges) must rise before the
   // publish so the bypass's idle test cannot miss a request that is
@@ -493,11 +456,11 @@ std::future<Status> Server::enqueue(GroupKey key,
   shard.inflight.fetch_add(1, std::memory_order_seq_cst);
   shard.pending_rows.fetch_add(rows, std::memory_order_relaxed);
   shard.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
   SubmitMsg msg;
   msg.key = std::move(key);
-  msg.weights = std::move(weights);
-  msg.ffn_plan = std::move(plan);
-  msg.decode_plan = std::move(decode);
+  msg.target = std::move(target);
   msg.request =
       BatchRequest{A, C, std::move(done), submitted, Clock::now(),
                    deadline_from(submitted, deadline_us), trace_id, seq_id};
@@ -565,17 +528,26 @@ std::future<Status> Server::enqueue(GroupKey key,
   return result;
 }
 
-index_t Server::group_row_budget(const Group& group) const {
-  if (group.ffn_plan != nullptr) {
-    // A batch larger than the plan's token budget could never execute.
-    return std::min(options_.max_batch_rows,
-                    group.ffn_plan->planned_tokens());
+std::shared_ptr<Server::Group>& Server::make_group(Shard& shard,
+                                                   const GroupKey& key,
+                                                   Target target) {
+  std::shared_ptr<Group>& slot = shard.groups[key];
+  if (slot == nullptr) {
+    slot = std::make_shared<Group>();
+    const TargetShape shape = shape_of(target);
+    slot->target = std::move(target);
+    slot->k = shape.k;
+    slot->n = shape.n;
+    // A batch larger than a plan's token budget could never execute.
+    slot->row_budget = shape.max_rows != 0
+                           ? std::min(options_.max_batch_rows, shape.max_rows)
+                           : options_.max_batch_rows;
+    if (options_.telemetry) {
+      slot->telemetry = std::make_shared<serve::Telemetry>();
+    }
+    shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
   }
-  if (group.decode_plan != nullptr) {
-    return std::min(options_.max_batch_rows,
-                    group.decode_plan->planned_tokens());
-  }
-  return options_.max_batch_rows;
+  return slot;
 }
 
 std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
@@ -587,18 +559,7 @@ std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
   drained += scratch.size();
   std::lock_guard lock(shard.mutex);
   for (SubmitMsg& m : scratch) {
-    std::shared_ptr<Group>& slot = shard.groups[m.key];
-    if (slot == nullptr) {
-      slot = std::make_shared<Group>();
-      slot->weights = std::move(m.weights);
-      slot->ffn_plan = std::move(m.ffn_plan);
-      slot->decode_plan = std::move(m.decode_plan);
-      if (options_.telemetry) {
-        slot->telemetry = std::make_shared<serve::Telemetry>();
-      }
-      shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
-    }
-    Group& g = *slot;
+    Group& g = *make_group(shard, m.key, std::move(m.target));
     const auto rows = static_cast<std::uint64_t>(m.request.a.rows());
     g.counters.requests.fetch_add(1, std::memory_order_relaxed);
     g.counters.rows.fetch_add(rows, std::memory_order_relaxed);
@@ -647,7 +608,7 @@ Server::PendingBatch Server::next_batch(Shard& shard,
   for (auto& [key, group] : shard.groups) {
     BatchQueue& queue = group->queue;
     if (queue.empty()) continue;
-    if (!draining && !queue.ready(now, group_row_budget(*group), wait,
+    if (!draining && !queue.ready(now, group->row_budget, wait,
                                   options_.slo_aware, margin)) {
       continue;
     }
@@ -659,7 +620,7 @@ Server::PendingBatch Server::next_batch(Shard& shard,
   if (pick == nullptr) return batch;
 
   Group& g = **pick;
-  const index_t budget = group_row_budget(g);
+  const index_t budget = g.row_budget;
   // Attribute the flush before popping mutates the queue. During drain a
   // not-otherwise-ready queue flushes for shutdown; count it with the
   // timeout flushes.
@@ -668,7 +629,7 @@ Server::PendingBatch Server::next_batch(Shard& shard,
     reason = g.queue.flush_reason(now, budget, wait);
   }
   batch.group = *pick;
-  batch.options = pick_key->options;
+  batch.key = *pick_key;
   batch.popped = now;
   batch.reason = reason;
   batch.requests = g.queue.take_batch(budget);
@@ -762,15 +723,10 @@ void Server::trace_request(const Shard& shard, const PendingBatch& batch,
                            Clock::time_point exec_start,
                            Clock::time_point exec_end,
                            Clock::time_point resolved) const {
-  const Group& g = *batch.group;
-  const void* target =
-      g.decode_plan != nullptr ? static_cast<const void*>(g.decode_plan.get())
-      : g.ffn_plan != nullptr  ? static_cast<const void*>(g.ffn_plan.get())
-                               : static_cast<const void*>(g.weights.get());
   obs::TraceSpan span;
   span.trace_id = r.trace_id;
-  span.target =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(target));
+  span.target = static_cast<std::uint64_t>(
+      reinterpret_cast<std::uintptr_t>(batch.key.target));
   span.rows = static_cast<std::uint32_t>(r.a.rows());
   span.shard = shard.index;
   span.cls = trace_cls_byte(serve::classify_rows(r.a.rows()));
@@ -790,150 +746,112 @@ void Server::trace_request(const Shard& shard, const PendingBatch& batch,
   emit(obs::SpanKind::kTotal, r.submitted, resolved);
 }
 
+Status Server::execute(const Group& group, const SpmmOptions& options,
+                       ConstViewF a, const std::uint64_t* seq_ids, ViewF c,
+                       Status* row_status) {
+  return std::visit(
+      Overloaded{
+          [&](const std::shared_ptr<const CompressedNM>& weights) {
+            return engine_.spmm(a, weights, c, options);
+          },
+          [&](const std::shared_ptr<model::ModelPlan>& plan) {
+            return plan->run(a, c);
+          },
+          [&](const std::shared_ptr<model::DecoderPlan>& plan) {
+            return plan->decode(a, seq_ids, c, row_status);
+          }},
+      group.target);
+}
+
 Status Server::serve_batch(Shard& shard, PendingBatch& batch,
                            StagingMap& staging) {
   Group& g = *batch.group;
-  const bool ffn = g.ffn_plan != nullptr;
-  const bool decode = g.decode_plan != nullptr;
   // Chaos hook: per-shard artificial execute latency (no-op by default).
   NMSPMM_FAULT_EXECUTE_DELAY();
 
-  // A lone request needs no gather/scatter: hand its views straight to
-  // the execution path (same plan caches, zero copies).
-  if (batch.requests.size() == 1) {
-    BatchRequest& r = batch.requests.front();
-    const std::uint64_t repacks_before = obs::repack_events();
-    const auto exec_start = Clock::now();
-    Status status;
-    if (decode) {
-      Status row;
-      status = g.decode_plan->decode(r.a, &r.seq_id, r.c, &row);
-      if (status.ok()) status = row;
-    } else if (ffn) {
-      status = g.ffn_plan->run(r.a, r.c);
-    } else {
-      status = engine_.spmm(r.a, g.weights, r.c, batch.options);
-    }
-    batch.exec_repacks = obs::repack_events() - repacks_before;
-    resolve_request(shard, batch, r, exec_start, Clock::now(), status);
-    return status;
-  }
-
-  // Execute policy: one big partitioned SpMM (coalesce) vs. several
-  // concurrent serial ones (split). Splitting needs a real pool and a
-  // plain-SpMM group (a ModelPlan binds its own pool and cannot run as
-  // a serial lane).
+  // Prefill-heavy plain-SpMM batches split into concurrent serial lanes
+  // (see kSplitMinAvgRows). That needs a real pool; a plan binds its own
+  // pool and cannot run as a serial lane.
+  const auto count = static_cast<index_t>(batch.requests.size());
   ThreadPool* pool = engine_.pool();
-  bool split = false;
-  if (!ffn && !decode && pool != nullptr && pool->size() > 1) {
-    switch (options_.execute_policy) {
-      case ExecutePolicy::kCoalesce:
-        break;
-      case ExecutePolicy::kSplit:
-        split = true;
-        break;
-      case ExecutePolicy::kAuto:
-        // Prefill-heavy batches split: each request is big enough to
-        // keep a core busy on its own, and skipping the gather/scatter
-        // of large row blocks beats amortizing one weight read. Decode
-        // bursts coalesce — the shared weight read is the whole win.
-        split = batch.rows >= options_.split_min_avg_rows *
-                                  static_cast<index_t>(
-                                      batch.requests.size());
-        break;
-    }
-  }
-  if (split) return serve_batch_split(shard, batch);
-
-  const index_t k = decode ? g.decode_plan->hidden()
-                   : ffn   ? g.ffn_plan->hidden_in()
-                           : g.weights->orig_rows;
-  const index_t n = decode ? g.decode_plan->hidden()
-                   : ffn   ? g.ffn_plan->hidden_out()
-                           : g.weights->cols;
-  const void* target = decode ? static_cast<const void*>(g.decode_plan.get())
-                       : ffn  ? static_cast<const void*>(g.ffn_plan.get())
-                              : static_cast<const void*>(g.weights.get());
-  const index_t capacity = std::max(batch.rows, options_.max_batch_rows);
-  // Bound dispatcher memory before it grows: a trip here unwinds into
-  // the dispatcher's exception guard, failing this batch with
-  // RESOURCE_EXHAUSTED while the server keeps serving. Real bad_alloc
-  // from the MatrixF growth below takes the same guard path.
-  if (options_.max_staging_bytes != 0 &&
-      staging_bytes(capacity, k, n) > options_.max_staging_bytes) {
-    std::ostringstream os;
-    os << "batch of " << batch.rows << " rows needs "
-       << staging_bytes(capacity, k, n)
-       << " staging bytes, over max_staging_bytes="
-       << options_.max_staging_bytes;
-    throw ResourceExhaustedError(os.str());
-  }
-  if (NMSPMM_FAULT_FIRE(kStagingAlloc)) {
-    throw ResourceExhaustedError("injected staging allocation failure");
-  }
-  Staging& st = staging[target];
-  if (st.a.rows() < batch.rows || st.a.cols() != k) {
-    st.a = MatrixF(capacity, k);
-  }
-  if (st.c.rows() < batch.rows || st.c.cols() != n) {
-    st.c = MatrixF(capacity, n);
+  if (count > 1 &&
+      std::holds_alternative<std::shared_ptr<const CompressedNM>>(
+          g.target) &&
+      pool != nullptr && pool->size() > 1 &&
+      batch.rows >= kSplitMinAvgRows * count) {
+    return serve_batch_split(shard, batch);
   }
 
-  index_t row = 0;
-  for (const BatchRequest& r : batch.requests) {
-    for (index_t i = 0; i < r.a.rows(); ++i) {
-      std::copy_n(r.a.row(i), k, st.a.row(row++));
+  // A lone request needs no gather/scatter: its own views are the batch
+  // (same plan caches, zero copies).
+  BatchRequest& front = batch.requests.front();
+  ConstViewF a_view = front.a;
+  ViewF c_view = front.c;
+  const std::uint64_t* seq_ids = &front.seq_id;
+  Status lone_status;
+  Status* row_status = &lone_status;
+  if (count > 1) {
+    const index_t capacity = std::max(batch.rows, options_.max_batch_rows);
+    // Bound dispatcher memory before it grows: a trip here unwinds into
+    // the dispatcher's exception guard, failing this batch with
+    // RESOURCE_EXHAUSTED while the server keeps serving. Real bad_alloc
+    // from the MatrixF growth below takes the same guard path.
+    if (options_.max_staging_bytes != 0 &&
+        staging_bytes(capacity, g.k, g.n) > options_.max_staging_bytes) {
+      std::ostringstream os;
+      os << "batch of " << batch.rows << " rows needs "
+         << staging_bytes(capacity, g.k, g.n)
+         << " staging bytes, over max_staging_bytes="
+         << options_.max_staging_bytes;
+      throw ResourceExhaustedError(os.str());
     }
+    if (NMSPMM_FAULT_FIRE(kStagingAlloc)) {
+      throw ResourceExhaustedError("injected staging allocation failure");
+    }
+    Staging& st = staging[batch.key.target];
+    if (st.a.rows() < batch.rows || st.a.cols() != g.k) {
+      st.a = MatrixF(capacity, g.k);
+    }
+    if (st.c.rows() < batch.rows || st.c.cols() != g.n) {
+      st.c = MatrixF(capacity, g.n);
+    }
+    st.seq_ids.clear();
+    index_t row = 0;
+    for (const BatchRequest& r : batch.requests) {
+      for (index_t i = 0; i < r.a.rows(); ++i) {
+        std::copy_n(r.a.row(i), g.k, st.a.row(row++));
+        st.seq_ids.push_back(r.seq_id);
+      }
+    }
+    st.row_status.assign(static_cast<std::size_t>(batch.rows), Status());
+    a_view = st.a.view().block(0, 0, batch.rows, g.k);
+    c_view = st.c.view().block(0, 0, batch.rows, g.n);
+    seq_ids = st.seq_ids.data();
+    row_status = st.row_status.data();
   }
-  const ConstViewF a_view = st.a.view().block(0, 0, batch.rows, k);
-  const ViewF c_view = st.c.view().block(0, 0, batch.rows, n);
+
   const std::uint64_t repacks_before = obs::repack_events();
   const auto exec_start = Clock::now();
-  if (decode) {
-    // Decode coalescing: one DecoderPlan::decode call batches the QKV
-    // and output projections across every pending sequence. Each
-    // request is exactly one token row (submit_decode enforces it), so
-    // request i is staged row i. A per-sequence failure fails that
-    // request alone; the rest of the batch still lands.
-    std::vector<std::uint64_t> seq_ids(batch.requests.size());
-    std::vector<Status> row_status(batch.requests.size());
-    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-      seq_ids[i] = batch.requests[i].seq_id;
-    }
-    const Status status = g.decode_plan->decode(a_view, seq_ids.data(),
-                                                c_view, row_status.data());
-    const auto exec_end = Clock::now();
-    batch.exec_repacks = obs::repack_events() - repacks_before;
-    Status worst = status;
-    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-      BatchRequest& r = batch.requests[i];
-      const Status rs = status.ok() ? row_status[i] : status;
-      if (rs.ok()) {
-        std::copy_n(c_view.row(static_cast<index_t>(i)), n, r.c.row(0));
-      } else if (worst.ok()) {
-        worst = rs;
-      }
-      resolve_request(shard, batch, r, exec_start, exec_end, rs);
-    }
-    return worst;
-  }
-  const Status status = ffn ? g.ffn_plan->run(a_view, c_view)
-                            : engine_.spmm(a_view, g.weights, c_view,
-                                           batch.options);
+  const Status status =
+      execute(g, batch.key.options, a_view, seq_ids, c_view, row_status);
   const auto exec_end = Clock::now();
   batch.exec_repacks = obs::repack_events() - repacks_before;
-  if (status.ok()) {
-    row = 0;
-    for (const BatchRequest& r : batch.requests) {
+  // Scatter and resolve per request. A decode row failure fails that
+  // request alone; the rest of the batch still lands.
+  Status worst;
+  index_t row = 0;
+  for (BatchRequest& r : batch.requests) {
+    const Status rs = status.ok() ? row_status[row] : status;
+    if (rs.ok() && count > 1) {
       for (index_t i = 0; i < r.c.rows(); ++i) {
-        std::copy_n(c_view.row(row++), n, r.c.row(i));
+        std::copy_n(c_view.row(row + i), g.n, r.c.row(i));
       }
     }
+    row += r.a.rows();
+    if (worst.ok()) worst = rs;
+    resolve_request(shard, batch, r, exec_start, exec_end, rs);
   }
-  for (BatchRequest& r : batch.requests) {
-    resolve_request(shard, batch, r, exec_start, exec_end, status);
-  }
-  return status;
+  return worst;
 }
 
 Status Server::serve_batch_split(Shard& shard, PendingBatch& batch) {
@@ -946,7 +864,7 @@ Status Server::serve_batch_split(Shard& shard, PendingBatch& batch) {
   // num_threads == 1) straight on the caller's views: zero gather or
   // scatter, and no nested pool waits — the concurrency comes from
   // run_chunks spreading the lanes over the workers.
-  SpmmOptions lane_options = batch.options;
+  SpmmOptions lane_options = batch.key.options;
   lane_options.num_threads = 1;
   batch.lane = obs::ExecLane::kSplit;
   const std::uint64_t repacks_before = obs::repack_events();
@@ -954,7 +872,9 @@ Status Server::serve_batch_split(Shard& shard, PendingBatch& batch) {
       static_cast<std::int64_t>(n), [&](std::int64_t i) {
         BatchRequest& r = batch.requests[static_cast<std::size_t>(i)];
         starts[i] = Clock::now();
-        statuses[i] = engine_.spmm(r.a, g.weights, r.c, lane_options);
+        statuses[i] = engine_.spmm(
+            r.a, std::get<std::shared_ptr<const CompressedNM>>(g.target),
+            r.c, lane_options);
         ends[i] = Clock::now();
       });
   batch.exec_repacks = obs::repack_events() - repacks_before;

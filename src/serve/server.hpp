@@ -27,34 +27,39 @@
 //
 // Each shard owns a bounded lock-free MPSC ring (serve/mpsc_ring.hpp),
 // a dispatcher thread, and its own group map / staging / flush state.
-// Groups hash to shards by weights identity, so every request against
-// one weight matrix (or model plan) lands on the same shard and keeps
+// Groups hash to shards by target identity, so every request against
+// one weight matrix (or plan) lands on the same shard and keeps
 // coalescing exactly as in the single-dispatcher design. The hot submit
 // path is lock-free: validate, claim a ring slot (one CAS), publish,
 // return — a mutex is taken only to wake a sleeping dispatcher (idle by
 // definition, so never contended) and on the single-row bypass.
 //
-// The dispatcher drains its ring into per-group FIFO queues, flushes a
-// group when its pending rows reach max_batch_rows, its oldest request
-// has waited max_wait_us, or an SLO deadline approaches, and executes
-// the batch under an execute policy (ExecutePolicy): either gather the
-// requests into one pooled SpMM (decode bursts — amortizes the weight
-// read), or run them as several concurrent strictly-serial SpMMs over
-// the shared ThreadPool (prefill-heavy batches — zero gather/scatter
-// copies, each request computes straight into its caller's views).
+// Every submission names one target, fixed at submit time: a weight
+// matrix (submit), a fused-FFN model::ModelPlan (submit_ffn), or a
+// decoder-layer model::DecoderPlan (submit_decode). Requests against the
+// same target (and, for plain SpMM, the same options) form one group,
+// and one execution serves a whole batch of them: a burst of decode
+// steps pays one pass over the weights — or over all of a plan's
+// projection weights — instead of one per request (src/model/ffn.hpp,
+// src/model/decoder.hpp). Batches differ only in what the target
+// executes; the dispatcher path is the same for all three.
 //
-// Whole FFN blocks batch the same way: submit_ffn() coalesces concurrent
-// token rows against one model::ModelPlan, so a burst of decode steps
-// pays one pass over all three projection weight matrices instead of one
-// per request (src/model/ffn.hpp). FFN batches always coalesce (a
-// ModelPlan binds its own pool; serial split lanes cannot ride it).
-// Full decoder-layer steps batch through submit_decode(): concurrent
-// 1-row token submissions against one model::DecoderPlan gather into a
-// single DecoderPlan::decode — the QKV / output / FFN projections run
-// batched, attention runs per sequence between them, and each request
-// resolves with its own per-sequence status (NOT_FOUND for an unknown
+// The dispatcher drains its ring into per-group FIFO queues, flushes a
+// group when its pending rows reach its row budget (max_batch_rows,
+// capped at a plan's token budget), its oldest request has waited
+// max_wait_us, or an SLO deadline approaches, gathers the batch into
+// one staged execution, and scatters the results back. A decoder batch
+// runs attention per sequence between its batched projections and
+// resolves each request with its *own* status (NOT_FOUND for an unknown
 // sequence, retryable RESOURCE_EXHAUSTED when the KV budget is spent),
-// so one bad sequence never fails its batchmates.
+// so one bad sequence never fails its batchmates; every other batch
+// resolves all its requests with the batch status. One exception to
+// the gather: a prefill-heavy plain-SpMM batch (at least 16 rows per
+// request on average, on a pool of more than one worker) runs its
+// requests as concurrent strictly-serial SpMMs over the shared
+// ThreadPool instead — each request is big enough to busy a core on
+// its own, and each computes straight into its caller's views with
+// zero gather/scatter copies.
 //
 // Two latency escapes keep the common cases fast and the process alive:
 //  - Single-row bypass: when a 1-row submit() arrives and its shard is
@@ -103,6 +108,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -114,21 +120,6 @@
 #include "serve/telemetry.hpp"
 
 namespace nmspmm {
-
-/// How a dispatcher turns one flushed batch into engine work.
-enum class ExecutePolicy : std::uint8_t {
-  /// Split when the batch is prefill-heavy (average rows per request >=
-  /// ServerOptions::split_min_avg_rows), else coalesce. Decode bursts
-  /// coalesce (the batched weight read is the whole win); large-row
-  /// requests split (partitioning inside one request already saturates
-  /// the pool, and splitting skips the gather/scatter copies).
-  kAuto,
-  /// Always gather into one pooled SpMM (the pre-refactor behavior).
-  kCoalesce,
-  /// Always run the batch's requests as concurrent serial SpMMs on the
-  /// shared pool (plain-SpMM groups only; FFN batches still coalesce).
-  kSplit,
-};
 
 /// What submit() does when a shard cannot take the request right now
 /// (ring full, or pending work past a high-water mark). See the header
@@ -205,13 +196,6 @@ struct ServerOptions {
   /// submitters: submit() spins with backoff until the dispatcher
   /// drains a slot, counting the stall in stats().ring_stalls.
   std::size_t ring_capacity = 1024;
-  /// Per-flush choice between one big partitioned SpMM and several
-  /// concurrent smaller ones (see ExecutePolicy).
-  ExecutePolicy execute_policy = ExecutePolicy::kAuto;
-  /// kAuto splits a plain-SpMM batch when its average rows per request
-  /// reaches this many (prefill-heavy; the gather/scatter copy starts
-  /// to cost more than the split's extra weight reads).
-  index_t split_min_avg_rows = 16;
   /// Span tracing (src/obs/trace.hpp): trace 1 request in every
   /// trace_sample_n (0 = tracing off; 1 = every request). A traced
   /// request leaves one span per life-cycle stage — submit, queue,
@@ -310,7 +294,7 @@ class Server {
     std::uint64_t errors = 0;           ///< requests resolved non-OK
     std::uint64_t slo_violations = 0;   ///< deadlines missed (incl. expiry)
     std::uint64_t split_batches = 0;    ///< batches run as concurrent
-                                        ///< serial SpMMs (ExecutePolicy)
+                                        ///< serial SpMMs
     std::size_t max_queue_depth = 0;    ///< peak pending requests
   };
   struct Stats {
@@ -384,19 +368,25 @@ class Server {
  private:
   using Clock = BatchQueue::Clock;
 
-  /// What a group's one-execution-serves-all target is: a plain weight
+  /// What one execution serves a whole group with: a plain weight
   /// matrix, a fused-FFN ModelPlan, or a decoder-layer DecoderPlan.
-  enum class TargetKind : std::uint8_t {
-    kSpmm = 0,
-    kFfn,
-    kDecode,
+  /// Fixed at submit time; the group holds it alive, so its address
+  /// alone identifies the target.
+  using Target = std::variant<std::shared_ptr<const CompressedNM>,
+                              std::shared_ptr<model::ModelPlan>,
+                              std::shared_ptr<model::DecoderPlan>>;
+  /// What submit-time validation and batch assembly need to know about
+  /// a target: activation depth k, output width n, and the plan's token
+  /// budget, which caps both one request and one batch (0 = none).
+  struct TargetShape {
+    index_t k = 0;
+    index_t n = 0;
+    index_t max_rows = 0;
   };
   /// Requests batch together only when one execution can serve them all:
-  /// plain SpMM requests must agree on weights and options; FFN / decode
-  /// requests must agree on the plan (which fixes everything else).
+  /// they must agree on the target and, for plain SpMM, on the options.
   struct GroupKey {
-    const void* target = nullptr;  ///< CompressedNM* or plan pointer
-    TargetKind kind = TargetKind::kSpmm;
+    const void* target = nullptr;  ///< the Target's object address
     SpmmOptions options;  ///< default-constructed for plan groups
 
     friend bool operator==(const GroupKey&, const GroupKey&) = default;
@@ -426,9 +416,10 @@ class Server {
     void count_flush(FlushReason reason);
   };
   struct Group {
-    std::shared_ptr<const CompressedNM> weights;     ///< plain groups
-    std::shared_ptr<model::ModelPlan> ffn_plan;      ///< FFN groups
-    std::shared_ptr<model::DecoderPlan> decode_plan; ///< decode groups
+    Target target;
+    index_t k = 0;           ///< activation depth
+    index_t n = 0;           ///< output width
+    index_t row_budget = 0;  ///< rows one batch may assemble
     /// Pending requests. Only touched under the owning shard's mutex
     /// (dispatcher drain/flush, bypass idle checks never read it).
     BatchQueue queue;
@@ -443,13 +434,11 @@ class Server {
   };
   /// One submission in flight between submit() and its shard's
   /// dispatcher: everything needed to find-or-create the group and
-  /// enqueue the request. Owns its weights / plan references, so a
-  /// message outliving a group eviction is self-sufficient.
+  /// enqueue the request. Owns its target reference, so a message
+  /// outliving a group eviction is self-sufficient.
   struct SubmitMsg {
     GroupKey key;
-    std::shared_ptr<const CompressedNM> weights;
-    std::shared_ptr<model::ModelPlan> ffn_plan;
-    std::shared_ptr<model::DecoderPlan> decode_plan;
+    Target target;
     BatchRequest request;
   };
   /// A popped batch, ready to execute outside the lock. Holds shared
@@ -457,7 +446,7 @@ class Server {
   /// so eviction can never free state a batch still executes against.
   struct PendingBatch {
     std::shared_ptr<Group> group;
-    SpmmOptions options;
+    GroupKey key;
     std::vector<BatchRequest> requests;
     index_t rows = 0;
     /// When the batch left its queue — end of each request's kQueue stage.
@@ -470,10 +459,13 @@ class Server {
     std::uint64_t exec_repacks = 0;
   };
   /// Reusable gather/scatter staging, owned by one dispatcher thread and
-  /// keyed by batch target (weights or model plan).
+  /// keyed by batch target: the gathered rows and, per row, the request's
+  /// sequence id and status.
   struct Staging {
     MatrixF a;
     MatrixF c;
+    std::vector<std::uint64_t> seq_ids;
+    std::vector<Status> row_status;
   };
   using StagingMap = std::unordered_map<const void*, Staging>;
 
@@ -549,19 +541,32 @@ class Server {
   /// all option-variants of one weight matrix share a shard, so staging
   /// and coalescing stay per-target exactly as before sharding.
   [[nodiscard]] Shard& shard_of(const void* target) const;
-  /// Common post-validation path of submit / submit_ffn: bypass or
-  /// publish to the shard ring (with full-ring backpressure), wake the
-  /// dispatcher, resolve @p done on rejection.
-  std::future<Status> enqueue(GroupKey key,
-                              std::shared_ptr<const CompressedNM> weights,
-                              std::shared_ptr<model::ModelPlan> plan,
-                              std::shared_ptr<model::DecoderPlan> decode,
+  [[nodiscard]] static TargetShape shape_of(const Target& target);
+  /// The submit-time checks every target shares: a live target, a
+  /// nonempty batch, A and C shaped for the target, the plan's token
+  /// budget, and no epilogue operands.
+  [[nodiscard]] static Status validate(const Target& target,
+                                       const SpmmOptions& options,
+                                       ConstViewF A, ViewF C);
+  /// Common path of submit / submit_ffn / submit_decode: validate, then
+  /// bypass or publish to the shard ring (with full-ring backpressure)
+  /// and wake the dispatcher.
+  std::future<Status> enqueue(Target target, SpmmOptions options,
                               ConstViewF A, ViewF C,
                               std::uint64_t deadline_us,
-                              Clock::time_point submitted,
-                              std::promise<Status> done,
-                              std::future<Status> result,
                               std::uint64_t seq_id = 0);
+  /// Find or create the group of @p key (which @p target backs).
+  /// Requires shard.mutex.
+  std::shared_ptr<Group>& make_group(Shard& shard, const GroupKey& key,
+                                     Target target);
+  /// Run @p a through @p group's target into @p c — the one place that
+  /// executes an SpMM, a ModelPlan, or a DecoderPlan. @p seq_ids and
+  /// @p row_status hold one entry per row: a DecoderPlan reports each
+  /// row's own status there, the other targets leave it untouched, so
+  /// callers start it OK and every row of those reads the batch status.
+  Status execute(const Group& group, const SpmmOptions& options,
+                 ConstViewF a, const std::uint64_t* seq_ids, ViewF c,
+                 Status* row_status);
 
   void dispatcher_loop(Shard& shard);
   /// Pop every published ring message into its group's queue (creating
@@ -569,9 +574,6 @@ class Server {
   /// them to @p drained for the eventcount.
   std::size_t drain_ring(Shard& shard, std::uint64_t& drained,
                          std::vector<SubmitMsg>& scratch);
-  /// The row budget one batch of @p group may assemble: max_batch_rows,
-  /// additionally capped at the plan's token budget for FFN groups.
-  [[nodiscard]] index_t group_row_budget(const Group& group) const;
   /// Pop the next batch that must flush (row budget, deadline, or drain),
   /// oldest front request first when several groups are ready. Locks the
   /// shard mutex; returns an empty batch when nothing is ready.
@@ -588,8 +590,8 @@ class Server {
   /// failure); the dispatcher's guard turns that into an INTERNAL
   /// resolution for the batch's futures.
   Status serve_batch(Shard& shard, PendingBatch& batch, StagingMap& staging);
-  /// Execute policy: run the batch's requests as concurrent serial
-  /// SpMMs on the engine pool, each straight on its caller's views.
+  /// Prefill-heavy plain-SpMM batches: run the requests as concurrent
+  /// serial SpMMs on the engine pool, each straight on its caller's views.
   Status serve_batch_split(Shard& shard, PendingBatch& batch);
   /// Record @p us for @p stage into both the group and shard recorders.
   void record_stage(Shard& shard, serve::Telemetry* group_telemetry,

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -549,6 +550,121 @@ TEST(ServerDecode, CoalescedBatchesIsolatePerSequenceFailures) {
   for (std::uint64_t id = 1; id <= 3; ++id) {
     EXPECT_EQ(*plan->seq_len(id), 1);
   }
+}
+
+TEST(ServerDecode, MixedTargetKindsShareOneShard) {
+  Rng rng(53);
+  const NMConfig cfg{2, 4, 16};
+  ServerOptions opt;
+  opt.num_shards = 1;              // every target lands on one dispatcher
+  opt.bypass_single_rows = false;  // force the batched path
+  opt.max_batch_rows = 8;
+  opt.max_wait_us = 200;
+  opt.trace_sample_n = 1;
+  Server server(opt);
+
+  // Plain SpMM over integer data: bit-exact under any batching.
+  const index_t k = 64, n = 48;
+  auto weights = std::make_shared<const CompressedNM>(
+      random_compressed_int(k, n, cfg, rng));
+  const model::DecoderLayer layer = make_layer(rng, cfg);
+  auto ffn_or = server.engine().plan_model(8, {layer.ffn});
+  NMSPMM_ASSERT_OK(ffn_or.status());
+  std::shared_ptr<model::ModelPlan> ffn = *ffn_or;
+  auto decode_or = server.engine().plan_decoder(4, layer, cache_for(64));
+  NMSPMM_ASSERT_OK(decode_or.status());
+  std::shared_ptr<model::DecoderPlan> decode = *decode_or;
+  Engine direct;
+  auto twin_or = direct.plan_decoder(4, layer, cache_for(64));
+  NMSPMM_ASSERT_OK(twin_or.status());
+  std::shared_ptr<model::DecoderPlan> twin = *twin_or;
+  const index_t hidden = decode->hidden();
+
+  constexpr std::uint64_t kSeqs = 4;
+  for (std::uint64_t id = 1; id <= kSeqs; ++id) {
+    NMSPMM_ASSERT_OK(decode->begin_sequence(id));
+    NMSPMM_ASSERT_OK(twin->begin_sequence(id));
+  }
+  struct Request {
+    MatrixF a;
+    MatrixF out;
+    MatrixF want;
+    std::future<Status> done;
+  };
+  constexpr int kRounds = 3;
+  std::uint64_t spmm_requests = 0, ffn_requests = 0, decode_requests = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    // One burst interleaves all three kinds; each live sequence steps
+    // once per burst (its next step depends on this one's KV append).
+    std::vector<Request> spmm, ffn_reqs, steps;
+    for (std::uint64_t i = 0; i < kSeqs; ++i) {
+      Request s;
+      s.a = random_int_matrix(1 + static_cast<index_t>(i % 3), k, rng);
+      s.out = MatrixF(s.a.rows(), n);
+      s.want = MatrixF(s.a.rows(), n);
+      NMSPMM_ASSERT_OK(direct.spmm(s.a.cview(), weights, s.want.view()));
+      s.done = server.submit(s.a.cview(), weights, s.out.view());
+      spmm.push_back(std::move(s));
+
+      Request f;
+      f.a = random_int_matrix(1 + static_cast<index_t>(i % 2), hidden, rng);
+      f.out = MatrixF(f.a.rows(), hidden);
+      f.want = MatrixF(f.a.rows(), hidden);
+      NMSPMM_ASSERT_OK(ffn->run(f.a.cview(), f.want.view()));
+      f.done = server.submit_ffn(f.a.cview(), ffn, f.out.view());
+      ffn_reqs.push_back(std::move(f));
+
+      Request d;
+      const std::uint64_t id = i + 1;
+      d.a = random_matrix(1, hidden, rng, -0.5f, 0.5f);
+      d.out = MatrixF(1, hidden);
+      d.want = MatrixF(1, hidden);
+      Status row;
+      NMSPMM_ASSERT_OK(twin->decode(d.a.cview(), &id, d.want.view(), &row));
+      NMSPMM_ASSERT_OK(row);
+      d.done = server.submit_decode(id, d.a.cview(), decode, d.out.view());
+      steps.push_back(std::move(d));
+    }
+    for (auto* batch : {&spmm, &ffn_reqs, &steps}) {
+      for (Request& r : *batch) {
+        NMSPMM_ASSERT_OK(r.done.get());
+        EXPECT_EQ(max_abs_diff(r.want.cview(), r.out.cview()), 0.0)
+            << "round " << round;
+      }
+    }
+    spmm_requests += spmm.size();
+    ffn_requests += ffn_reqs.size();
+    decode_requests += steps.size();
+  }
+
+  const Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.groups, 3u);
+  EXPECT_EQ(stats.totals.requests,
+            spmm_requests + ffn_requests + decode_requests);
+  EXPECT_EQ(stats.totals.errors, 0u);
+  EXPECT_EQ(server.weights_stats(weights.get()).requests, spmm_requests);
+  EXPECT_EQ(server.model_stats(ffn.get()).requests, ffn_requests);
+  EXPECT_EQ(server.decode_stats(decode.get()).requests, decode_requests);
+
+  // Every traced request's spans name its own target object.
+  const auto address = [](const void* p) {
+    return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
+  };
+  const std::map<std::uint64_t, std::uint64_t> expected = {
+      {address(weights.get()), spmm_requests},
+      {address(ffn.get()), ffn_requests},
+      {address(decode.get()), decode_requests}};
+  EXPECT_EQ(stats.trace_drops, 0u);
+  std::map<std::uint64_t, std::uint64_t> target_of;  // trace id -> target
+  for (const obs::TraceSpan& s : server.tracer()->snapshot()) {
+    if (s.trace_id == 0) continue;  // attention / KV spans carry no request
+    const auto [it, inserted] = target_of.emplace(s.trace_id, s.target);
+    EXPECT_EQ(it->second, s.target) << "trace " << s.trace_id;
+    EXPECT_EQ(expected.count(s.target), 1u) << "trace " << s.trace_id;
+  }
+  std::map<std::uint64_t, std::uint64_t> traced;  // target -> requests
+  for (const auto& [id, target] : target_of) ++traced[target];
+  EXPECT_EQ(traced, expected);
 }
 
 TEST(ServerDecode, RejectsMalformedSubmissions) {

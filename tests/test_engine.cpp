@@ -7,7 +7,6 @@
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -72,70 +71,6 @@ TEST(EngineCache, BucketClampsInsteadOfOverflowing) {
   // The largest in-range power of two still buckets normally.
   EXPECT_EQ(Engine::bucket_batch((index_t{1} << 40) + 1, 16),
             index_t{1} << 41);
-}
-
-TEST(EngineShim, RawWeightsOverloadUsesPlanCache) {
-  // Pre-fix, the raw-reference overload deep-copied the weights and redid
-  // full plan pre-processing on EVERY call (the deprecated nm_spmm shim
-  // was O(weights) per request) without ever touching the plan cache.
-  Rng rng(608);
-  const index_t k = 64, n = 64;
-  const CompressedNM B =
-      random_compressed_int(k, n, NMConfig{2, 4, 16}, rng);
-  Engine engine;
-  const MatrixF A = random_int_matrix(8, k, rng);
-  MatrixF C(8, n);
-
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, C.view()));
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, C.view()));
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, C.view()));
-  const auto stats = engine.cache_stats();
-  EXPECT_EQ(stats.misses, 1u);  // one plan built for the wrapped copy
-  EXPECT_EQ(stats.hits, 2u);    // repeats are cache hits, not re-planning
-  EXPECT_EQ(max_abs_diff(reference_for(A.view(), B).cview(), C.cview()),
-            0.0);
-}
-
-TEST(EngineShim, DetectsAddressReuseAcrossMatrices) {
-  // Two different matrices occupying the same address (here simulated by
-  // reassigning through an optional) must not be served from a stale
-  // wrapped copy.
-  Rng rng(609);
-  const index_t k = 64, n = 64;
-  Engine engine;
-  const MatrixF A = random_int_matrix(8, k, rng);
-  MatrixF C(8, n);
-
-  std::optional<CompressedNM> B;
-  B.emplace(random_compressed_int(k, n, NMConfig{2, 4, 16}, rng));
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), *B, C.view()));
-  const MatrixF first = reference_for(A.view(), *B);
-  EXPECT_EQ(max_abs_diff(first.cview(), C.cview()), 0.0);
-
-  // Same address, same shapes, but a different N:M config (and freshly
-  // allocated buffers): the identity check must drop the stale wrapper.
-  B.emplace(random_compressed_int(k, n, NMConfig{4, 8, 16}, rng));
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), *B, C.view()));
-  EXPECT_EQ(max_abs_diff(reference_for(A.view(), *B).cview(), C.cview()),
-            0.0);
-}
-
-TEST(EngineShim, DetectsInPlaceWeightMutation) {
-  // The wrapped-copy cache samples a content fingerprint; mutating the
-  // caller's matrix in place (same address, same buffer, same shape)
-  // must invalidate the cached copy instead of serving stale weights.
-  Rng rng(610);
-  const index_t k = 64, n = 64;
-  CompressedNM B = random_compressed_int(k, n, NMConfig{2, 4, 16}, rng);
-  Engine engine;
-  const MatrixF A = random_int_matrix(8, k, rng);
-  MatrixF C(8, n);
-
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, C.view()));
-  B.values(0, 0) += 3.0f;  // position (0,0) is always in the sample set
-  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, C.view()));
-  EXPECT_EQ(max_abs_diff(reference_for(A.view(), B).cview(), C.cview()),
-            0.0);
 }
 
 TEST(EngineCache, HitMissAcrossBatchSizes) {

@@ -602,7 +602,6 @@ TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
   // box's default) would always fall back to coalescing, so ask for two
   // workers explicitly.
   opt.engine.num_threads = 2;
-  opt.execute_policy = ExecutePolicy::kSplit;
   opt.bypass_single_rows = false;
   opt.num_shards = 1;
   opt.max_batch_rows = 32;
@@ -616,10 +615,11 @@ TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
     std::future<Status> done;
   };
   std::vector<Request> requests;
-  for (int i = 0; i < 8; ++i) {  // 8 x 8 rows = two full 32-row batches
+  // 4 x 16 rows = two full 32-row batches of prefill-sized requests.
+  for (int i = 0; i < 4; ++i) {
     Request r;
-    r.a = random_int_matrix(8, k, rng);
-    r.c = MatrixF(8, n);
+    r.a = random_int_matrix(16, k, rng);
+    r.c = MatrixF(16, n);
     r.expect = reference_for(r.a.view(), *B);
     requests.push_back(std::move(r));
   }
@@ -634,7 +634,7 @@ TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
   // The batches really took the split path: concurrent serial SpMMs
   // straight into the callers' views, no gather/scatter.
   const Server::GroupStats stats = server.weights_stats(B.get());
-  EXPECT_EQ(stats.requests, 8u);
+  EXPECT_EQ(stats.requests, 4u);
   EXPECT_GE(stats.split_batches, 1u);
   EXPECT_EQ(stats.split_batches, stats.batches);
 }
@@ -646,11 +646,9 @@ TEST(ServerSharded, AutoPolicySplitsPrefillAndCoalescesDecode) {
 
   ServerOptions opt;
   opt.engine.num_threads = 2;
-  opt.execute_policy = ExecutePolicy::kAuto;
-  opt.split_min_avg_rows = 8;
   opt.bypass_single_rows = false;
   opt.num_shards = 1;
-  opt.max_batch_rows = 16;
+  opt.max_batch_rows = 32;
   opt.max_wait_us = 200000;
 
   Server server(opt);
@@ -676,9 +674,9 @@ TEST(ServerSharded, AutoPolicySplitsPrefillAndCoalescesDecode) {
     }
   };
 
-  run_burst(/*count=*/2, /*rows=*/8);  // avg 8 >= split_min_avg_rows: splits
+  run_burst(/*count=*/2, /*rows=*/16);  // prefill, avg 16 rows: splits
   EXPECT_EQ(server.weights_stats(B.get()).split_batches, 1u);
-  run_burst(/*count=*/8, /*rows=*/2);  // decode burst, avg 2: coalesces
+  run_burst(/*count=*/16, /*rows=*/2);  // decode burst, avg 2: coalesces
   const Server::GroupStats stats = server.weights_stats(B.get());
   EXPECT_EQ(stats.split_batches, 1u);
   EXPECT_EQ(stats.batches, 2u);

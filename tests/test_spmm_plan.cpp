@@ -184,19 +184,5 @@ TEST(SpmmPlan, ExplicitParamsHonored) {
   EXPECT_GT(plan.params().ks, 0);
 }
 
-TEST(NmSpmmOneShot, DeprecatedShimMatchesReference) {
-  Rng rng(51);
-  const index_t m = 40, k = 64, n = 48;
-  const MatrixF A = random_int_matrix(m, k, rng);
-  const CompressedNM B = random_compressed_int(k, n, NMConfig{1, 4, 8}, rng);
-  const MatrixF expect = reference_for(A.view(), B);
-  MatrixF C(m, n);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  nm_spmm(A.view(), B, C.view());
-#pragma GCC diagnostic pop
-  EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
-}
-
 }  // namespace
 }  // namespace nmspmm
