@@ -16,36 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/artifact.hpp"
 #include "bench/bench_common.hpp"
 #include "model/decoder.hpp"
 
 using namespace nmspmm;
 using namespace nmspmm::bench;
-
-namespace {
-
-/// Insert (or replace) the "model_decode" section of an existing
-/// bench_resident JSON artifact — same string surgery as bench_model's
-/// merge (both writers end the object with "}\n").
-bool merge_into(const std::string& path, const std::string& section) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  std::string content = buffer.str();
-  const std::size_t existing = content.find(",\n  \"model_decode\":");
-  const std::size_t cut =
-      existing != std::string::npos ? existing : content.rfind("\n}");
-  if (cut == std::string::npos) return false;
-  content.resize(cut);
-  content += ",\n  \"model_decode\": " + section + "\n}\n";
-  std::ofstream os(path);
-  if (!os) return false;
-  os << content;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("bench_decode",
@@ -193,7 +169,7 @@ int main(int argc, char** argv) {
   const std::string merge = cli.get_string("merge");
   const std::string out_path = cli.get_string("out");
   if (!merge.empty()) {
-    if (!merge_into(merge, json.str())) {
+    if (!merge_section(merge, "model_decode", json.str())) {
       std::cerr << "cannot merge model_decode section into " << merge
                 << "\n";
       return 1;

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/artifact.hpp"
 #include "bench/bench_common.hpp"
 #include "model/ffn.hpp"
 #include "obs/perf_counters.hpp"
@@ -37,27 +38,6 @@ void silu_mul(ViewF gate, ConstViewF up) {
       g[j] = apply_activation(Activation::kSilu, g[j]) * u[j];
     }
   }
-}
-
-/// Insert (or replace) the "model" section of an existing
-/// bench_resident JSON artifact. Both writers live in this repo and end
-/// the object with "}\n", so plain string surgery is reliable here.
-bool merge_into(const std::string& path, const std::string& model_json) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  std::string content = buffer.str();
-  const std::size_t existing = content.find(",\n  \"model\":");
-  const std::size_t cut =
-      existing != std::string::npos ? existing : content.rfind("\n}");
-  if (cut == std::string::npos) return false;
-  content.resize(cut);
-  content += ",\n  \"model\": " + model_json + "\n}\n";
-  std::ofstream os(path);
-  if (!os) return false;
-  os << content;
-  return true;
 }
 
 }  // namespace
@@ -143,6 +123,9 @@ int main(int argc, char** argv) {
 
   NMSPMM_CHECK_MSG(max_abs_diff(out_u.cview(), out.cview()) == 0.0,
                    "fused ModelPlan diverged from the unfused pipeline");
+  // The plan's own wall-clock attribution: so far every run() was a
+  // fused prefill run, so the per-stage means are its layer breakdown.
+  const model::StageProfile::Snapshot prefill_stages = plan.stats().stages;
 
   // Whole-FFN decode serving: single-row requests through the same plan
   // (the Server's submit_ffn bypass path executes exactly this).
@@ -185,11 +168,23 @@ int main(int argc, char** argv) {
             << ResultTable::fmt(
                    static_cast<double>(stats.scratch_bytes) / 1e6, 1)
             << ")\n";
-  if (stats.perf.supported) {
-    std::cout << "projection IPC (profiled, " << stats.perf.runs
-              << " runs): gate " << ResultTable::fmt(stats.perf.gate.ipc(), 2)
-              << ", up " << ResultTable::fmt(stats.perf.up.ipc(), 2)
-              << ", down " << ResultTable::fmt(stats.perf.down.ipc(), 2)
+  const auto stage_ms = [&](model::Stage stage) {
+    const auto& t = prefill_stages[stage];
+    return t.calls > 0 ? 1e-6 * static_cast<double>(t.ns) / t.calls : 0.0;
+  };
+  std::cout << "fused stages (ms per run): gate "
+            << ResultTable::fmt(stage_ms(model::Stage::kGate), 2) << ", up "
+            << ResultTable::fmt(stage_ms(model::Stage::kUp), 2) << ", down "
+            << ResultTable::fmt(stage_ms(model::Stage::kDown), 2) << "\n";
+  const model::StageProfile::Snapshot& profiled = stats.stages;
+  if (profiled.supported) {
+    std::cout << "projection IPC (profiled, " << profiled.profiled_runs
+              << " runs): gate "
+              << ResultTable::fmt(profiled[model::Stage::kGate].perf.ipc(), 2)
+              << ", up "
+              << ResultTable::fmt(profiled[model::Stage::kUp].perf.ipc(), 2)
+              << ", down "
+              << ResultTable::fmt(profiled[model::Stage::kDown].perf.ipc(), 2)
               << "\n";
   }
 
@@ -205,26 +200,30 @@ int main(int argc, char** argv) {
              << ", \"weight_bytes\": " << stats.weight_bytes
              << ", \"packed_bytes\": " << stats.packed_bytes
              << ", \"scratch_bytes\": " << stats.scratch_bytes
+             << ", \"stage_ms\": {\"gate\": "
+             << fmt4(stage_ms(model::Stage::kGate))
+             << ", \"up\": " << fmt4(stage_ms(model::Stage::kUp))
+             << ", \"down\": " << fmt4(stage_ms(model::Stage::kDown)) << "}"
              << ", \"perf\": {\"supported\": "
-             << (stats.perf.supported ? "true" : "false")
-             << ", \"runs\": " << stats.perf.runs;
-  if (stats.perf.supported) {
-    const auto proj = [&](const char* name, const obs::PerfCounts& p) {
-      model_json << ", \"" << name << "\": {\"cycles\": " << p.cycles
+             << (profiled.supported ? "true" : "false")
+             << ", \"runs\": " << profiled.profiled_runs;
+  if (profiled.supported) {
+    for (const model::Stage stage :
+         {model::Stage::kGate, model::Stage::kUp, model::Stage::kDown}) {
+      const obs::PerfCounts& p = profiled[stage].perf;
+      model_json << ", \"" << model::to_string(stage)
+                 << "\": {\"cycles\": " << p.cycles
                  << ", \"instructions\": " << p.instructions
                  << ", \"cache_misses\": " << p.cache_misses
                  << ", \"ipc\": " << fmt4(p.ipc()) << "}";
-    };
-    proj("gate", stats.perf.gate);
-    proj("up", stats.perf.up);
-    proj("down", stats.perf.down);
+    }
   }
   model_json << "}}";
 
   const std::string merge = cli.get_string("merge");
   const std::string out_path = cli.get_string("out");
   if (!merge.empty()) {
-    if (!merge_into(merge, model_json.str())) {
+    if (!merge_section(merge, "model", model_json.str())) {
       std::cerr << "cannot merge model section into " << merge << "\n";
       return 1;
     }

@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/artifact.hpp"
 #include "bench/bench_common.hpp"
 #include "mem/weight_store.hpp"
 #include "serve/server.hpp"
@@ -57,27 +58,6 @@ std::string fmt2(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.2f", std::isfinite(v) ? v : 0.0);
   return buf;
-}
-
-/// Insert (or replace) the "serving_open" section of an existing
-/// bench_resident JSON artifact (same string surgery as bench_model:
-/// both writers live in this repo and end the object with "}\n").
-bool merge_into(const std::string& path, const std::string& section_json) {
-  std::ifstream is(path);
-  if (!is) return false;
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  std::string content = buffer.str();
-  const std::size_t existing = content.find(",\n  \"serving_open\":");
-  const std::size_t cut =
-      existing != std::string::npos ? existing : content.rfind("\n}");
-  if (cut == std::string::npos) return false;
-  content.resize(cut);
-  content += ",\n  \"serving_open\": " + section_json + "\n}\n";
-  std::ofstream os(path);
-  if (!os) return false;
-  os << content;
-  return true;
 }
 
 /// The two FFN models the traffic mix targets, planned on @p server's
@@ -699,7 +679,7 @@ int main(int argc, char** argv) {
   const std::string merge = cli.get_string("merge");
   const std::string out_path = cli.get_string("out");
   if (!merge.empty()) {
-    if (!merge_into(merge, json.str())) {
+    if (!merge_section(merge, "serving_open", json.str())) {
       std::cerr << "cannot merge serving_open section into " << merge << "\n";
       return 1;
     }

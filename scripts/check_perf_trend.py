@@ -59,6 +59,13 @@ def main(argv=None):
         raise
     fresh = load(args.fresh)
 
+    # Every gate below skips a section the fresh artifact lacks, so name
+    # each one: a dropped section must not pass in silence.
+    for name in base:
+        if name not in fresh:
+            print(f"WARN: baseline section {name!r} is missing from "
+                  f"{args.fresh}; its gates are skipped")
+
     if base.get("shape") != fresh.get("shape") or \
        base.get("threads") != fresh.get("threads"):
         print(f"WARN: shape/threads differ between {args.baseline} "

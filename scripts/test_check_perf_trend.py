@@ -6,10 +6,13 @@ or via ctest (registered in CMakeLists.txt).
 
 Covers: same-CPU hard failures (kernel variants, serving, model),
 cross-machine warn-only demotion, shape-mismatch skip, and the
---write-baseline arming flow.
+--write-baseline arming flow, and the warning for a baseline section
+the fresh artifact lacks.
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
 import sys
@@ -340,6 +343,27 @@ class CheckPerfTrendTest(unittest.TestCase):
         self.write(self.baseline, artifact())
         self.write(self.fresh, fresh)
         self.assertEqual(self.run_gate(), 0)
+
+    def test_baseline_section_missing_from_fresh_is_named(self):
+        fresh = artifact()
+        del fresh["model_decode"]
+        del fresh["serving_open"]
+        self.write(self.baseline, artifact())
+        self.write(self.fresh, fresh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.run_gate(), 0)
+        warned = [line for line in out.getvalue().splitlines()
+                  if line.startswith("WARN: baseline section")]
+        self.assertEqual(len(warned), 2, out.getvalue())
+        self.assertIn("'model_decode'", warned[0] + warned[1])
+        self.assertIn("'serving_open'", warned[0] + warned[1])
+
+        self.write(self.fresh, artifact())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.run_gate(), 0)
+        self.assertNotIn("WARN: baseline section", out.getvalue())
 
     def test_new_sections_in_fresh_do_not_break_old_baselines(self):
         base = artifact()

@@ -35,8 +35,6 @@ KvCache::KvCache(KvCacheOptions options) : options_(options) {
       2 * static_cast<std::size_t>(options_.page_tokens * token_row());
   capacity_pages_ =
       (options_.max_tokens + options_.page_tokens - 1) / options_.page_tokens;
-  stats_.capacity_pages = capacity_pages_;
-  stats_.page_bytes = page_floats_ * sizeof(float);
 }
 
 Status KvCache::begin_sequence(std::uint64_t seq_id) {
@@ -48,7 +46,7 @@ Status KvCache::begin_sequence(std::uint64_t seq_id) {
     return Status::FailedPrecondition(os.str());
   }
   (void)it;
-  stats_.live_sequences = seqs_.size();
+  live_sequences_.store(seqs_.size(), std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -68,8 +66,8 @@ Status KvCache::free_sequence(std::uint64_t seq_id) {
   }
   pages_in_use_ -= static_cast<index_t>(it->second.pages.size());
   seqs_.erase(it);
-  stats_.live_sequences = seqs_.size();
-  ++stats_.freed_sequences;
+  live_sequences_.store(seqs_.size(), std::memory_order_relaxed);
+  freed_sequences_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -95,7 +93,7 @@ bool KvCache::ensure_tail_page(Sequence& seq) {
   if (!free_pages_.empty()) {
     page = std::move(free_pages_.back());
     free_pages_.pop_back();
-    ++stats_.pages_recycled;
+    pages_recycled_.fetch_add(1, std::memory_order_relaxed);
   } else {
     if (pages_in_use_ >= capacity_pages_) return false;
     page.reset(new float[page_floats_]);
@@ -103,9 +101,8 @@ bool KvCache::ensure_tail_page(Sequence& seq) {
     // thread so it lands on the node that will stream it every decode
     // step. Also zeroes the K/V rows the sequence has not reached yet.
     numa::first_touch_zero(page.get(), page_floats_ * sizeof(float));
-    ++stats_.pages_allocated;
-    stats_.resident_bytes += page_floats_ * sizeof(float);
-    stats_.numa_node = numa::node_of(page.get());
+    pages_allocated_.fetch_add(1, std::memory_order_relaxed);
+    numa_node_.store(numa::node_of(page.get()), std::memory_order_relaxed);
   }
   seq.page_ptrs.push_back(page.get());
   seq.pages.push_back(std::move(page));
@@ -137,8 +134,7 @@ Status KvCache::append(std::uint64_t seq_id, const float* k, const float* v) {
   std::memcpy(page + (options_.page_tokens + slot) * row, v,
               static_cast<std::size_t>(row) * sizeof(float));
   ++seq.len;
-  ++stats_.appended_tokens;
-  stats_.appended_bytes += 2 * static_cast<std::size_t>(row) * sizeof(float);
+  appended_tokens_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -157,6 +153,21 @@ StatusOr<KvCache::SeqView> KvCache::view(std::uint64_t seq_id) const {
   return v;
 }
 
-KvCache::Stats KvCache::stats() const { return stats_; }
+KvCache::Stats KvCache::stats() const {
+  Stats s;
+  s.page_bytes = page_floats_ * sizeof(float);
+  s.capacity_pages = capacity_pages_;
+  s.appended_tokens = appended_tokens_.load(std::memory_order_relaxed);
+  s.pages_allocated = pages_allocated_.load(std::memory_order_relaxed);
+  s.pages_recycled = pages_recycled_.load(std::memory_order_relaxed);
+  s.live_sequences = live_sequences_.load(std::memory_order_relaxed);
+  s.freed_sequences = freed_sequences_.load(std::memory_order_relaxed);
+  s.numa_node = numa_node_.load(std::memory_order_relaxed);
+  // Pages are never released and every token is one K row + one V row.
+  s.resident_bytes = static_cast<std::size_t>(s.pages_allocated) * s.page_bytes;
+  s.appended_bytes = static_cast<std::size_t>(s.appended_tokens) * 2 *
+                     static_cast<std::size_t>(token_row()) * sizeof(float);
+  return s;
+}
 
 }  // namespace nmspmm::attn

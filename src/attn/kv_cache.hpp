@@ -20,11 +20,14 @@
 // sequences finish), unknown sequences are NOT_FOUND, and lifecycle
 // misuse (double begin/free) is FAILED_PRECONDITION.
 //
-// Thread safety: none. The owning DecoderPlan serializes every cache
-// touch (append, attend, lifecycle) under its run mutex, mirroring
-// ModelPlan::run; standalone users provide their own synchronization.
+// Thread safety: one caller at a time. The owning DecoderPlan serializes
+// every cache touch (append, attend, lifecycle) under its run mutex,
+// mirroring ModelPlan::run; standalone users provide their own
+// synchronization. stats() is the exception: its counters are relaxed
+// atomics, so it may run concurrently with that one caller.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -137,7 +140,14 @@ class KvCache {
   std::unordered_map<std::uint64_t, Sequence> seqs_;
   std::vector<std::unique_ptr<float[]>> free_pages_;
   index_t pages_in_use_ = 0;
-  Stats stats_;
+
+  // stats() counters (written by the one caller, read by any thread).
+  std::atomic<std::uint64_t> appended_tokens_{0};
+  std::atomic<std::uint64_t> pages_allocated_{0};
+  std::atomic<std::uint64_t> pages_recycled_{0};
+  std::atomic<std::uint64_t> live_sequences_{0};
+  std::atomic<std::uint64_t> freed_sequences_{0};
+  std::atomic<int> numa_node_{-1};
 };
 
 }  // namespace nmspmm::attn

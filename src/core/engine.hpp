@@ -61,7 +61,7 @@ struct EngineOptions {
   /// buffer after pre-packing: steady-state resident weight bytes drop
   /// to ~1x the packed footprint, at the cost of rejecting
   /// values-consuming entry points (reference variant, decompress,
-  /// pack-on-the-fly compat overloads) for those weights.
+  /// PackedWeights::build) for those weights.
   mem::ResidencyMode residency = mem::ResidencyMode::kDefault;
   /// The WeightStore owning packed-weight residency for this engine's
   /// plans (interning, max_resident_bytes budget, NUMA placement). Null

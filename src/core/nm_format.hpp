@@ -44,7 +44,7 @@ struct NMMask {
 /// the weight values, and the CompressedNM keeps only the shape, config
 /// and index matrix needed for plan validation. Anything that reads
 /// values must gate on has_values() — the resident kernel path never
-/// does; decompress and the pack-on-the-fly compat entry points do.
+/// does; decompress and PackedWeights::build do.
 struct CompressedNM {
   NMConfig config;
   index_t orig_rows = 0;   ///< k (unpadded)

@@ -77,7 +77,7 @@ struct SpmmOptions {
   /// Weight residency of the plan (mem/weight_store.hpp). kPackedOnly
   /// releases the original B' value buffer after pre-packing, serving
   /// from the packed form alone (~1x packed footprint); the reference
-  /// variant and values-consuming compat paths are then rejected.
+  /// variant and other values-consuming paths are then rejected.
   /// Engines overwrite this from EngineOptions::residency, exactly like
   /// num_threads.
   mem::ResidencyMode residency = mem::ResidencyMode::kDefault;

@@ -356,53 +356,4 @@ void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
   }
 }
 
-// ---- compatibility overloads: pack on the fly, run the resident path.
-
-void spmm_v1(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, ThreadPool* pool,
-             const EpilogueSpec& epilogue,
-             const EpilogueArgs& epilogue_args) {
-  const PackedWeights packed = PackedWeights::build(
-      B, params.ks, params.ns, PackedWeights::IndexKind::kDirect);
-  spmm_v1(A, B, C, params, packed, pool, epilogue, epilogue_args);
-}
-
-void spmm_v2(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, const ColInfo& col_info,
-             ThreadPool* pool, const EpilogueSpec& epilogue,
-             const EpilogueArgs& epilogue_args) {
-  NMSPMM_CHECK_MSG(col_info.ks() == params.ks && col_info.ns() == params.ns,
-                   "col_info was built for ks=" << col_info.ks() << " ns="
-                       << col_info.ns() << " but kernel uses "
-                       << params.to_string());
-  const PackedWeights packed = PackedWeights::build(
-      B, params.ks, params.ns, PackedWeights::IndexKind::kRemapped,
-      &col_info);
-  spmm_v2(A, B, C, params, packed, pool, epilogue, epilogue_args);
-}
-
-void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, bool use_packing,
-             const ColInfo* col_info,
-             const Matrix<std::int32_t>* resolved,
-             ThreadPool* pool, const EpilogueSpec& epilogue,
-             const EpilogueArgs& epilogue_args) {
-  if (use_packing) {
-    NMSPMM_CHECK_MSG(col_info != nullptr,
-                     "V3 packed path requires col_info preprocessing");
-    NMSPMM_CHECK(col_info->ks() == params.ks && col_info->ns() == params.ns);
-    const PackedWeights packed = PackedWeights::build(
-        B, params.ks, params.ns, PackedWeights::IndexKind::kRemapped,
-        col_info);
-    spmm_v3(A, B, C, params, true, packed, pool, epilogue, epilogue_args);
-  } else {
-    NMSPMM_CHECK_MSG(resolved != nullptr,
-                     "V3 non-packed path requires resolve_indices()");
-    NMSPMM_CHECK(resolved->rows() == B.rows());
-    const PackedWeights packed = PackedWeights::build(
-        B, params.ks, params.ns, PackedWeights::IndexKind::kDirect);
-    spmm_v3(A, B, C, params, false, packed, pool, epilogue, epilogue_args);
-  }
-}
-
 }  // namespace nmspmm

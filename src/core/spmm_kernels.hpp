@@ -11,13 +11,11 @@
 //
 // Every variant executes against a PackedWeights — the plan-time
 // pre-packed form of B' (tile-major resident values + flattened uint16
-// index streams, see core/packed_weights.hpp). The preferred entry
-// points take `const PackedWeights&` built once at plan time, so the
-// serving hot path never re-stages weights: no pack_b_block, no
-// per-group index hoisting, B read as a pure linear stream. The
-// historical signatures remain as thin compatibility overloads that
-// pack on the fly — correct for one-shot calls, but paying the packing
-// cost per call.
+// index streams, see core/packed_weights.hpp) built once with
+// PackedWeights::build, so the serving hot path never re-stages
+// weights: no pack_b_block, no per-group index hoisting, B read as a
+// pure linear stream. One-shot callers build the PackedWeights
+// themselves (packed_kind_for names the IndexKind a variant needs).
 #pragma once
 
 #include "core/col_info.hpp"
@@ -73,32 +71,6 @@ void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
              const BlockingParams& params, bool use_packing,
              const PackedWeights& packed, ThreadPool* pool = nullptr,
              const EpilogueSpec& epilogue = {},
-             const EpilogueArgs& epilogue_args = {});
-
-// ---- compatibility overloads: pre-pack on the fly, then run the
-// resident path. One-shot callers only; plans/engines pre-pack once.
-
-void spmm_v1(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, ThreadPool* pool = nullptr,
-             const EpilogueSpec& epilogue = {},
-             const EpilogueArgs& epilogue_args = {});
-
-/// @p col_info must have been built with the same (ks, ns) as @p params.
-void spmm_v2(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, const ColInfo& col_info,
-             ThreadPool* pool = nullptr, const EpilogueSpec& epilogue = {},
-             const EpilogueArgs& epilogue_args = {});
-
-/// @p use_packing selects the high-sparsity packed pipeline (requires
-/// @p col_info) or the moderate-sparsity non-packed pipeline (requires
-/// @p resolved from resolve_indices(); its content is subsumed by the
-/// on-the-fly pre-packing, but the argument is validated for
-/// compatibility).
-void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
-             const BlockingParams& params, bool use_packing,
-             const ColInfo* col_info,
-             const Matrix<std::int32_t>* resolved,
-             ThreadPool* pool = nullptr, const EpilogueSpec& epilogue = {},
              const EpilogueArgs& epilogue_args = {});
 
 /// FLOP count of the sparse product (2*m*n*w), the numerator of every

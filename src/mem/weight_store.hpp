@@ -16,8 +16,8 @@
 //     (strip_values), so steady-state resident weight bytes drop to
 //     ~1x the packed footprint. The lease is pinned for life — with the
 //     source values gone there is nothing to rebuild from — and every
-//     values-consuming entry point (reference kernel, pack-on-the-fly
-//     compat overloads, decompress) is rejected.
+//     values-consuming entry point (reference kernel,
+//     PackedWeights::build, decompress) is rejected.
 //   - Byte budget with LRU eviction and repack-on-demand
 //     (WeightStoreOptions::max_resident_bytes): when resident packed
 //     bytes exceed the budget, cold unpinned forms are dropped; the
@@ -54,7 +54,8 @@ namespace nmspmm::mem {
 
 /// How a plan holds the weight bytes it serves from.
 ///  - kDefault: the CompressedNM and its packed form are both resident
-///    (evictable under a store budget; compat paths keep working).
+///    (evictable under a store budget; values-consuming paths keep
+///    working).
 ///  - kPackedOnly: after packing, the plan releases the original B'
 ///    value buffer and serves from the packed form alone (~1x packed
 ///    footprint); values-consuming entry points are rejected and the

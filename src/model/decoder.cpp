@@ -1,7 +1,6 @@
 #include "model/decoder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -10,16 +9,6 @@
 
 namespace nmspmm {
 namespace model {
-
-namespace {
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
-  const auto d = std::chrono::steady_clock::now() - t0;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
-}
-
-}  // namespace
 
 Status DecoderLayer::validate() const {
   NMSPMM_RETURN_IF_ERROR(attn.validate());
@@ -133,24 +122,7 @@ Status DecoderPlan::decode(ConstViewF A, const std::uint64_t* seq_ids,
 
   std::lock_guard lock(run_mutex_);
 
-  // Per-stage hardware counters, the ModelPlan::run discipline: lazy
-  // open on the first profiled call, start()/stop() around each stage,
-  // one relaxed load when off.
-  const bool profile = profiling_.load(std::memory_order_relaxed);
-  if (profile && perf_set_ == nullptr) {
-    auto fresh = std::make_unique<obs::PerfCounterSet>();
-    std::lock_guard plock(perf_mutex_);
-    perf_set_ = std::move(fresh);
-  }
-  const bool counting = profile && perf_set_->supported();
-  obs::PerfCounts prof[3];
-  const auto timed = [&](int stage, auto&& fn) -> Status {
-    if (!counting) return fn();
-    perf_set_->start();
-    const Status s = fn();
-    prof[stage] += perf_set_->stop();
-    return s;
-  };
+  profile_.begin_run();
 
   for (index_t i = 0; i < m; ++i) row_status[i] = Status::Ok();
 
@@ -164,49 +136,59 @@ Status DecoderPlan::decode(ConstViewF A, const std::uint64_t* seq_ids,
   EpilogueArgs qkv_args;
   qkv_args.bias = qkv_bias_.empty() ? nullptr : qkv_bias_.data();
   qkv_args.rms_gain = attn_norm_.empty() ? nullptr : attn_norm_.data();
-  NMSPMM_RETURN_IF_ERROR(
-      timed(0, [&] { return qkv_plan_->execute(A, qkv, qkv_args); }));
+  NMSPMM_RETURN_IF_ERROR(profile_.run(
+      Stage::kQkv, [&] { return qkv_plan_->execute(A, qkv, qkv_args); }));
 
   // 2. Per-sequence attention between the batched projections: one KV
-  // append window, one attention window, each traced through obs. Row
-  // failures (unknown sequence, KV budget) land in row_status and zero
-  // the row's attention output; batchmates proceed.
+  // append stage, one attention stage, each also traced through obs
+  // with the stage's own wall time. Row failures (unknown sequence, KV
+  // budget) land in row_status and zero the row's attention output;
+  // batchmates proceed.
   const ViewF attn_out = attn_buf_.view().block(0, 0, m, q_dim);
-  NMSPMM_RETURN_IF_ERROR(timed(1, [&] {
-    const auto append_t0 = std::chrono::steady_clock::now();
-    std::uint32_t appended = 0;
-    for (index_t i = 0; i < m; ++i) {
-      float* row = qkv.row(i);
-      row_status[i] =
-          attn_->append(*kv_, seq_ids[i], row + q_dim, row + q_dim + kv_dim);
-      if (row_status[i].ok()) ++appended;
-    }
-    obs::count_kv_append_event(
-        appended,
-        static_cast<std::uint64_t>(appended) * 2 * kv_dim * sizeof(float),
-        us_since(append_t0));
+  std::uint32_t appended = 0;
+  std::uint64_t append_ns = 0;
+  NMSPMM_RETURN_IF_ERROR(profile_.run(
+      Stage::kKvAppend,
+      [&] {
+        for (index_t i = 0; i < m; ++i) {
+          float* row = qkv.row(i);
+          row_status[i] = attn_->append(*kv_, seq_ids[i], row + q_dim,
+                                        row + q_dim + kv_dim);
+          if (row_status[i].ok()) ++appended;
+        }
+        return Status::Ok();
+      },
+      &append_ns));
+  obs::count_kv_append_event(
+      appended,
+      static_cast<std::uint64_t>(appended) * 2 * kv_dim * sizeof(float),
+      append_ns / 1000);
 
-    const auto attend_t0 = std::chrono::steady_clock::now();
-    std::uint32_t attended = 0;
-    std::uint64_t context_tokens = 0;
-    for (index_t i = 0; i < m; ++i) {
-      float* o = attn_out.row(i);
-      if (!row_status[i].ok()) {
-        std::fill_n(o, q_dim, 0.0f);
-        continue;
-      }
-      row_status[i] = attn_->attend(*kv_, seq_ids[i], qkv.row(i), o);
-      if (row_status[i].ok()) {
-        ++attended;
-        const auto len = kv_->seq_len(seq_ids[i]);
-        if (len.ok()) context_tokens += static_cast<std::uint64_t>(*len);
-      } else {
-        std::fill_n(o, q_dim, 0.0f);
-      }
-    }
-    obs::count_attn_event(attended, context_tokens, us_since(attend_t0));
-    return Status::Ok();
-  }));
+  std::uint32_t attended = 0;
+  std::uint64_t context_tokens = 0;
+  std::uint64_t attend_ns = 0;
+  NMSPMM_RETURN_IF_ERROR(profile_.run(
+      Stage::kAttend,
+      [&] {
+        for (index_t i = 0; i < m; ++i) {
+          float* o = attn_out.row(i);
+          if (!row_status[i].ok()) {
+            std::fill_n(o, q_dim, 0.0f);
+            continue;
+          }
+          row_status[i] = attn_->attend(*kv_, seq_ids[i], qkv.row(i), o);
+          if (row_status[i].ok()) {
+            ++attended;
+            const auto len = kv_->seq_len(seq_ids[i]);
+            if (len.ok()) context_tokens += static_cast<std::uint64_t>(*len);
+          } else {
+            std::fill_n(o, q_dim, 0.0f);
+          }
+        }
+        return Status::Ok();
+      },
+      &attend_ns));
+  obs::count_attn_event(attended, context_tokens, attend_ns / 1000);
 
   // 3. Output projection with the attention residual fused into its
   // final-chunk stores: x1 = attn_out Wo (+ b) + A.
@@ -214,24 +196,17 @@ Status DecoderPlan::decode(ConstViewF A, const std::uint64_t* seq_ids,
   EpilogueArgs proj_args;
   proj_args.bias = out_bias_.empty() ? nullptr : out_bias_.data();
   proj_args.residual = A;
-  NMSPMM_RETURN_IF_ERROR(
-      timed(2, [&] { return proj_plan_->execute(attn_out, x1, proj_args); }));
+  NMSPMM_RETURN_IF_ERROR(profile_.run(Stage::kAttnOut, [&] {
+    return proj_plan_->execute(attn_out, x1, proj_args);
+  }));
 
   // 4. The FFN tail: out = x1 + FFN(rmsnorm(x1, ffn_norm)) — the nested
   // plan's FfnBlock carries the prologue and the second residual.
-  NMSPMM_RETURN_IF_ERROR(ffn_plan_->run(x1, out));
-
-  if (counting) {
-    std::lock_guard plock(perf_mutex_);
-    ++perf_runs_;
-    for (int s = 0; s < 3; ++s) perf_stage_[s] += prof[s];
-  }
-  return Status::Ok();
+  return ffn_plan_->run(x1, out);
 }
 
 DecoderPlan::Stats DecoderPlan::stats() const {
   Stats stats;
-  std::lock_guard lock(run_mutex_);
   stats.planned_tokens = planned_tokens_;
   // qkv and out_proj could in principle share objects (tied weights):
   // count each resident object once, like ModelPlan::stats.
@@ -252,20 +227,12 @@ DecoderPlan::Stats DecoderPlan::stats() const {
       qkv_buf_.size_bytes() + attn_buf_.size_bytes() + x1_buf_.size_bytes();
   stats.kv = kv_->stats();
   stats.ffn = ffn_plan_->stats();
-  stats.perf.enabled = profiling_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard plock(perf_mutex_);
-    stats.perf.supported = perf_set_ != nullptr && perf_set_->supported();
-    stats.perf.runs = perf_runs_;
-    stats.perf.qkv = perf_stage_[0];
-    stats.perf.attn = perf_stage_[1];
-    stats.perf.proj = perf_stage_[2];
-  }
+  stats.stages = profile_.snapshot();
   return stats;
 }
 
 void DecoderPlan::set_profiling(bool enabled) {
-  profiling_.store(enabled, std::memory_order_relaxed);
+  profile_.set_profiling(enabled);
   if (ffn_plan_ != nullptr) ffn_plan_->set_profiling(enabled);
 }
 

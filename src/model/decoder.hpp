@@ -18,6 +18,12 @@
 // sequences exactly like ffn traffic; attention runs per sequence
 // between them, bracketed as kv_append / attn spans through obs.
 //
+// Every stage runs through one StageProfile (model/stage_profile.hpp),
+// the runner ModelPlan uses too: stats().stages holds the wall time of
+// qkv / kv_append / attend / attn_out (plus hardware counters while
+// profiling), stats().ffn.stages the tail's gate / up / down. stats()
+// takes no lock, so a metrics scrape never waits behind a decode step.
+//
 //   auto plan = engine.plan_decoder(max_batch, layer, kv_options);
 //   NMSPMM_CHECK_OK((*plan)->begin_sequence(7));
 //   (*plan)->decode(x.view(), seq_ids, out.view(), row_status);
@@ -28,7 +34,6 @@
 // batchmates — the serving layer resolves each request individually.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -37,7 +42,7 @@
 #include "attn/attention.hpp"
 #include "attn/kv_cache.hpp"
 #include "model/ffn.hpp"
-#include "obs/perf_counters.hpp"
+#include "model/stage_profile.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
 
@@ -77,10 +82,10 @@ struct DecoderLayer {
 };
 
 /// An executable decoder-layer plan over a batch of live sequences.
-/// Build through Engine::plan_decoder. All entry points serialize on an
-/// internal mutex (one KV cache, one scratch set); submit concurrent
-/// decode traffic through Server::submit_decode instead of sharing one
-/// plan across threads.
+/// Build through Engine::plan_decoder. decode() and the sequence
+/// lifecycle serialize on an internal mutex (one KV cache, one scratch
+/// set) and stats() takes none; submit concurrent decode traffic through
+/// Server::submit_decode instead of sharing one plan across threads.
 class DecoderPlan {
  public:
   /// Register / finish a sequence in the plan's KV cache. Typed like
@@ -120,20 +125,10 @@ class DecoderPlan {
     std::size_t scratch_bytes = 0;  ///< qkv / attention / x1 buffers
     attn::KvCache::Stats kv;        ///< paged K/V residency + lifecycle
     ModelPlan::Stats ffn;           ///< the nested FFN tail
-    /// Per-stage hardware-counter profile (ModelPlan::Stats::Perf
-    /// semantics): the two projection executes and the attention pass
-    /// (KV append + streaming softmax) accumulated over profiled
-    /// decode() calls. The FFN tail's own gate/up/down attribution is
-    /// under ffn.perf.
-    struct Perf {
-      bool enabled = false;
-      bool supported = false;
-      std::uint64_t runs = 0;  ///< profiled decode() calls
-      obs::PerfCounts qkv;
-      obs::PerfCounts attn;
-      obs::PerfCounts proj;
-    };
-    Perf perf;
+    /// Per-stage attribution of every decode() (qkv / kv_append /
+    /// attend / attn_out; ModelPlan::Stats::stages semantics). The FFN
+    /// tail reports its gate / up / down under ffn.stages.
+    StageProfile::Snapshot stages;
     [[nodiscard]] std::size_t resident_bytes() const {
       return weight_bytes + packed_bytes + scratch_bytes +
              kv.resident_bytes + ffn.resident_bytes();
@@ -142,13 +137,10 @@ class DecoderPlan {
   [[nodiscard]] Stats stats() const;
 
   /// Toggle hardware-counter profiling of subsequent decode() calls
-  /// (Stats::Perf); forwards to the nested FFN plan so ffn.perf fills
-  /// in too. Same lazy-open, thread-scoped semantics as
-  /// ModelPlan::set_profiling.
+  /// (Stats::stages); forwards to the nested FFN plan so ffn.stages
+  /// fills in too. Same semantics as ModelPlan::set_profiling.
   void set_profiling(bool enabled);
-  [[nodiscard]] bool profiling() const {
-    return profiling_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool profiling() const { return profile_.profiling(); }
 
  private:
   friend class nmspmm::Engine;
@@ -176,11 +168,7 @@ class DecoderPlan {
   MatrixF attn_buf_;  ///< planned_tokens x q_dim
   MatrixF x1_buf_;    ///< planned_tokens x hidden (post-attention stream)
 
-  std::atomic<bool> profiling_{false};
-  mutable std::mutex perf_mutex_;
-  std::unique_ptr<obs::PerfCounterSet> perf_set_;
-  std::uint64_t perf_runs_ = 0;
-  obs::PerfCounts perf_stage_[3];  ///< qkv, attn, proj
+  StageProfile profile_;  ///< written under run_mutex_
 };
 
 }  // namespace nmspmm::model

@@ -92,26 +92,7 @@ Status ModelPlan::run(ConstViewF A, ViewF out) {
   // One scratch set per plan: run() is serialized, not reentrant.
   std::lock_guard lock(run_mutex_);
 
-  // Hardware-counter profiling: counters open lazily on the thread that
-  // first runs profiled (perf_event_open counts the opening thread), and
-  // each projection execute is bracketed start()/stop(). Off: one
-  // relaxed load. Unsupported (EPERM sandbox, non-Linux): opened once,
-  // then every start()/stop() is a no-op.
-  const bool profile = profiling_.load(std::memory_order_relaxed);
-  if (profile && perf_set_ == nullptr) {
-    auto fresh = std::make_unique<obs::PerfCounterSet>();
-    std::lock_guard plock(perf_mutex_);
-    perf_set_ = std::move(fresh);
-  }
-  const bool counting = profile && perf_set_->supported();
-  obs::PerfCounts prof[3];
-  const auto timed = [&](int proj, auto&& fn) -> Status {
-    if (!counting) return fn();
-    perf_set_->start();
-    const Status s = fn();
-    prof[proj] += perf_set_->stop();
-    return s;
-  };
+  profile_.begin_run();
 
   ConstViewF x = A;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -129,8 +110,9 @@ Status ModelPlan::run(ConstViewF A, ViewF out) {
     EpilogueArgs gate_args;
     gate_args.bias = block.gate_bias.empty() ? nullptr : block.gate_bias.data();
     gate_args.rms_gain = norm_gain;
-    NMSPMM_RETURN_IF_ERROR(
-        timed(0, [&] { return plans.gate->execute(x, gate, gate_args); }));
+    NMSPMM_RETURN_IF_ERROR(profile_.run(Stage::kGate, [&] {
+      return plans.gate->execute(x, gate, gate_args);
+    }));
 
     // h = (A Wu + bu) (.) act(gate): the SiLU·up fusion — activation and
     // elementwise product ride the up-projection's final-chunk stores,
@@ -140,8 +122,8 @@ Status ModelPlan::run(ConstViewF A, ViewF out) {
     up_args.bias = block.up_bias.empty() ? nullptr : block.up_bias.data();
     up_args.other = gate;
     up_args.rms_gain = norm_gain;
-    NMSPMM_RETURN_IF_ERROR(
-        timed(1, [&] { return plans.up->execute(x, h, up_args); }));
+    NMSPMM_RETURN_IF_ERROR(profile_.run(
+        Stage::kUp, [&] { return plans.up->execute(x, h, up_args); }));
 
     // out = h Wd (+ bd) (+ x); chains ping-pong the hidden-wide
     // activations. The residual add reads the block's input x in the
@@ -161,14 +143,9 @@ Status ModelPlan::run(ConstViewF A, ViewF out) {
       }
       down_args.residual = x;
     }
-    NMSPMM_RETURN_IF_ERROR(
-        timed(2, [&] { return plans.down->execute(h, y, down_args); }));
+    NMSPMM_RETURN_IF_ERROR(profile_.run(
+        Stage::kDown, [&] { return plans.down->execute(h, y, down_args); }));
     x = y;
-  }
-  if (counting) {
-    std::lock_guard plock(perf_mutex_);
-    ++perf_runs_;
-    for (int p = 0; p < 3; ++p) perf_proj_[p] += prof[p];
   }
   return Status::Ok();
 }
@@ -215,15 +192,7 @@ ModelPlan::Stats ModelPlan::stats() const {
   stats.scratch_bytes = gate_buf_.size_bytes() + h_buf_.size_bytes() +
                         hidden_buf_[0].size_bytes() +
                         hidden_buf_[1].size_bytes();
-  stats.perf.enabled = profiling_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard plock(perf_mutex_);
-    stats.perf.supported = perf_set_ != nullptr && perf_set_->supported();
-    stats.perf.runs = perf_runs_;
-    stats.perf.gate = perf_proj_[0];
-    stats.perf.up = perf_proj_[1];
-    stats.perf.down = perf_proj_[2];
-  }
+  stats.stages = profile_.snapshot();
   return stats;
 }
 

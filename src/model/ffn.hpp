@@ -19,7 +19,10 @@
 //     are applied in the final k-chunk's stores, never as a separate
 //     pass over the tokens x ffn intermediate;
 //   - ping-pong activation scratch is sized once at plan time, so
-//     steady-state run() calls perform zero heap allocation.
+//     steady-state run() calls perform zero heap allocation;
+//   - each projection runs as a gate / up / down stage of a
+//     StageProfile (model/stage_profile.hpp), so stats().stages says
+//     where the time went without a lock or perf_event_open.
 //
 //   nmspmm::Engine engine;
 //   auto plan = engine.plan_model(max_tokens, {block});   // StatusOr
@@ -30,7 +33,6 @@
 // pass over all three weight matrices.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -39,7 +41,7 @@
 #include "core/engine.hpp"
 #include "core/epilogue.hpp"
 #include "core/spmm.hpp"
-#include "obs/perf_counters.hpp"
+#include "model/stage_profile.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
 
@@ -131,24 +133,11 @@ class ModelPlan {
     int packed_numa_node = -1;
     /// Counters of the WeightStore owning the packed forms.
     mem::WeightStore::Stats store;
-    /// Hardware-counter profile of the projection kernels, accumulated
-    /// over every run() executed while set_profiling(true) was in
-    /// effect. Counts are attributed per projection (gate / up / down —
-    /// the three kernel-variant call sites) and scoped to the thread
-    /// run() executes on: exact for serial plans (num_threads == 1, the
-    /// recommended profiling configuration), the calling thread's share
-    /// when a worker pool fans the tiles out. supported == false (with
-    /// zeroed counts) when perf_event_open is unavailable — unprivileged
-    /// containers, perf_event_paranoid, non-Linux hosts.
-    struct Perf {
-      bool enabled = false;    ///< set_profiling(true) is in effect
-      bool supported = false;  ///< counters actually opened
-      std::uint64_t runs = 0;  ///< profiled run() calls accumulated
-      obs::PerfCounts gate;
-      obs::PerfCounts up;
-      obs::PerfCounts down;
-    };
-    Perf perf;
+    /// Per-stage attribution of every run() (gate / up / down, summed
+    /// over the blocks): wall time always, hardware counters while
+    /// set_profiling(true) is on and perf_event_open works (see
+    /// model/stage_profile.hpp).
+    StageProfile::Snapshot stages;
     [[nodiscard]] std::size_t resident_bytes() const {
       return weight_bytes + packed_bytes + scratch_bytes;
     }
@@ -156,16 +145,11 @@ class ModelPlan {
   [[nodiscard]] Stats stats() const;
 
   /// Toggle hardware-counter profiling of subsequent run() calls (see
-  /// Stats::Perf). Counters are opened lazily on the first profiled
-  /// run(), on the thread that executes it; when disabled, run() pays
-  /// one relaxed atomic load and nothing else. Safe to call from any
-  /// thread; accumulated counts persist across toggles.
-  void set_profiling(bool enabled) {
-    profiling_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool profiling() const {
-    return profiling_.load(std::memory_order_relaxed);
-  }
+  /// Stats::stages). When off, run() keeps only the wall-clock times.
+  /// Safe to call from any thread; accumulated counts persist across
+  /// toggles.
+  void set_profiling(bool enabled) { profile_.set_profiling(enabled); }
+  [[nodiscard]] bool profiling() const { return profile_.profiling(); }
 
  private:
   friend class nmspmm::Engine;
@@ -192,15 +176,7 @@ class ModelPlan {
   MatrixF h_buf_;       ///< planned_tokens x max ffn
   MatrixF hidden_buf_[2];  ///< planned_tokens x max hidden (chains only)
 
-  // Hardware-counter profiling (Stats::Perf). The counter set and the
-  // accumulators are written only under run_mutex_ (run() serializes);
-  // stats() reads them under perf_mutex_, which run() also takes for the
-  // brief accumulate step — never across a kernel execution.
-  std::atomic<bool> profiling_{false};
-  mutable std::mutex perf_mutex_;
-  std::unique_ptr<obs::PerfCounterSet> perf_set_;  ///< lazily opened
-  std::uint64_t perf_runs_ = 0;
-  obs::PerfCounts perf_proj_[3];  ///< gate, up, down
+  StageProfile profile_;  ///< written under run_mutex_
 };
 
 }  // namespace nmspmm::model

@@ -13,9 +13,9 @@
 //   obs::PerfCounts counts = perf.stop();
 //   if (counts.supported) { ... counts.ipc() ... }
 //
-// bench_resident wraps each kernel-variant timing loop in one, and
-// ModelPlan profiling attributes the three projection executes of every
-// FFN block. Opening counters can fail — unprivileged containers
+// bench_resident wraps each kernel-variant timing loop in one, and the
+// model plans' StageProfile (model/stage_profile.hpp) brackets every
+// stage with one while profiling is on. Opening counters can fail — unprivileged containers
 // (perf_event_paranoid), CI boxes, non-Linux builds — and every failure
 // degrades to supported=false with zeroed counts; nothing in the
 // serving or bench path may change behavior because perf was absent.

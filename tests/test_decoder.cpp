@@ -7,11 +7,13 @@
 // per-sequence status isolation on both the bypass and batched paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/nmspmm.hpp"
@@ -461,6 +463,159 @@ TEST(DecoderPlan, BatchStatusesStayBatchLevel) {
   EXPECT_EQ(plan.decode(a2.cview(), nullptr, out2.view(), rows.data())
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// --------------------------------------------------- stage attribution
+
+/// A plan over sequences 1..rows, each begun, with one fixed input row
+/// per sequence.
+struct StagePlan {
+  std::shared_ptr<model::DecoderPlan> plan;
+  MatrixF x;
+};
+
+StagePlan stage_plan(Engine& engine, index_t rows, index_t max_tokens,
+                     Rng& rng) {
+  auto plan = engine.plan_decoder(rows, make_layer(rng, NMConfig{2, 4, 16}),
+                                  cache_for(max_tokens));
+  NMSPMM_CHECK_OK(plan.status());
+  for (index_t i = 0; i < rows; ++i) {
+    NMSPMM_CHECK_OK((*plan)->begin_sequence(static_cast<std::uint64_t>(i + 1)));
+  }
+  return {*plan, random_matrix(rows, (*plan)->hidden(), rng)};
+}
+
+/// Runs @p steps decode steps; returns the caller-measured wall time of
+/// the decode() calls.
+std::chrono::nanoseconds decode_steps(StagePlan& p, int steps) {
+  const index_t rows = p.x.rows();
+  std::vector<std::uint64_t> ids;
+  for (index_t i = 0; i < rows; ++i) ids.push_back(i + 1);
+  std::vector<Status> row_status(rows);
+  MatrixF out(rows, p.plan->hidden());
+  std::chrono::nanoseconds wall{0};
+  for (int s = 0; s < steps; ++s) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const Status status =
+        p.plan->decode(p.x.cview(), ids.data(), out.view(), row_status.data());
+    wall += std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(status.ok()) << status.to_string();
+    for (const Status& row : row_status) {
+      EXPECT_TRUE(row.ok()) << row.to_string();
+    }
+  }
+  return wall;
+}
+
+constexpr model::Stage kAttnStages[] = {
+    model::Stage::kQkv, model::Stage::kKvAppend, model::Stage::kAttend,
+    model::Stage::kAttnOut};
+constexpr model::Stage kFfnStages[] = {model::Stage::kGate, model::Stage::kUp,
+                                       model::Stage::kDown};
+
+TEST(DecoderPlan, StagesTimeEveryStepWithoutCounters) {
+  Rng rng(51);
+  Engine engine;
+  StagePlan p = stage_plan(engine, 2, 32, rng);
+  constexpr int kSteps = 5;
+  const std::chrono::nanoseconds wall = decode_steps(p, kSteps);
+
+  const model::DecoderPlan::Stats stats = p.plan->stats();
+  EXPECT_EQ(stats.stages.runs, static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(stats.stages.profiled_runs, 0u);
+  std::uint64_t total_ns = 0;
+  for (const model::Stage stage : kAttnStages) {
+    EXPECT_EQ(stats.stages[stage].calls, static_cast<std::uint64_t>(kSteps))
+        << model::to_string(stage);
+    EXPECT_GT(stats.stages[stage].ns, 0u) << model::to_string(stage);
+    EXPECT_FALSE(stats.stages[stage].perf.supported);
+    total_ns += stats.stages[stage].ns;
+  }
+  // The FFN tail attributes its own projections under ffn.stages.
+  for (const model::Stage stage : kFfnStages) {
+    EXPECT_EQ(stats.stages[stage].calls, 0u) << model::to_string(stage);
+    EXPECT_EQ(stats.ffn.stages[stage].calls,
+              static_cast<std::uint64_t>(kSteps))
+        << model::to_string(stage);
+    EXPECT_GT(stats.ffn.stages[stage].ns, 0u) << model::to_string(stage);
+    total_ns += stats.ffn.stages[stage].ns;
+  }
+  // Every stage runs inside the caller's decode() window, one at a time.
+  EXPECT_LE(total_ns, static_cast<std::uint64_t>(wall.count()));
+}
+
+TEST(DecoderPlan, ProfilingForwardsToTheFfnTailAndKeepsItsCounts) {
+  Rng rng(52);
+  Engine engine;
+  StagePlan p = stage_plan(engine, 2, 32, rng);
+  decode_steps(p, 1);  // unprofiled
+
+  p.plan->set_profiling(true);
+  EXPECT_TRUE(p.plan->profiling());
+  decode_steps(p, 2);
+  const model::DecoderPlan::Stats on = p.plan->stats();
+  EXPECT_TRUE(on.stages.enabled);
+  EXPECT_TRUE(on.ffn.stages.enabled);
+  EXPECT_EQ(on.stages.runs, 3u);
+  EXPECT_EQ(on.stages.profiled_runs, 2u);
+  EXPECT_EQ(on.ffn.stages.profiled_runs, 2u);
+  EXPECT_EQ(on.ffn.stages.supported, on.stages.supported);
+  for (const model::Stage stage : kAttnStages) {
+    const obs::PerfCounts& perf = on.stages[stage].perf;
+    EXPECT_EQ(perf.supported, on.stages.supported) << model::to_string(stage);
+    if (on.stages.supported) {
+      EXPECT_GT(perf.instructions, 0u) << model::to_string(stage);
+    } else {
+      EXPECT_EQ(perf.cycles, 0u) << model::to_string(stage);
+    }
+  }
+  for (const model::Stage stage : kFfnStages) {
+    EXPECT_EQ(on.ffn.stages[stage].perf.supported, on.ffn.stages.supported)
+        << model::to_string(stage);
+  }
+
+  // Disabling stops counting (in both plans) and keeps what was counted.
+  p.plan->set_profiling(false);
+  decode_steps(p, 1);
+  const model::DecoderPlan::Stats off = p.plan->stats();
+  EXPECT_FALSE(off.stages.enabled);
+  EXPECT_FALSE(off.ffn.stages.enabled);
+  EXPECT_EQ(off.stages.runs, 4u);
+  EXPECT_EQ(off.stages.profiled_runs, 2u);
+  EXPECT_EQ(off.ffn.stages.profiled_runs, 2u);
+  EXPECT_EQ(off.stages[model::Stage::kQkv].perf.instructions,
+            on.stages[model::Stage::kQkv].perf.instructions);
+  EXPECT_EQ(off.ffn.stages[model::Stage::kGate].perf.instructions,
+            on.ffn.stages[model::Stage::kGate].perf.instructions);
+}
+
+TEST(DecoderPlan, StatsRunsConcurrentlyWithDecode) {
+  Rng rng(53);
+  Engine engine;
+  constexpr int kSteps = 24;
+  StagePlan p = stage_plan(engine, 2, 2 * kSteps, rng);
+
+  // stats() takes no plan lock: a scraper polls it while a decode loop
+  // runs. TSan checks the race-freedom; the KV counters must only grow.
+  std::atomic<bool> done{false};
+  std::thread decoder([&] {
+    decode_steps(p, kSteps);
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last_tokens = 0;
+  bool monotone = true;
+  while (!done.load(std::memory_order_acquire)) {
+    const model::DecoderPlan::Stats s = p.plan->stats();
+    monotone = monotone && s.kv.appended_tokens >= last_tokens;
+    last_tokens = s.kv.appended_tokens;
+  }
+  decoder.join();
+  EXPECT_TRUE(monotone);
+  const model::DecoderPlan::Stats final_stats = p.plan->stats();
+  EXPECT_EQ(final_stats.kv.appended_tokens, 2u * kSteps);
+  EXPECT_EQ(final_stats.stages.runs, static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(final_stats.stages[model::Stage::kAttend].calls,
+            static_cast<std::uint64_t>(kSteps));
 }
 
 // -------------------------------------------------- Server integration

@@ -1,8 +1,8 @@
 // Epilogue fusion (core/epilogue.hpp): bias / SiLU / GELU / elementwise
 // mul applied in the final k-chunk's micro-kernel stores must match the
 // unfused reference path bit-for-bit — across ragged shapes, single and
-// multiple k-chunks, 1 and 4 threads, every kernel variant, and both the
-// packed (plan) and compat kernel entry points.
+// multiple k-chunks, 1 and 4 threads, every kernel variant, through
+// both the plan and the kernel entry points.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -228,7 +228,7 @@ TEST(Epilogue, FusedMatchesUnfusedOnBothV3PackingPaths) {
   }
 }
 
-TEST(Epilogue, CompatKernelEntryPointsApplyTheEpilogue) {
+TEST(Epilogue, KernelEntryPointsApplyTheEpilogue) {
   Rng rng(44);
   const NMConfig cfg{2, 4, 8};
   Problem p = make_problem(19, 128, 88, cfg, rng);
@@ -247,29 +247,33 @@ TEST(Epilogue, CompatKernelEntryPointsApplyTheEpilogue) {
   hand_rolled(spec, p.bias.data(), p.other.cview(), p.residual.cview(),
               want.view());
 
-  MatrixF c1(19, 88);
-  spmm_v1(p.a.view(), *p.weights, c1.view(), params, /*pool=*/nullptr, spec,
-          args);
-  EXPECT_EQ(max_abs_diff(want.cview(), c1.cview()), 0.0) << "V1 compat";
-
   const ColInfo info = build_col_info(*p.weights, params.ks, params.ns);
+  const PackedWeights direct = PackedWeights::build(
+      *p.weights, params.ks, params.ns, PackedWeights::IndexKind::kDirect);
+  const PackedWeights remapped =
+      PackedWeights::build(*p.weights, params.ks, params.ns,
+                           PackedWeights::IndexKind::kRemapped, &info);
+
+  MatrixF c1(19, 88);
+  spmm_v1(p.a.view(), *p.weights, c1.view(), params, direct,
+          /*pool=*/nullptr, spec, args);
+  EXPECT_EQ(max_abs_diff(want.cview(), c1.cview()), 0.0) << "V1";
+
   MatrixF c2(19, 88);
-  spmm_v2(p.a.view(), *p.weights, c2.view(), params, info, /*pool=*/nullptr,
-          spec, args);
-  EXPECT_EQ(max_abs_diff(want.cview(), c2.cview()), 0.0) << "V2 compat";
+  spmm_v2(p.a.view(), *p.weights, c2.view(), params, remapped,
+          /*pool=*/nullptr, spec, args);
+  EXPECT_EQ(max_abs_diff(want.cview(), c2.cview()), 0.0) << "V2";
 
   MatrixF c3p(19, 88);
   spmm_v3(p.a.view(), *p.weights, c3p.view(), params, /*use_packing=*/true,
-          &info, nullptr, /*pool=*/nullptr, spec, args);
-  EXPECT_EQ(max_abs_diff(want.cview(), c3p.cview()), 0.0)
-      << "V3 compat packed";
+          remapped, /*pool=*/nullptr, spec, args);
+  EXPECT_EQ(max_abs_diff(want.cview(), c3p.cview()), 0.0) << "V3 packed";
 
-  const auto resolved = resolve_indices(*p.weights);
   MatrixF c3n(19, 88);
   spmm_v3(p.a.view(), *p.weights, c3n.view(), params, /*use_packing=*/false,
-          nullptr, &resolved, /*pool=*/nullptr, spec, args);
+          direct, /*pool=*/nullptr, spec, args);
   EXPECT_EQ(max_abs_diff(want.cview(), c3n.cview()), 0.0)
-      << "V3 compat non-packed";
+      << "V3 non-packed";
 }
 
 TEST(Epilogue, ReferenceVariantMatchesFusedKernels) {

@@ -32,16 +32,19 @@ TEST(Integration, SevenImplementationsAgree) {
   BlockingParams p = table1_preset(SizeClass::kSmall);
   p.ks = 64;
   const ColInfo info = build_col_info(B, p.ks, p.ns);
-  const auto resolved = resolve_indices(B);
+  const PackedWeights direct = PackedWeights::build(
+      B, p.ks, p.ns, PackedWeights::IndexKind::kDirect);
+  const PackedWeights remapped = PackedWeights::build(
+      B, p.ks, p.ns, PackedWeights::IndexKind::kRemapped, &info);
 
   MatrixF c(m, n);
-  spmm_v1(A.view(), B, c.view(), p);
+  spmm_v1(A.view(), B, c.view(), p, direct);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "V1";
-  spmm_v2(A.view(), B, c.view(), p, info);
+  spmm_v2(A.view(), B, c.view(), p, remapped);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "V2";
-  spmm_v3(A.view(), B, c.view(), p, true, &info, nullptr);
+  spmm_v3(A.view(), B, c.view(), p, true, remapped);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "V3p";
-  spmm_v3(A.view(), B, c.view(), p, false, nullptr, &resolved);
+  spmm_v3(A.view(), B, c.view(), p, false, direct);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "V3np";
 
   nmsparse_like_spmm(A.view(), B, c.view());
@@ -175,7 +178,9 @@ TEST(Integration, SimulatedAndCpuKernelsShareColInfo) {
   p.ks = 64;
   const ColInfo info = build_col_info(B, p.ks, p.ns);
   MatrixF cpu(m, n), sim_c(m, n);
-  spmm_v2(A.view(), B, cpu.view(), p, info);
+  spmm_v2(A.view(), B, cpu.view(), p,
+          PackedWeights::build(B, p.ks, p.ns,
+                               PackedWeights::IndexKind::kRemapped, &info));
   gpusim::Simulator sim(gpusim::a100_80g());
   sim_nm_spmm_packed(sim, A.view(), B, sim_c.view(), p, info);
   EXPECT_EQ(max_abs_diff(cpu.cview(), sim_c.cview()), 0.0);

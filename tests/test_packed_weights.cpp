@@ -1,8 +1,7 @@
 // Plan-time weight pre-packing (core/packed_weights.hpp):
 //   - bit-exactness of the resident path against spmm_reference for all
-//     variants, through both the pre-packed and the compatibility
-//     (pack-on-the-fly) entry points, across thread counts and ragged
-//     shapes;
+//     variants, with forms packed up front and packed at the call,
+//     across thread counts and ragged shapes;
 //   - interning: plans for different batch-size buckets of one weight
 //     matrix share a single PackedWeights;
 //   - the steady-state serving hot path stages zero weight bytes
@@ -62,8 +61,9 @@ BlockingParams small_params(const NMConfig& cfg, index_t k) {
   return p;
 }
 
-/// Every variant, packed entry point vs compatibility entry point vs
-/// reference, on one (m, n, k, cfg, pool) instance.
+/// Every variant, against a form packed once up front and against one
+/// packed at the call (from the caller's col_info where the kind needs
+/// it), vs reference, on one (m, n, k, cfg, pool) instance.
 void expect_all_variants_bit_exact(index_t m, index_t n, index_t k,
                                    const NMConfig& cfg, unsigned seed,
                                    ThreadPool* pool) {
@@ -73,7 +73,11 @@ void expect_all_variants_bit_exact(index_t m, index_t n, index_t k,
   const MatrixF expect = run_reference(A.view(), B);
   const BlockingParams p = small_params(cfg, k);
   const ColInfo info = build_col_info(B, p.ks, p.ns);
-  const auto resolved = resolve_indices(B);
+  const auto packed_here = [&](PackedWeights::IndexKind kind) {
+    return PackedWeights::build(
+        B, p.ks, p.ns, kind,
+        kind == PackedWeights::IndexKind::kRemapped ? &info : nullptr);
+  };
   const PackedWeights direct = PackedWeights::build(
       B, p.ks, p.ns, PackedWeights::IndexKind::kDirect);
   const PackedWeights remapped = PackedWeights::build(
@@ -90,26 +94,30 @@ void expect_all_variants_bit_exact(index_t m, index_t n, index_t k,
   spmm_v1(A.view(), B, C.view(), p, direct, pool);
   check("V1 pre-packed");
   C.fill(-1.0f);
-  spmm_v1(A.view(), B, C.view(), p, pool);
-  check("V1 compat");
+  spmm_v1(A.view(), B, C.view(), p,
+          packed_here(PackedWeights::IndexKind::kDirect), pool);
+  check("V1 packed at the call");
   C.fill(-1.0f);
   spmm_v2(A.view(), B, C.view(), p, remapped, pool);
   check("V2 pre-packed");
   C.fill(-1.0f);
-  spmm_v2(A.view(), B, C.view(), p, info, pool);
-  check("V2 compat");
+  spmm_v2(A.view(), B, C.view(), p,
+          packed_here(PackedWeights::IndexKind::kRemapped), pool);
+  check("V2 packed at the call");
   C.fill(-1.0f);
   spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/true, remapped, pool);
   check("V3 packed pre-packed");
   C.fill(-1.0f);
-  spmm_v3(A.view(), B, C.view(), p, true, &info, nullptr, pool);
-  check("V3 packed compat");
+  spmm_v3(A.view(), B, C.view(), p, true,
+          packed_here(PackedWeights::IndexKind::kRemapped), pool);
+  check("V3 packed, packed at the call");
   C.fill(-1.0f);
   spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/false, direct, pool);
   check("V3 non-packed pre-packed");
   C.fill(-1.0f);
-  spmm_v3(A.view(), B, C.view(), p, false, nullptr, &resolved, pool);
-  check("V3 non-packed compat");
+  spmm_v3(A.view(), B, C.view(), p, false,
+          packed_here(PackedWeights::IndexKind::kDirect), pool);
+  check("V3 non-packed, packed at the call");
 }
 
 TEST(PackedWeights, AllVariantsBitExactSerial) {
@@ -240,7 +248,7 @@ TEST(PackedWeights, RejectsKsBeyondUint16Guard) {
                                        PackedWeights::IndexKind::kDirect));
 }
 
-TEST(PackedWeights, CompatOverloadsRejectMismatchedPreprocessing) {
+TEST(PackedWeights, KernelsRejectMismatchedPreprocessing) {
   Rng rng(61);
   const NMConfig cfg{1, 8, 8};
   const index_t m = 32, k = 128, n = 64;

@@ -1,11 +1,15 @@
 // obs::PerfCounterSet: graceful fallback when perf_event_open is
 // unavailable (the common sandbox/CI case), real counting where the
-// kernel allows it, PerfCounts arithmetic, and ModelPlan profiling.
+// kernel allows it, PerfCounts arithmetic, and ModelPlan stage
+// attribution (wall times always, counters while profiling).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 
 #include "core/nmspmm.hpp"
 #include "obs/perf_counters.hpp"
@@ -83,8 +87,7 @@ TEST(PerfCounters, CountsAccumulateAndDeriveRates) {
   EXPECT_EQ(obs::PerfCounts{}.misses_per_kilo_instr(), 0.0);
 }
 
-TEST(ModelPlanProfiling, StatsAttributeProjectionsWhenEnabled) {
-  Rng rng(77);
+std::shared_ptr<model::ModelPlan> small_ffn_plan(Engine& engine, Rng& rng) {
   const NMConfig cfg{2, 4, 16};
   model::FfnBlock block;
   block.gate = std::make_shared<const CompressedNM>(
@@ -93,17 +96,22 @@ TEST(ModelPlanProfiling, StatsAttributeProjectionsWhenEnabled) {
       random_compressed_int(64, 112, cfg, rng));
   block.down = std::make_shared<const CompressedNM>(
       random_compressed_int(112, 64, cfg, rng));
-  Engine engine;
-  auto plan_or = engine.plan_model(8, {block});
-  NMSPMM_ASSERT_OK(plan_or.status());
-  auto plan = *plan_or;
+  auto plan = engine.plan_model(8, {block});
+  NMSPMM_CHECK_OK(plan.status());
+  return *plan;
+}
 
-  // Off by default: zero bookkeeping, stats say so.
+TEST(ModelPlanProfiling, StatsAttributeProjectionsWhenEnabled) {
+  Rng rng(77);
+  Engine engine;
+  auto plan = small_ffn_plan(engine, rng);
+
+  // Off by default: wall times only, no counters, stats say so.
   const MatrixF a = random_int_matrix(8, 64, rng);
   MatrixF out(8, 64);
   NMSPMM_ASSERT_OK(plan->run(a.view(), out.view()));
-  EXPECT_FALSE(plan->stats().perf.enabled);
-  EXPECT_EQ(plan->stats().perf.runs, 0u);
+  EXPECT_FALSE(plan->stats().stages.enabled);
+  EXPECT_EQ(plan->stats().stages.profiled_runs, 0u);
 
   plan->set_profiling(true);
   EXPECT_TRUE(plan->profiling());
@@ -111,25 +119,99 @@ TEST(ModelPlanProfiling, StatsAttributeProjectionsWhenEnabled) {
     NMSPMM_ASSERT_OK(plan->run(a.view(), out.view()));
   }
   const model::ModelPlan::Stats stats = plan->stats();
-  EXPECT_TRUE(stats.perf.enabled);
-  if (stats.perf.supported) {
-    EXPECT_EQ(stats.perf.runs, 3u);
-    EXPECT_TRUE(stats.perf.gate.supported);
-    EXPECT_GT(stats.perf.gate.cycles, 0u);
-    EXPECT_GT(stats.perf.up.cycles, 0u);
-    EXPECT_GT(stats.perf.down.cycles, 0u);
+  EXPECT_TRUE(stats.stages.enabled);
+  EXPECT_EQ(stats.stages.profiled_runs, 3u);
+  if (stats.stages.supported) {
+    EXPECT_TRUE(stats.stages[model::Stage::kGate].perf.supported);
+    EXPECT_GT(stats.stages[model::Stage::kGate].perf.cycles, 0u);
+    EXPECT_GT(stats.stages[model::Stage::kUp].perf.cycles, 0u);
+    EXPECT_GT(stats.stages[model::Stage::kDown].perf.cycles, 0u);
   } else {
     // perf unavailable: profiling must be inert, not broken.
-    EXPECT_EQ(stats.perf.runs, 0u);
-    EXPECT_EQ(stats.perf.gate.cycles, 0u);
+    EXPECT_FALSE(stats.stages[model::Stage::kGate].perf.supported);
+    EXPECT_EQ(stats.stages[model::Stage::kGate].perf.cycles, 0u);
   }
 
   // Disabling stops accumulation but keeps what was measured.
   plan->set_profiling(false);
   NMSPMM_ASSERT_OK(plan->run(a.view(), out.view()));
   const auto after = plan->stats();
-  EXPECT_FALSE(after.perf.enabled);
-  EXPECT_EQ(after.perf.runs, stats.perf.runs);
+  EXPECT_FALSE(after.stages.enabled);
+  EXPECT_EQ(after.stages.runs, 5u);
+  EXPECT_EQ(after.stages.profiled_runs, stats.stages.profiled_runs);
+  EXPECT_EQ(after.stages[model::Stage::kGate].perf.cycles,
+            stats.stages[model::Stage::kGate].perf.cycles);
+}
+
+TEST(ModelPlanProfiling, WallTimesCoverEveryStageWithoutCounters) {
+  Rng rng(78);
+  Engine engine;
+  auto plan = small_ffn_plan(engine, rng);
+  const MatrixF a = random_int_matrix(8, 64, rng);
+  MatrixF out(8, 64);
+
+  constexpr std::uint64_t kRuns = 4;
+  std::chrono::nanoseconds wall{0};
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    NMSPMM_ASSERT_OK(plan->run(a.view(), out.view()));
+    wall += std::chrono::steady_clock::now() - t0;
+  }
+  const model::StageProfile::Snapshot stages = plan->stats().stages;
+  EXPECT_EQ(stages.runs, kRuns);
+  EXPECT_EQ(stages.profiled_runs, 0u);
+  std::uint64_t total_ns = 0;
+  for (const model::Stage stage :
+       {model::Stage::kGate, model::Stage::kUp, model::Stage::kDown}) {
+    EXPECT_EQ(stages[stage].calls, kRuns) << model::to_string(stage);
+    EXPECT_GT(stages[stage].ns, 0u) << model::to_string(stage);
+    EXPECT_FALSE(stages[stage].perf.supported) << model::to_string(stage);
+    total_ns += stages[stage].ns;
+  }
+  // The stages run inside the caller's window, one after another.
+  EXPECT_LE(total_ns, static_cast<std::uint64_t>(wall.count()));
+  // The decoder's stages are not the FFN's.
+  for (const model::Stage stage : {model::Stage::kQkv,
+                                   model::Stage::kKvAppend,
+                                   model::Stage::kAttend,
+                                   model::Stage::kAttnOut}) {
+    EXPECT_EQ(stages[stage].calls, 0u) << model::to_string(stage);
+  }
+}
+
+TEST(ModelPlanProfiling, SnapshotRunsConcurrentlyWithRunsAndToggles) {
+  Rng rng(79);
+  Engine engine;
+  auto plan = small_ffn_plan(engine, rng);
+  const MatrixF a = random_int_matrix(8, 64, rng);
+  constexpr std::uint64_t kRuns = 16;
+
+  // The snapshot is lock-free: a scraper reads and toggles while runs
+  // go on. TSan checks the race-freedom; every total only grows.
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    MatrixF out(8, 64);
+    for (std::uint64_t i = 0; i < kRuns; ++i) {
+      EXPECT_TRUE(plan->run(a.view(), out.view()).ok());
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last_runs = 0, last_ns = 0;
+  bool monotone = true;
+  for (int i = 0; !done.load(std::memory_order_acquire); ++i) {
+    plan->set_profiling(i % 2 == 0);
+    const model::StageProfile::Snapshot s = plan->stats().stages;
+    const std::uint64_t ns = s[model::Stage::kDown].ns;
+    monotone = monotone && s.runs >= last_runs && ns >= last_ns;
+    last_runs = s.runs;
+    last_ns = ns;
+  }
+  runner.join();
+  EXPECT_TRUE(monotone);
+  const model::StageProfile::Snapshot s = plan->stats().stages;
+  EXPECT_EQ(s.runs, kRuns);
+  EXPECT_LE(s.profiled_runs, kRuns);
+  EXPECT_EQ(s[model::Stage::kDown].calls, kRuns);
 }
 
 }  // namespace

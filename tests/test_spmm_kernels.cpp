@@ -23,6 +23,16 @@ BlockingParams small_params(const NMConfig& cfg, index_t k) {
   return p;
 }
 
+constexpr auto kDirect = PackedWeights::IndexKind::kDirect;
+constexpr auto kRemapped = PackedWeights::IndexKind::kRemapped;
+
+/// The resident form the kernels execute against, built for @p p.
+PackedWeights pack(const CompressedNM& B, const BlockingParams& p,
+                   PackedWeights::IndexKind kind,
+                   const ColInfo* info = nullptr) {
+  return PackedWeights::build(B, p.ks, p.ns, kind, info);
+}
+
 TEST(SpmmKernels, V1MatchesReferenceBasic) {
   Rng rng(1);
   const NMConfig cfg{2, 4, 8};
@@ -30,8 +40,9 @@ TEST(SpmmKernels, V1MatchesReferenceBasic) {
   const MatrixF A = random_int_matrix(m, k, rng);
   const CompressedNM B = random_compressed_int(k, n, cfg, rng);
   const MatrixF expect = run_reference(A.view(), B);
+  const BlockingParams p = small_params(cfg, k);
   MatrixF C(m, n);
-  spmm_v1(A.view(), B, C.view(), small_params(cfg, k));
+  spmm_v1(A.view(), B, C.view(), p, pack(B, p, kDirect));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
@@ -45,7 +56,7 @@ TEST(SpmmKernels, V2MatchesReferenceBasic) {
   const BlockingParams p = small_params(cfg, k);
   const ColInfo info = build_col_info(B, p.ks, p.ns);
   MatrixF C(m, n);
-  spmm_v2(A.view(), B, C.view(), p, info);
+  spmm_v2(A.view(), B, C.view(), p, pack(B, p, kRemapped, &info));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
@@ -59,7 +70,8 @@ TEST(SpmmKernels, V3PackedMatchesReferenceBasic) {
   const BlockingParams p = small_params(cfg, k);
   const ColInfo info = build_col_info(B, p.ks, p.ns);
   MatrixF C(m, n);
-  spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/true, &info, nullptr);
+  spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/true,
+          pack(B, p, kRemapped, &info));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
@@ -71,9 +83,8 @@ TEST(SpmmKernels, V3NonPackedMatchesReferenceBasic) {
   const CompressedNM B = random_compressed_int(k, n, cfg, rng);
   const MatrixF expect = run_reference(A.view(), B);
   const BlockingParams p = small_params(cfg, k);
-  const auto resolved = resolve_indices(B);
   MatrixF C(m, n);
-  spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/false, nullptr, &resolved);
+  spmm_v3(A.view(), B, C.view(), p, /*use_packing=*/false, pack(B, p, kDirect));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
@@ -88,18 +99,11 @@ TEST(SpmmKernels, V2RequiresMatchingColInfo) {
   if (wrong.ns == p.ns) wrong.ns = 32;
   const MatrixF A = random_int_matrix(32, 64, rng);
   MatrixF C(32, 64);
-  EXPECT_THROW(spmm_v2(A.view(), B, C.view(), wrong, info), CheckError);
-}
-
-TEST(SpmmKernels, V3PackedRequiresColInfo) {
-  Rng rng(6);
-  const NMConfig cfg{1, 4, 8};
-  const CompressedNM B = random_compressed_int(64, 64, cfg, rng);
-  const BlockingParams p = small_params(cfg, 64);
-  const MatrixF A = random_int_matrix(32, 64, rng);
-  MatrixF C(32, 64);
-  EXPECT_THROW(
-      spmm_v3(A.view(), B, C.view(), p, true, nullptr, nullptr), CheckError);
+  // col_info for one blocking cannot pack for another, and a form packed
+  // for one blocking cannot run under another.
+  EXPECT_THROW(pack(B, wrong, kRemapped, &info), CheckError);
+  const PackedWeights packed = pack(B, p, kRemapped, &info);
+  EXPECT_THROW(spmm_v2(A.view(), B, C.view(), wrong, packed), CheckError);
 }
 
 TEST(SpmmKernels, MismatchedShapesThrow) {
@@ -108,8 +112,9 @@ TEST(SpmmKernels, MismatchedShapesThrow) {
   const CompressedNM B = random_compressed_int(64, 64, cfg, rng);
   const MatrixF A = random_int_matrix(32, 48, rng);  // wrong depth
   MatrixF C(32, 64);
-  EXPECT_THROW(spmm_v1(A.view(), B, C.view(), small_params(cfg, 64)),
-               CheckError);
+  const BlockingParams p = small_params(cfg, 64);
+  const PackedWeights packed = pack(B, p, kDirect);
+  EXPECT_THROW(spmm_v1(A.view(), B, C.view(), p, packed), CheckError);
 }
 
 TEST(SpmmKernels, OverwritesStaleOutput) {
@@ -121,7 +126,8 @@ TEST(SpmmKernels, OverwritesStaleOutput) {
   const MatrixF expect = run_reference(A.view(), B);
   MatrixF C(m, n);
   C.fill(123.0f);  // stale garbage must not leak into the result
-  spmm_v1(A.view(), B, C.view(), small_params(cfg, k));
+  const BlockingParams p = small_params(cfg, k);
+  spmm_v1(A.view(), B, C.view(), p, pack(B, p, kDirect));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
@@ -146,19 +152,20 @@ TEST_P(KernelSweep, AllVariantsMatchReference) {
 
   const BlockingParams p = small_params(c.cfg, c.k);
   const ColInfo info = build_col_info(B, p.ks, p.ns);
-  const auto resolved = resolve_indices(B);
+  const PackedWeights direct = pack(B, p, kDirect);
+  const PackedWeights remapped = pack(B, p, kRemapped, &info);
 
   MatrixF C(c.m, c.n);
-  spmm_v1(A.view(), B, C.view(), p);
+  spmm_v1(A.view(), B, C.view(), p, direct);
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0) << "V1";
 
-  spmm_v2(A.view(), B, C.view(), p, info);
+  spmm_v2(A.view(), B, C.view(), p, remapped);
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0) << "V2";
 
-  spmm_v3(A.view(), B, C.view(), p, true, &info, nullptr);
+  spmm_v3(A.view(), B, C.view(), p, true, remapped);
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0) << "V3 packed";
 
-  spmm_v3(A.view(), B, C.view(), p, false, nullptr, &resolved);
+  spmm_v3(A.view(), B, C.view(), p, false, direct);
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0) << "V3 non-packed";
 }
 
@@ -211,22 +218,22 @@ TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
     const CompressedNM B = random_compressed_int(s.k, s.n, cfg, rng);
     const BlockingParams p = small_params(cfg, s.k);
     const ColInfo info = build_col_info(B, p.ks, p.ns);
-    const auto resolved = resolve_indices(B);
+    const PackedWeights direct = pack(B, p, kDirect);
+    const PackedWeights remapped = pack(B, p, kRemapped, &info);
 
     MatrixF serial(s.m, s.n);
-    spmm_v3(A.view(), B, serial.view(), p, false, nullptr, &resolved,
-            nullptr);
+    spmm_v3(A.view(), B, serial.view(), p, false, direct, nullptr);
     for (const unsigned workers : {2u, 5u}) {
       ThreadPool pool(workers);
       MatrixF C(s.m, s.n);
-      spmm_v1(A.view(), B, C.view(), p, &pool);
+      spmm_v1(A.view(), B, C.view(), p, direct, &pool);
       const MatrixF expect = run_reference(A.view(), B);
       EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
           << "V1 pool=" << workers;
-      spmm_v2(A.view(), B, C.view(), p, info, &pool);
+      spmm_v2(A.view(), B, C.view(), p, remapped, &pool);
       EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
           << "V2 pool=" << workers;
-      spmm_v3(A.view(), B, C.view(), p, false, nullptr, &resolved, &pool);
+      spmm_v3(A.view(), B, C.view(), p, false, direct, &pool);
       EXPECT_EQ(max_abs_diff(serial.cview(), C.cview()), 0.0)
           << "V3 pool=" << workers;
     }
