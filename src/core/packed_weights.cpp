@@ -64,7 +64,6 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
   const index_t pk = cfg.padded_k(B.orig_rows);
   pw.num_chunks_ = ceil_div(pk, ks);
   pw.num_nblocks_ = ceil_div(B.cols, ns);
-  pw.value_stride_ = pw.ws_full_ * pw.ldb_;
   const index_t L = cfg.vector_length;
   const index_t num_tiles = pw.num_chunks_ * pw.num_nblocks_;
 
@@ -88,13 +87,23 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
   }
 
   // ---- values: one contiguous wb x ldb panel per tile, in execution
-  // order. The buffer is zero-filled (padding rows/columns must read as
-  // zero) by the workers that will execute each n-block partition, so
-  // Linux first-touch places every partition's tiles on its executing
+  // order and back to back (value_offsets_ holds each tile's base). The
+  // buffer is zero-filled (padding columns must read as zero) by the
+  // workers that will execute each n-block partition, so Linux
+  // first-touch places every partition's tiles on its executing
   // worker's NUMA node; pack_b_block then produces the exact bytes the
   // per-call staging used to, so the resident path is bit-identical to
   // the staged one.
-  pw.value_count_ = static_cast<std::size_t>(num_tiles * pw.value_stride_);
+  pw.value_offsets_.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
+  for (index_t nb = 0; nb < pw.num_nblocks_; ++nb) {
+    for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
+      const auto ord = static_cast<std::size_t>(pw.tile_ordinal(chunk, nb));
+      pw.value_offsets_[ord + 1] = pw.value_offsets_[ord] +
+                                   static_cast<std::size_t>(
+                                       pw.tile_rows(chunk) * pw.ldb_);
+    }
+  }
+  pw.value_count_ = pw.value_offsets_.back();
   pw.values_ = AlignedBuffer(pw.value_count_ * sizeof(float));
   float* const values = pw.values_.as<float>();
   {
@@ -110,16 +119,14 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
         !bound && placement != nullptr && placement->numa_first_touch
             ? placement->pool
             : nullptr;
-    const std::size_t tile_bytes =
-        static_cast<std::size_t>(pw.value_stride_) * sizeof(float);
     // Partition by n-block, mirroring spmm_blocked's nc partitioning:
     // tiles are nb-major, so each worker touches one contiguous range.
     parallel_for(pool, 0, pw.num_nblocks_, [&](index_t nb_lo, index_t nb_hi) {
-      numa::first_touch_zero(
-          reinterpret_cast<char*>(values) +
-              static_cast<std::size_t>(nb_lo * pw.num_chunks_) * tile_bytes,
-          static_cast<std::size_t>((nb_hi - nb_lo) * pw.num_chunks_) *
-              tile_bytes);
+      const std::size_t lo = pw.value_offsets_[static_cast<std::size_t>(
+          nb_lo * pw.num_chunks_)];
+      const std::size_t hi = pw.value_offsets_[static_cast<std::size_t>(
+          nb_hi * pw.num_chunks_)];
+      numa::first_touch_zero(values + lo, (hi - lo) * sizeof(float));
     });
     // Record the resolved placement: one node when the whole buffer
     // agrees, -1 when mixed (per-worker first touch across sockets) or
@@ -134,19 +141,17 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
     const index_t j0 = nb * ns;
     const index_t jb = std::min(ns, B.cols - j0);
     for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
-      const index_t u0 = chunk * pw.ws_full_;
-      const index_t wb = std::min(pw.ws_full_, B.rows() - u0);
-      float* tile = values +
-                    static_cast<std::size_t>(pw.tile_ordinal(chunk, nb)) *
-                        static_cast<std::size_t>(pw.value_stride_);
-      detail::pack_b_block(B.values.view(), u0, wb, j0, jb, tile, pw.ldb_);
+      float* tile = values + pw.value_offsets_[static_cast<std::size_t>(
+                                 pw.tile_ordinal(chunk, nb))];
+      detail::pack_b_block(B.values.view(), chunk * pw.ws_full_,
+                           pw.tile_rows(chunk), j0, jb, tile, pw.ldb_);
     }
   }
 
   // ---- index streams: per (tile, group) a contiguous wb-long uint16
   // stream, group-major within the tile. Groups can straddle n-blocks
-  // when ns % L != 0, so tile group counts vary — index_offsets_ keeps
-  // the exact per-tile base.
+  // when ns % L != 0 and a short last chunk has fewer rows, so tile
+  // stream sizes vary — index_offsets_ keeps the exact per-tile base.
   pw.index_offsets_.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
   for (index_t nb = 0; nb < pw.num_nblocks_; ++nb) {
     const index_t j0 = nb * ns;
@@ -154,7 +159,7 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
     const index_t groups = ceil_div(j1, L) - j0 / L;
     for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
       pw.index_offsets_[static_cast<std::size_t>(
-          pw.tile_ordinal(chunk, nb)) + 1] = groups * pw.ws_full_;
+          pw.tile_ordinal(chunk, nb)) + 1] = groups * pw.tile_rows(chunk);
     }
   }
   for (std::size_t t = 1; t < pw.index_offsets_.size(); ++t) {
@@ -173,7 +178,7 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
     const index_t g1 = ceil_div(j1, L);
     for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
       const index_t u0 = chunk * pw.ws_full_;
-      const index_t wb = std::min(pw.ws_full_, B.rows() - u0);
+      const index_t wb = pw.tile_rows(chunk);
       const auto ord = static_cast<std::size_t>(pw.tile_ordinal(chunk, nb));
       std::uint16_t* streams =
           pw.indices_.data() + static_cast<std::size_t>(pw.index_offsets_[ord]);
@@ -181,7 +186,7 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
         // V1 / V3-non-packed resolution, hoisted out of the inner loop:
         // within-chunk offset (p/N)*M + D[u0+p][g] (< ks, so it fits).
         for (index_t g = g0; g < g1; ++g) {
-          std::uint16_t* stream = streams + (g - g0) * pw.ws_full_;
+          std::uint16_t* stream = streams + (g - g0) * wb;
           for (index_t p = 0; p < wb; ++p) {
             const index_t local =
                 (p / cfg.n) * cfg.m + B.indices(u0 + p, g);
@@ -194,7 +199,7 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
         // names packed-panel positions; flatten its strided columns.
         const PackPlan& plan = info->plan(chunk, nb);
         for (index_t g = g0; g < g1; ++g) {
-          std::uint16_t* stream = streams + (g - g0) * pw.ws_full_;
+          std::uint16_t* stream = streams + (g - g0) * wb;
           for (index_t p = 0; p < wb; ++p) stream[p] = plan.remapped(p, g - g0);
         }
         pw.cols_pool_.insert(pw.cols_pool_.end(), plan.cols.begin(),

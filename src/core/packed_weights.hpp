@@ -11,8 +11,10 @@
 //   - values: B' re-laid-out tile-major. Each (k-chunk, n-block) tile is
 //     a contiguous wb x ldb row-major panel with the ldb padding baked
 //     in, and tiles are ordered exactly as the blocked driver visits
-//     them (n-block outer, chunk inner), so the hot loop reads B as one
-//     linear stream and pack_b_block disappears from the hot path.
+//     them (n-block outer, chunk inner), back to back — a short last
+//     k-chunk stores only its wb rows, not ws_full — so the hot loop
+//     reads B as one linear stream and pack_b_block disappears from the
+//     hot path.
 //   - index streams: the per-variant index resolution — V1's on-the-fly
 //     (p/N)*M + D, V2's remap gather, V3's per-group hoist — collapses
 //     at pack time into one contiguous uint16 stream per (tile, column
@@ -26,10 +28,11 @@
 // (src/mem/weight_store.hpp): one PackedWeights is built per
 // (weights, ks, ns, kind) and every batch-size bucket of the plan cache
 // shares it through a store lease, which also enforces the byte budget
-// and the packed-only mode. The footprint is ~B' again (values +
-// padding) plus 2x the D index matrix — see footprint_bytes().
+// and the packed-only mode. The footprint is ~B' again (values + the
+// ldb column padding) plus 2x the D index matrix — see footprint_bytes().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -113,8 +116,14 @@ class PackedWeights {
   [[nodiscard]] const float* tile_values(index_t chunk,
                                          index_t nblock) const {
     return values_.as<float>() +
-           static_cast<std::size_t>(tile_ordinal(chunk, nblock)) *
-               static_cast<std::size_t>(value_stride_);
+           value_offsets_[static_cast<std::size_t>(
+               tile_ordinal(chunk, nblock))];
+  }
+
+  /// One past the last resident value: the bound a prefetch running
+  /// ahead of the stored stream must stay below.
+  [[nodiscard]] const float* values_end() const {
+    return values_.as<float>() + value_count_;
   }
 
   /// The flattened index stream of global column group @p g within tile
@@ -130,7 +139,7 @@ class PackedWeights {
            static_cast<std::size_t>(
                index_offsets_[static_cast<std::size_t>(
                    tile_ordinal(chunk, nblock))] +
-               g_local * ws_full_);
+               g_local * tile_rows(chunk));
   }
 
   /// kRemapped only: the sorted local columns tile (chunk, nblock)
@@ -169,6 +178,12 @@ class PackedWeights {
     return nblock * num_chunks_ + chunk;
   }
 
+  /// Stored rows (wb) of every tile in k-chunk @p chunk: ws_full except
+  /// in a short last chunk.
+  [[nodiscard]] index_t tile_rows(index_t chunk) const {
+    return std::min(ws_full_, compressed_rows_ - chunk * ws_full_);
+  }
+
   IndexKind kind_ = IndexKind::kDirect;
   NMConfig config_;
   index_t orig_rows_ = 0;        ///< weights k (unpadded)
@@ -181,12 +196,12 @@ class PackedWeights {
   index_t ws_full_ = 0;
   index_t num_chunks_ = 0;
   index_t num_nblocks_ = 0;
-  index_t value_stride_ = 0;  ///< floats per tile (ws_full * ldb)
   double packing_ratio_ = 1.0;
   int numa_node_ = -1;
 
   AlignedBuffer values_;        ///< tile-major resident B'
   std::size_t value_count_ = 0; ///< floats in values_
+  std::vector<std::size_t> value_offsets_;  ///< per-tile base into values_
   std::vector<std::uint16_t> indices_;  ///< flattened per-group streams
   std::vector<index_t> index_offsets_;  ///< per-tile base into indices_
   std::vector<std::int32_t> cols_pool_;     ///< kRemapped: packed columns

@@ -1,5 +1,6 @@
 #include "core/spmm_kernels.hpp"
 
+#include <type_traits>
 #include <vector>
 
 #include "core/micro_kernel.hpp"
@@ -25,6 +26,13 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
     return PackedWeights::IndexKind::kRemapped;
   }
   return PackedWeights::IndexKind::kDirect;
+}
+
+bool takes_row_walk(KernelVariant variant, bool use_packing,
+                    const NMConfig& cfg, index_t block_rows) {
+  return detail::kHasRowWalk && variant == KernelVariant::kV3 &&
+         !use_packing && cfg.vector_length == 16 &&
+         block_rows <= detail::kMicroM;
 }
 
 namespace {
@@ -75,6 +83,9 @@ struct PolicyResidentDirect {
   const PackedWeights& packed;
 
   static constexpr bool kPrefetch = Prefetch;
+  static constexpr KernelVariant kVariant =
+      Prefetch ? KernelVariant::kV3 : KernelVariant::kV1;
+  static constexpr bool kPacking = false;
 
   APanel prepare_a(const TileCtx& t, ConstViewF A, index_t i0, index_t mb,
                    std::vector<float>& scratch, index_t lda) const {
@@ -96,6 +107,9 @@ struct PolicyResidentPacked {
   const PackedWeights& packed;
 
   static constexpr bool kPrefetch = Prefetch;
+  static constexpr KernelVariant kVariant =
+      Prefetch ? KernelVariant::kV3 : KernelVariant::kV2;
+  static constexpr bool kPacking = true;
 
   APanel prepare_a(const TileCtx& t, ConstViewF A, index_t i0, index_t mb,
                    std::vector<float>& scratch, index_t lda) const {
@@ -220,7 +234,8 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
 
   // One tile's worth of m-blocks [mb_lo, mb_hi): prepare A per m-block,
   // then walk the pruning-window column groups of the n-block against
-  // the resident Bs tile and its flattened index streams.
+  // the resident Bs tile and its flattened index streams — or, when
+  // takes_row_walk selects it, walk the tile's rows once for all groups.
   auto run_tile = [&](const TileCtx& t, index_t j0, index_t jb,
                       index_t mb_lo, index_t mb_hi,
                       std::vector<float>& a_scratch) {
@@ -246,26 +261,52 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
         epi_root.shifted(i1, j0).prefetch_block(std::min(prm.ms, m - i1),
                                                 jb);
       }
-      for (index_t g = g0; g < g1; ++g) {
-        const index_t seg_lo = std::max(g * L, j0);
-        const index_t seg_hi = std::min((g + 1) * L, j0 + jb);
-        const auto idx_proto = policy.idx_fn(t, g);
-        auto run_seg = [&](auto epi) {
-          if (accumulate) {
-            run_segment<Policy::kPrefetch, true>(
-                t.wb, a, btile, ldb, seg_lo - j0, idx_proto, mb,
-                C.row(i0) + j0, C.ld(), seg_lo - j0, seg_hi - seg_lo, epi);
-          } else {
-            run_segment<Policy::kPrefetch, false>(
-                t.wb, a, btile, ldb, seg_lo - j0, idx_proto, mb,
-                C.row(i0) + j0, C.ld(), seg_lo - j0, seg_hi - seg_lo, epi);
+      float* const c_block = C.row(i0) + j0;
+      // One m-block against the tile, with the store mode (beta = 0 on
+      // the first k-chunk) and the epilogue (final k-chunk only) as
+      // compile-time constants.
+      auto run_block = [&](auto accumulate_c, auto epi) {
+        constexpr bool kAccumulate = decltype(accumulate_c)::value;
+        using Epi = decltype(epi);
+        if constexpr (detail::kHasRowWalk &&
+                      Policy::kVariant == KernelVariant::kV3 &&
+                      !Policy::kPacking) {
+          if (takes_row_walk(Policy::kVariant, Policy::kPacking, cfg, mb)) {
+            // Small-m row walk: 32-column strips (two L = 16 groups),
+            // each one forward pass over the stored tile rows.
+            for (index_t j = 0; j < jb; j += 2 * L) {
+              const int nt = static_cast<int>(std::min(2 * L, jb - j));
+              const index_t g = (j0 + j) / L;
+              const std::uint16_t* s0 = policy.idx_fn(t, g).buf;
+              const std::uint16_t* s1 =
+                  nt > L ? policy.idx_fn(t, g + 1).buf : s0;
+              detail::row_walk<kAccumulate, Epi>(
+                  static_cast<int>(mb), t.wb, a, btile + j, ldb, s0, s1, nt,
+                  packed.values_end(), c_block + j, C.ld(),
+                  epi.shifted(0, j));
+            }
+            return;
           }
-        };
-        if (finalize) {
-          run_seg(epi_root.shifted(i0, j0));
-        } else {
-          run_seg(detail::EpilogueNone{});
         }
+        for (index_t g = g0; g < g1; ++g) {
+          const index_t seg_lo = std::max(g * L, j0);
+          const index_t seg_hi = std::min((g + 1) * L, j0 + jb);
+          run_segment<Policy::kPrefetch, kAccumulate>(
+              t.wb, a, btile, ldb, seg_lo - j0, policy.idx_fn(t, g), mb,
+              c_block, C.ld(), seg_lo - j0, seg_hi - seg_lo, epi);
+        }
+      };
+      auto by_mode = [&](auto epi) {
+        if (accumulate) {
+          run_block(std::true_type{}, epi);
+        } else {
+          run_block(std::false_type{}, epi);
+        }
+      };
+      if (finalize) {
+        by_mode(epi_root.shifted(i0, j0));
+      } else {
+        by_mode(detail::EpilogueNone{});
       }
     }
   };

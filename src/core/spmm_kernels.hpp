@@ -16,6 +16,19 @@
 // weights: no pack_b_block, no per-group index hoisting, B read as a
 // pure linear stream. One-shot callers build the PackedWeights
 // themselves (packed_kind_for names the IndexKind a variant needs).
+//
+// Decode regime (takes_row_walk): an m-block of at most kMicroM rows
+// under V3's non-packed path, with L = 16, in an AVX-512 build, is run
+// as a small-m row walk instead of one micro-kernel pass per 16-wide
+// column group. At m <= 8 the product is a memory-bound stream of the
+// packed weights, so the walk reads each stored tile row once (both
+// column groups of a 32-column strip per step, 2 x 8 zmm accumulators)
+// and prefetches the stored stream 4 KB ahead, past the end of the tile
+// into the next one — tiles are stored back to back in visiting order.
+// This is the CPU form of the paper's V3 pipeline: the next tile is in
+// flight while the current one computes. Blocking, accumulation order
+// and the epilogue are the m-block path's, so results are bit-identical
+// to it; V1, V2, V3-packed, AVX2 and scalar builds keep their kernels.
 #pragma once
 
 #include "core/col_info.hpp"
@@ -36,6 +49,14 @@ const char* to_string(KernelVariant v);
 /// the col_info panel (kRemapped).
 PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
                                          bool use_packing);
+
+/// True when the blocked driver runs an m-block of @p block_rows rows
+/// through the small-m row walk (see the header comment) instead of the
+/// per-column-group micro kernels: V3's non-packed path, L = 16, at most
+/// kMicroM (8) rows, in an AVX-512 build. Fixed, like the nc/mc choice —
+/// no option selects it.
+bool takes_row_walk(KernelVariant variant, bool use_packing,
+                    const NMConfig& cfg, index_t block_rows);
 
 // Every kernel takes an optional ThreadPool. A null pool runs the exact
 // serial loop nest (the bit-exact reference ordering); a pool partitions

@@ -9,7 +9,9 @@
 //     engine.spmm calls) and performs no large per-call allocations
 //     beyond per-worker A scratch;
 //   - construction rejects ks beyond kMaxKs, the uint16 stream wrap
-//     guard shared with validate_params.
+//     guard shared with validate_params;
+//   - tiles are stored back to back: a short last k-chunk holds only its
+//     wb rows of values and of index streams, no ws_full padding.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,29 +143,73 @@ TEST(PackedWeights, AllVariantsBitExactFourThreads) {
 TEST(PackedWeights, TileValuesMatchPerCallStaging) {
   Rng rng(21);
   const NMConfig cfg = kSparsity75;
-  const index_t k = 256, n = 200;
-  const CompressedNM B = random_compressed_int(k, n, cfg, rng);
-  const index_t ks = 64, ns = 64;
-  const PackedWeights pw = PackedWeights::build(
-      B, ks, ns, PackedWeights::IndexKind::kDirect);
-  const index_t ldb = pw.ldb();
-  const index_t ws = pw.ws_full();
-  std::vector<float> staged(static_cast<std::size_t>(ws * ldb));
-  for (index_t nb = 0; nb < pw.num_nblocks(); ++nb) {
-    const index_t j0 = nb * ns;
-    const index_t jb = std::min(ns, n - j0);
-    for (index_t chunk = 0; chunk < pw.num_chunks(); ++chunk) {
-      const index_t u0 = chunk * ws;
-      const index_t wb = std::min(ws, B.rows() - u0);
-      detail::pack_b_block(B.values.view(), u0, wb, j0, jb, staged.data(),
-                           ldb);
-      const float* tile = pw.tile_values(chunk, nb);
-      for (index_t i = 0; i < wb * ldb; ++i) {
-        ASSERT_EQ(staged[static_cast<std::size_t>(i)], tile[i])
-            << "tile (" << chunk << ", " << nb << ") offset " << i;
+  // k = 224 leaves a short last chunk (32 of ks = 64).
+  for (const index_t k : {256, 224}) {
+    const index_t n = 200;
+    const CompressedNM B = random_compressed_int(k, n, cfg, rng);
+    const index_t ks = 64, ns = 64;
+    const PackedWeights pw = PackedWeights::build(
+        B, ks, ns, PackedWeights::IndexKind::kDirect);
+    const index_t ldb = pw.ldb();
+    const index_t ws = pw.ws_full();
+    std::vector<float> staged(static_cast<std::size_t>(ws * ldb));
+    for (index_t nb = 0; nb < pw.num_nblocks(); ++nb) {
+      const index_t j0 = nb * ns;
+      const index_t jb = std::min(ns, n - j0);
+      for (index_t chunk = 0; chunk < pw.num_chunks(); ++chunk) {
+        const index_t u0 = chunk * ws;
+        const index_t wb = std::min(ws, B.rows() - u0);
+        detail::pack_b_block(B.values.view(), u0, wb, j0, jb, staged.data(),
+                             ldb);
+        const float* tile = pw.tile_values(chunk, nb);
+        for (index_t i = 0; i < wb * ldb; ++i) {
+          ASSERT_EQ(staged[static_cast<std::size_t>(i)], tile[i])
+              << "k=" << k << " tile (" << chunk << ", " << nb << ") offset "
+              << i;
+        }
       }
     }
   }
+}
+
+TEST(PackedWeights, TilesPackBackToBack) {
+  Rng rng(22);
+  const NMConfig cfg = kSparsity75;  // M = 32, L = 16
+  // The decode layer's 2048-deep projections at ks = 608: chunks of
+  // 152, 152, 152 and 56 compressed rows.
+  const index_t k = 2048, n = 80, ks = 608, ns = 32;
+  const CompressedNM B = random_compressed(k, n, cfg, rng);
+  const PackedWeights pw = PackedWeights::build(
+      B, ks, ns, PackedWeights::IndexKind::kDirect);
+  ASSERT_EQ(pw.num_chunks(), 4);
+  const index_t ldb = pw.ldb();
+  const float* expect_tile = pw.tile_values(0, 0);
+  for (index_t nb = 0; nb < pw.num_nblocks(); ++nb) {
+    for (index_t chunk = 0; chunk < pw.num_chunks(); ++chunk) {
+      const index_t wb =
+          std::min(pw.ws_full(), B.rows() - chunk * pw.ws_full());
+      EXPECT_EQ(pw.tile_values(chunk, nb), expect_tile)
+          << "tile (" << chunk << ", " << nb << ") is not right after its "
+             "predecessor";
+      expect_tile += wb * ldb;
+      // Each group's stream is wb long and the next group's follows it.
+      const index_t g0 = nb * ns / cfg.vector_length;
+      const index_t g1 =
+          ceil_div(std::min(n, (nb + 1) * ns), cfg.vector_length);
+      for (index_t g = g0 + 1; g < g1; ++g) {
+        EXPECT_EQ(pw.tile_index_stream(chunk, nb, g),
+                  pw.tile_index_stream(chunk, nb, g - 1) + wb);
+      }
+    }
+  }
+  EXPECT_EQ(pw.values_end(), expect_tile);
+  // Values: every compressed row once per n-block at ldb width; index
+  // streams: every compressed row once per column group.
+  const std::size_t value_bytes = static_cast<std::size_t>(
+      B.rows() * ldb * pw.num_nblocks()) * sizeof(float);
+  const std::size_t index_bytes = static_cast<std::size_t>(
+      B.rows() * ceil_div(n, cfg.vector_length)) * sizeof(std::uint16_t);
+  EXPECT_EQ(pw.footprint_bytes(), value_bytes + index_bytes);
 }
 
 TEST(PackedWeights, BatchBucketsShareOnePackedForm) {

@@ -1,11 +1,14 @@
 // Correctness of the V1/V2/V3 optimized kernels against the Eq. 1
 // reference, across sparsity levels, vector lengths, padding edges, and
-// both packing paths.
+// both packing paths — and of V3's small-m row walk against the m-block
+// path it replaces for batches of at most kMicroM rows.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "core/nmspmm.hpp"
+#include "tests/testing.hpp"
 #include "workloads/generators.hpp"
 
 namespace nmspmm {
@@ -236,6 +239,199 @@ TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
       spmm_v3(A.view(), B, C.view(), p, false, direct, &pool);
       EXPECT_EQ(max_abs_diff(serial.cview(), C.cview()), 0.0)
           << "V3 pool=" << workers;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Small-m row walk: V3's non-packed path runs m-blocks of at most kMicroM
+// rows in one forward pass per tile (AVX-512 builds). Float-valued
+// operands, so a changed accumulation order would show in the bits.
+
+#if defined(__AVX512F__)
+constexpr bool kRowWalkBuild = true;
+#else
+constexpr bool kRowWalkBuild = false;
+#endif
+
+TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
+  const NMConfig l16 = kSparsity75;
+  for (index_t rows = 1; rows <= 8; ++rows) {
+    EXPECT_EQ(takes_row_walk(KernelVariant::kV3, false, l16, rows),
+              kRowWalkBuild)
+        << rows << " rows";
+  }
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, l16, 9));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, l16, 256));
+  // V1, V2 and V3-packed keep their kernels (the ablation ladder).
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV1, false, l16, 8));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV2, true, l16, 8));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, true, l16, 8));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kReference, false, l16, 8));
+  // Only L = 16 pruning units.
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{2, 4, 8}, 8));
+  EXPECT_FALSE(
+      takes_row_walk(KernelVariant::kV3, false, NMConfig{1, 16, 32}, 8));
+
+  // The serving default for a decode batch (V3 under PackingMode::kAuto)
+  // is exactly the configuration the walk serves.
+  Rng rng(70);
+  const auto B = std::make_shared<const CompressedNM>(
+      random_compressed(512, 256, l16, rng));
+  Engine engine;
+  for (const index_t m : {1, 4, 8}) {
+    auto plan = engine.plan_for(m, B);
+    NMSPMM_ASSERT_OK(plan.status());
+    EXPECT_EQ(takes_row_walk((*plan)->variant(), (*plan)->uses_packing(),
+                             B->config, m),
+              kRowWalkBuild)
+        << "decode batch of " << m;
+  }
+}
+
+bool same_bits(ConstViewF a, ConstViewF b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.row(i), b.row(i),
+                    static_cast<std::size_t>(a.cols()) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct WalkShape {
+  index_t k, n, ns;
+};
+
+EpilogueArgs rows_of(const EpilogueArgs& full, index_t r0, index_t m) {
+  EpilogueArgs args = full;
+  if (full.other.data() != nullptr) {
+    args.other = full.other.block(r0, 0, m, full.other.cols());
+  }
+  if (full.residual.data() != nullptr) {
+    args.residual = full.residual.block(r0, 0, m, full.residual.cols());
+  }
+  return args;
+}
+
+// Each row of an m <= 8 batch equals, bit for bit, the same row computed
+// inside a 64-row batch (which takes the m-block path) at the same
+// params; the fused epilogue equals the unfused oracle; and the product
+// stays within tolerance of spmm_reference.
+TEST(RowWalk, RowsMatchTheMBlockPathBitForBit) {
+  Rng rng(71);
+  const NMConfig cfg = kSparsity75;  // L = 16, M = 32
+  const WalkShape shapes[] = {
+      {160, 256, 32},  // n % 32 == 0, ragged last chunk (64, 64, 32)
+      {200, 208, 32},  // n % 32 == 16, k % M != 0 (A staging branch)
+      {200, 203, 32},  // n % 32 == 11
+      {256, 203, 64},  // ns = 64: two strips per n-block, ragged last one
+      {256, 120, 64},  // a 24-column last strip (second group masked)
+  };
+  EpilogueSpec bias;
+  bias.bias = true;
+  EpilogueSpec swiglu;
+  swiglu.act = Activation::kSilu;
+  swiglu.mul = true;
+  swiglu.act_on_other = true;
+  EpilogueSpec residual;
+  residual.add = true;
+  const EpilogueSpec specs[] = {EpilogueSpec{}, bias, swiglu, residual};
+  ThreadPool pool4(4);
+
+  for (const WalkShape& s : shapes) {
+    const CompressedNM B = random_compressed(s.k, s.n, cfg, rng);
+    BlockingParams p = table1_preset(SizeClass::kSmall);
+    p.ks = 64;
+    p.ns = s.ns;
+    const PackedWeights packed = pack(B, p, kDirect);
+    const MatrixF A64 = random_matrix(64, s.k, rng);
+    const MatrixF other64 = random_matrix(64, s.n, rng);
+    const MatrixF residual64 = random_matrix(64, s.n, rng);
+    const MatrixF bias_row = random_matrix(1, s.n, rng);
+    EpilogueArgs args64;
+    args64.bias = bias_row.data();
+    args64.other = other64.cview();
+    args64.residual = residual64.cview();
+
+    for (const EpilogueSpec& spec : specs) {
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+        MatrixF C64(64, s.n);
+        spmm_v3(A64.view(), B, C64.view(), p, false, packed, pool, spec,
+                args64);
+        for (const index_t m : {1, 3, 7, 8}) {
+          const index_t r0 = 9;  // rows inside the 64-batch's first m-block
+          const ConstViewF A = A64.cview().block(r0, 0, m, s.k);
+          const EpilogueArgs args = rows_of(args64, r0, m);
+          const std::string where =
+              "k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+              " ns=" + std::to_string(s.ns) + " m=" + std::to_string(m) +
+              " threads=" + std::to_string(pool != nullptr ? 4 : 1) +
+              " epilogue=" + std::to_string(spec.bias) +
+              std::to_string(spec.mul) + std::to_string(spec.add);
+          MatrixF C(m, s.n);
+          C.fill(-7.0f);  // poison: the first chunk must store, not add
+          spmm_v3(A, B, C.view(), p, false, packed, pool, spec, args);
+          EXPECT_TRUE(same_bits(C.cview(), C64.cview().block(r0, 0, m, s.n)))
+              << where;
+
+          MatrixF unfused(m, s.n);
+          spmm_v3(A, B, unfused.view(), p, false, packed, pool);
+          apply_epilogue(spec, args, unfused.view());
+          EXPECT_TRUE(same_bits(C.cview(), unfused.cview())) << where;
+
+          MatrixF expect(m, s.n);
+          spmm_reference(A, B, expect.view(), /*rescale=*/false);
+          apply_epilogue(spec, args, expect.view());
+          EXPECT_LT(max_abs_diff(expect.cview(), C.cview()), 1e-4) << where;
+        }
+      }
+    }
+  }
+}
+
+// The RMSNorm prologue stages normalized rows before the walk reads
+// them: through an SpmmPlan the small batch still matches the 64-row
+// batch and the unfused normalize-then-multiply pipeline exactly.
+TEST(RowWalk, RmsNormPrologueThroughSpmmPlan) {
+  Rng rng(72);
+  const index_t k = 200, n = 203;
+  const auto B = std::make_shared<const CompressedNM>(
+      random_compressed(k, n, kSparsity75, rng));
+  const MatrixF A64 = random_matrix(64, k, rng);
+  const MatrixF gain = random_matrix(1, k, rng, 0.5f, 1.5f);
+  BlockingParams p = table1_preset(SizeClass::kSmall);
+  p.ks = 64;
+  for (const unsigned threads : {1u, 4u}) {
+    SpmmOptions opt;
+    opt.params = p;
+    opt.num_threads = threads;
+    SpmmOptions normed_opt = opt;
+    normed_opt.prologue.rmsnorm = true;
+    const SpmmPlan plan = SpmmPlan::create(64, B, opt);
+    const SpmmPlan normed_plan = SpmmPlan::create(64, B, normed_opt);
+    ASSERT_EQ(normed_plan.variant(), KernelVariant::kV3);
+    ASSERT_FALSE(normed_plan.uses_packing());
+    EpilogueArgs args;
+    args.rms_gain = gain.data();
+
+    MatrixF C64(64, n);
+    NMSPMM_ASSERT_OK(normed_plan.execute(A64.cview(), C64.view(), args));
+    for (const index_t m : {1, 3, 7, 8}) {
+      const index_t r0 = 40;
+      const ConstViewF A = A64.cview().block(r0, 0, m, k);
+      MatrixF C(m, n);
+      NMSPMM_ASSERT_OK(normed_plan.execute(A, C.view(), args));
+      EXPECT_TRUE(same_bits(C.cview(), C64.cview().block(r0, 0, m, n)))
+          << "m=" << m << " threads=" << threads;
+
+      MatrixF normed(m, k);
+      rmsnorm_rows(A, gain.data(), normed_opt.prologue.eps, normed.view());
+      MatrixF unfused(m, n);
+      NMSPMM_ASSERT_OK(plan.execute(normed.cview(), unfused.view()));
+      EXPECT_TRUE(same_bits(C.cview(), unfused.cview()))
+          << "m=" << m << " threads=" << threads;
     }
   }
 }
