@@ -6,7 +6,7 @@ Usage (from the repository root):
     python3 scripts/ab_compare.py --workload decode_long \\
         --metric tokens_per_s[,latency_ms_p50,...] \\
         [--parent HEAD~1] [--change HEAD|worktree] [--seeds 1,2,3] \\
-        [--seconds 25] [--trace 0] [--max-cal-spread 0.30] [--workdir DIR]
+        [--trace 0] [--workdir DIR]
 
 Both revisions are exported into <workdir>/parent and <workdir>/change,
 two paths of equal length (perfbench's peak_rss_mb depends on the length
@@ -15,7 +15,7 @@ uncommitted edits included. For each seed, the two sides run
 perfbench/run.py back to back, the side that goes first alternating from
 seed to seed so that a drifting host does not favour one side. The first
 run of each side also builds it, and every run's output is kept in
-<workdir>/<side>-<seed>.txt.
+<workdir>/<side>-<seed>.txt. Each run lasts BENCHMARK.json's run_seconds.
 
 Prints, per named metric and seed, both values, their ratio (change over
 parent) and each run's mean `# calibration` dram_ms, then the median
@@ -24,7 +24,7 @@ ratio. Exit status (the worst over the metrics):
   1  a run failed, reported incorrect output, or failed operations;
   2  bad arguments;
   3  no verdict: the calibration dram_ms of the runs spread by more than
-     --max-cal-spread (max / min - 1), so the host drifted too much for
+     MAX_CAL_SPREAD (max / min - 1), so the host drifted too much for
      the ratios to mean anything.
 """
 
@@ -39,6 +39,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")  # equal length on purpose
+# Largest calibration dram_ms spread (max / min - 1) across a set of runs
+# that still gets a verdict. Same-host runs sit well inside it; a host
+# whose memory bandwidth moved by 30% no longer compares like with like.
+MAX_CAL_SPREAD = 0.30
 
 
 def parse_run(stdout):
@@ -143,10 +147,10 @@ def export(rev, dest):
             t.extractall(dest)
 
 
-def run_side(checkout, args, seed):
+def run_side(checkout, args, seed, seconds):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seconds", str(seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     with open(f"{checkout}-{seed}.txt", "w") as log:
@@ -166,9 +170,7 @@ def main():
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--max-cal-spread", type=float, default=0.30)
     parser.add_argument("--workdir")
     args = parser.parse_args()
 
@@ -196,12 +198,13 @@ def main():
         order = (0, 1) if i % 2 == 0 else (1, 0)
         runs = {}
         for side in order:
-            runs[side] = run_side(checkouts[side], args, seed)
+            runs[side] = run_side(checkouts[side], args, seed,
+                                  spec["run_seconds"])
         pairs.append((seed, runs[0], runs[1]))
     status = 0
     for name in names:
         lines, code = summarize(pairs, name, metrics[name]["better"],
-                                args.max_cal_spread)
+                                MAX_CAL_SPREAD)
         print(f"## {name}")
         print("\n".join(lines))
         status = max(status, code)

@@ -87,23 +87,17 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
   }
 
   // ---- values: one contiguous wb x ldb panel per tile, in execution
-  // order and back to back (value_offsets_ holds each tile's base). The
+  // order and back to back (tile_value_offset gives each tile's base). The
   // buffer is zero-filled (padding columns must read as zero) by the
   // workers that will execute each n-block partition, so Linux
   // first-touch places every partition's tiles on its executing
   // worker's NUMA node; pack_b_block then produces the exact bytes the
   // per-call staging used to, so the resident path is bit-identical to
   // the staged one.
-  pw.value_offsets_.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
-  for (index_t nb = 0; nb < pw.num_nblocks_; ++nb) {
-    for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
-      const auto ord = static_cast<std::size_t>(pw.tile_ordinal(chunk, nb));
-      pw.value_offsets_[ord + 1] = pw.value_offsets_[ord] +
-                                   static_cast<std::size_t>(
-                                       pw.tile_rows(chunk) * pw.ldb_);
-    }
-  }
-  pw.value_count_ = pw.value_offsets_.back();
+  const auto nblock_floats =
+      static_cast<std::size_t>(pw.compressed_rows_) *
+      static_cast<std::size_t>(pw.ldb_);
+  pw.value_count_ = static_cast<std::size_t>(pw.num_nblocks_) * nblock_floats;
   pw.values_ = AlignedBuffer(pw.value_count_ * sizeof(float));
   float* const values = pw.values_.as<float>();
   {
@@ -122,11 +116,10 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
     // Partition by n-block, mirroring spmm_blocked's nc partitioning:
     // tiles are nb-major, so each worker touches one contiguous range.
     parallel_for(pool, 0, pw.num_nblocks_, [&](index_t nb_lo, index_t nb_hi) {
-      const std::size_t lo = pw.value_offsets_[static_cast<std::size_t>(
-          nb_lo * pw.num_chunks_)];
-      const std::size_t hi = pw.value_offsets_[static_cast<std::size_t>(
-          nb_hi * pw.num_chunks_)];
-      numa::first_touch_zero(values + lo, (hi - lo) * sizeof(float));
+      numa::first_touch_zero(
+          values + static_cast<std::size_t>(nb_lo) * nblock_floats,
+          static_cast<std::size_t>(nb_hi - nb_lo) * nblock_floats *
+              sizeof(float));
     });
     // Record the resolved placement: one node when the whole buffer
     // agrees, -1 when mixed (per-worker first touch across sockets) or
@@ -141,8 +134,7 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
     const index_t j0 = nb * ns;
     const index_t jb = std::min(ns, B.cols - j0);
     for (index_t chunk = 0; chunk < pw.num_chunks_; ++chunk) {
-      float* tile = values + pw.value_offsets_[static_cast<std::size_t>(
-                                 pw.tile_ordinal(chunk, nb))];
+      float* tile = values + pw.tile_value_offset(chunk, nb);
       detail::pack_b_block(B.values.view(), chunk * pw.ws_full_,
                            pw.tile_rows(chunk), j0, jb, tile, pw.ldb_);
     }

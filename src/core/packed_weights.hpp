@@ -115,9 +115,7 @@ class PackedWeights {
   /// what pack_b_block used to stage per call.
   [[nodiscard]] const float* tile_values(index_t chunk,
                                          index_t nblock) const {
-    return values_.as<float>() +
-           value_offsets_[static_cast<std::size_t>(
-               tile_ordinal(chunk, nblock))];
+    return values_.as<float>() + tile_value_offset(chunk, nblock);
   }
 
   /// One past the last resident value: the bound a prefetch running
@@ -178,6 +176,18 @@ class PackedWeights {
     return nblock * num_chunks_ + chunk;
   }
 
+  /// Base of tile (chunk, nblock) in values_. Tiles are back to back in
+  /// n-block-major order, every n-block holds all w compressed rows, and
+  /// only the last chunk is short, so the base has a closed form.
+  [[nodiscard]] std::size_t tile_value_offset(index_t chunk,
+                                              index_t nblock) const {
+    NMSPMM_DCHECK(chunk >= 0 && chunk < num_chunks_);
+    NMSPMM_DCHECK(nblock >= 0 && nblock < num_nblocks_);
+    return static_cast<std::size_t>(nblock * compressed_rows_ +
+                                    chunk * ws_full_) *
+           static_cast<std::size_t>(ldb_);
+  }
+
   /// Stored rows (wb) of every tile in k-chunk @p chunk: ws_full except
   /// in a short last chunk.
   [[nodiscard]] index_t tile_rows(index_t chunk) const {
@@ -201,7 +211,6 @@ class PackedWeights {
 
   AlignedBuffer values_;        ///< tile-major resident B'
   std::size_t value_count_ = 0; ///< floats in values_
-  std::vector<std::size_t> value_offsets_;  ///< per-tile base into values_
   std::vector<std::uint16_t> indices_;  ///< flattened per-group streams
   std::vector<index_t> index_offsets_;  ///< per-tile base into indices_
   std::vector<std::int32_t> cols_pool_;     ///< kRemapped: packed columns

@@ -28,11 +28,28 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
   return PackedWeights::IndexKind::kDirect;
 }
 
+namespace {
+
+/// The compile-time half of takes_row_walk: V3's non-packed path in a
+/// build that has the row walk. The blocked driver branches on it with
+/// `if constexpr`, so the walk is instantiated only for that policy.
+constexpr bool row_walk_kernel(KernelVariant variant, bool use_packing) {
+  return detail::kHasRowWalk && variant == KernelVariant::kV3 &&
+         !use_packing;
+}
+
+/// The runtime half of takes_row_walk: L = 16 and an m-block of at most
+/// kMicroM rows.
+bool row_walk_block(const NMConfig& cfg, index_t block_rows) {
+  return cfg.vector_length == 16 && block_rows <= detail::kMicroM;
+}
+
+}  // namespace
+
 bool takes_row_walk(KernelVariant variant, bool use_packing,
                     const NMConfig& cfg, index_t block_rows) {
-  return detail::kHasRowWalk && variant == KernelVariant::kV3 &&
-         !use_packing && cfg.vector_length == 16 &&
-         block_rows <= detail::kMicroM;
+  return row_walk_kernel(variant, use_packing) &&
+         row_walk_block(cfg, block_rows);
 }
 
 namespace {
@@ -268,10 +285,8 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
       auto run_block = [&](auto accumulate_c, auto epi) {
         constexpr bool kAccumulate = decltype(accumulate_c)::value;
         using Epi = decltype(epi);
-        if constexpr (detail::kHasRowWalk &&
-                      Policy::kVariant == KernelVariant::kV3 &&
-                      !Policy::kPacking) {
-          if (takes_row_walk(Policy::kVariant, Policy::kPacking, cfg, mb)) {
+        if constexpr (row_walk_kernel(Policy::kVariant, Policy::kPacking)) {
+          if (row_walk_block(cfg, mb)) {
             // Small-m row walk: 32-column strips (two L = 16 groups),
             // each one forward pass over the stored tile rows.
             for (index_t j = 0; j < jb; j += 2 * L) {
