@@ -19,7 +19,8 @@ run of each side also builds it, and every run's output is kept in
 
 Prints, per named metric and seed, both values, their ratio (change over
 parent) and each run's mean `# calibration` dram_ms, then the median
-ratio. Exit status (the worst over the metrics):
+ratio with a seeded 95% bootstrap interval over the pairs. Exit status
+(the worst over the metrics):
   0  a verdict was printed;
   1  a run failed, reported incorrect output, or failed operations;
   2  bad arguments;
@@ -31,6 +32,7 @@ ratio. Exit status (the worst over the metrics):
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -43,6 +45,10 @@ SIDES = ("parent", "change")  # equal length on purpose
 # that still gets a verdict. Same-host runs sit well inside it; a host
 # whose memory bandwidth moved by 30% no longer compares like with like.
 MAX_CAL_SPREAD = 0.30
+# Resamples behind the median ratio's bootstrap interval, drawn from a
+# fixed seed so the same ratios always print the same interval.
+BOOTSTRAP_RESAMPLES = 10000
+BOOTSTRAP_SEED = 1
 
 
 def parse_run(stdout):
@@ -77,6 +83,20 @@ def calibration_spread(runs):
     if not means:
         return None
     return max(means) / min(means) - 1.0
+
+
+def bootstrap_interval(ratios):
+    """95% percentile-bootstrap interval (lo, hi) of the median of ratios.
+
+    Resamples the pairs with replacement BOOTSTRAP_RESAMPLES times from
+    BOOTSTRAP_SEED and takes the 2.5th and 97.5th percentile medians.
+    """
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios)))
+        for _ in range(BOOTSTRAP_RESAMPLES))
+    return (medians[int(0.025 * (BOOTSTRAP_RESAMPLES - 1))],
+            medians[int(0.975 * (BOOTSTRAP_RESAMPLES - 1))])
 
 
 def summarize(pairs, metric, better, max_spread):
@@ -118,9 +138,11 @@ def summarize(pairs, metric, better, max_spread):
         return lines, 3
     wins = sum(1 for r in ratios if (r > 1.0) == (better == "higher")
                and r != 1.0)
+    lo, hi = bootstrap_interval(ratios)
     lines.append(f"{metric}: median ratio {statistics.median(ratios):.3f} "
-                 f"(change/parent, {better} is better); change better in "
-                 f"{wins} of {len(ratios)} pairs")
+                 f"[95% bootstrap {lo:.3f}, {hi:.3f}] (change/parent, "
+                 f"{better} is better); change better in {wins} of "
+                 f"{len(ratios)} pairs")
     return lines, 0
 
 

@@ -5,7 +5,7 @@ CMakeLists.txt).
 
 Covers: parsing a run (result line, every calibration dram_ms, traced
 runs with two calibration pairs), per-pair ratios and the median, the
-direction of "better", the refusal to give a verdict when calibration
+median's bootstrap interval, the direction of "better", the refusal to give a verdict when calibration
 spreads beyond the bound, and failure on an incorrect run.
 """
 
@@ -65,6 +65,24 @@ class Summarize(unittest.TestCase):
         self.assertIn("1.504", text)  # 707 / 470
         self.assertIn("median ratio 1.321", text)  # 687 / 520
         self.assertIn("change better in 3 of 3 pairs", text)
+
+    def test_equal_ratios_give_a_zero_width_interval(self):
+        self.assertEqual(ab_compare.bootstrap_interval([1.25] * 8),
+                         (1.25, 1.25))
+        pairs = [pair(s, 400.0, 500.0) for s in (1, 2, 3)]
+        lines, _ = ab_compare.summarize(pairs, "tokens_per_s", "higher", 0.30)
+        self.assertIn("[95% bootstrap 1.250, 1.250]", "\n".join(lines))
+
+    def test_ratios_straddling_one_give_an_interval_containing_one(self):
+        lo, hi = ab_compare.bootstrap_interval(
+            [0.90, 1.08, 0.95, 1.04, 0.98, 1.10, 0.93, 1.02])
+        self.assertLess(lo, 1.0)
+        self.assertGreater(hi, 1.0)
+
+    def test_interval_is_seeded(self):
+        ratios = [1.1, 1.3, 1.2, 1.4, 1.15]
+        self.assertEqual(ab_compare.bootstrap_interval(ratios),
+                         ab_compare.bootstrap_interval(ratios))
 
     def test_lower_is_better_counts_wins_the_other_way(self):
         pairs = [pair(1, 10.0, 8.0), pair(2, 10.0, 11.0)]

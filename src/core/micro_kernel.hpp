@@ -276,30 +276,38 @@ inline constexpr int kMicroM = 8;
 inline constexpr int kMicroN = 16;
 
 #if defined(__AVX512F__)
-/// The small-m row walk below is compiled in (AVX-512 builds only: its
-/// 2 x 8 zmm accumulators do not fit AVX2's 16 ymm registers).
+/// The row walk below is compiled in (AVX-512 builds only: its 2 x 8
+/// zmm accumulators do not fit AVX2's 16 ymm registers).
 inline constexpr bool kHasRowWalk = true;
 
 /// How far ahead of the current tile row the row walk prefetches the
 /// stored B stream: 32 rows at ns = 32, which runs past the end of the
 /// tile into the next one (tiles are stored in visiting order). Measured
-/// on a 4-vCPU AVX-512 Xeon over the five decode projections at m = 8,
-/// leads of 0.5 / 2 / 4 / 8 KB gave x1.21 / x1.55 / x1.61 / x1.55 over
-/// the two-pass path with its 4-row lead.
+/// on a 4-vCPU AVX-512 Xeon:
+///   - decode, the five projections at m = 8: leads of 0.5 / 2 / 4 / 8
+///     KB gave x1.21 / x1.55 / x1.61 / x1.55 over the two-pass path with
+///     its 4-row lead;
+///   - prefill, m = 256, where each strip is walked once per 8-row strip
+///     and only the first walk streams it: issuing the prefetch on the
+///     first walk only gave prefill_spmm tokens/s ratios 0.85 / 1.01 /
+///     1.01 / 0.95 over four alternating 8 s pairs, no gain, so every
+///     walk keeps the same lead.
 inline constexpr index_t kRowWalkLeadBytes = 4096;
 
-/// Small-m row walk over one 32-column strip of a resident tile (V3's
-/// decode regime, MT <= kMicroM rows): each step reads one stored strip
-/// row — both 16-wide column groups, two index-stream entries — into
-/// 2 x MT accumulators, so the tile is read once, front to back, instead of
-/// once per column group. Columns at or past @p nt (1..32) are computed
-/// but never stored; a strip of at most 16 columns passes @p idx0 twice
-/// and reads the second vector from the tile's zero column padding (the
-/// strip lies inside one ns-wide tile row, ns a multiple of 32). The
-/// prefetch runs kRowWalkLeadBytes ahead of the strip row, clamped
-/// below @p stream_end (one past the packed buffer). Every element is
-/// the same p-ascending FMA chain micro_kernel computes, so the result
-/// is bit-identical to the m-block path.
+/// Row walk over one 32-column strip of a resident tile for one strip of
+/// MT <= kMicroM rows (V3's non-packed path): each step reads one stored
+/// strip row — both 16-wide column groups, two index-stream entries —
+/// into 2 x MT accumulators, so the strip is read front to back once per
+/// row strip instead of once per column group and row strip. The driver
+/// walks an m-block's 8-row strips back to back over the same L1-hot
+/// strip; at m <= 8 (decode) there is one. Columns at or past @p nt
+/// (1..32) are computed but never stored; a strip of at most 16 columns
+/// passes @p idx0 twice and reads the second vector from the tile's zero
+/// column padding (the strip lies inside one ns-wide tile row, ns a
+/// multiple of 32). The prefetch runs kRowWalkLeadBytes ahead of the
+/// strip row, clamped below @p stream_end (one past the packed buffer).
+/// Every element is the same p-ascending FMA chain micro_kernel
+/// computes, so the result is bit-identical to V1's.
 template <int MT, bool Accumulate, class Epi>
 inline void row_walk_strip(index_t wb, APanel a,
                            const float* NMSPMM_RESTRICT b, index_t ldb,

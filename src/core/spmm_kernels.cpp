@@ -38,18 +38,15 @@ constexpr bool row_walk_kernel(KernelVariant variant, bool use_packing) {
          !use_packing;
 }
 
-/// The runtime half of takes_row_walk: L = 16 and an m-block of at most
-/// kMicroM rows.
-bool row_walk_block(const NMConfig& cfg, index_t block_rows) {
-  return cfg.vector_length == 16 && block_rows <= detail::kMicroM;
-}
+/// The runtime half of takes_row_walk: L = 16 pruning units, so a
+/// 32-column strip is exactly two column groups.
+bool row_walk_block(const NMConfig& cfg) { return cfg.vector_length == 16; }
 
 }  // namespace
 
 bool takes_row_walk(KernelVariant variant, bool use_packing,
-                    const NMConfig& cfg, index_t block_rows) {
-  return row_walk_kernel(variant, use_packing) &&
-         row_walk_block(cfg, block_rows);
+                    const NMConfig& cfg) {
+  return row_walk_kernel(variant, use_packing) && row_walk_block(cfg);
 }
 
 namespace {
@@ -252,7 +249,8 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
   // One tile's worth of m-blocks [mb_lo, mb_hi): prepare A per m-block,
   // then walk the pruning-window column groups of the n-block against
   // the resident Bs tile and its flattened index streams — or, when
-  // takes_row_walk selects it, walk the tile's rows once for all groups.
+  // takes_row_walk selects it, walk each 32-column strip of the tile's
+  // rows once per 8-row strip, both groups per step.
   auto run_tile = [&](const TileCtx& t, index_t j0, index_t jb,
                       index_t mb_lo, index_t mb_hi,
                       std::vector<float>& a_scratch) {
@@ -286,19 +284,23 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
         constexpr bool kAccumulate = decltype(accumulate_c)::value;
         using Epi = decltype(epi);
         if constexpr (row_walk_kernel(Policy::kVariant, Policy::kPacking)) {
-          if (row_walk_block(cfg, mb)) {
-            // Small-m row walk: 32-column strips (two L = 16 groups),
-            // each one forward pass over the stored tile rows.
+          if (row_walk_block(cfg)) {
+            // Row walk: 32-column strips (two L = 16 groups), each one
+            // forward pass over the stored tile rows per 8-row strip of
+            // the m-block; the B strip stays L1-hot across row strips.
             for (index_t j = 0; j < jb; j += 2 * L) {
               const int nt = static_cast<int>(std::min(2 * L, jb - j));
               const index_t g = (j0 + j) / L;
               const std::uint16_t* s0 = policy.idx_fn(t, g).buf;
               const std::uint16_t* s1 =
                   nt > L ? policy.idx_fn(t, g + 1).buf : s0;
-              detail::row_walk<kAccumulate, Epi>(
-                  static_cast<int>(mb), t.wb, a, btile + j, ldb, s0, s1, nt,
-                  packed.values_end(), c_block + j, C.ld(),
-                  epi.shifted(0, j));
+              for (index_t i = 0; i < mb; i += kMicroM) {
+                detail::row_walk<kAccumulate, Epi>(
+                    static_cast<int>(std::min<index_t>(kMicroM, mb - i)),
+                    t.wb, a.shifted_rows(i), btile + j, ldb, s0, s1, nt,
+                    packed.values_end(), c_block + i * C.ld() + j, C.ld(),
+                    epi.shifted(i, j));
+              }
             }
             return;
           }

@@ -17,18 +17,25 @@
 // pure linear stream. One-shot callers build the PackedWeights
 // themselves (packed_kind_for names the IndexKind a variant needs).
 //
-// Decode regime (takes_row_walk): an m-block of at most kMicroM rows
-// under V3's non-packed path, with L = 16, in an AVX-512 build, is run
-// as a small-m row walk instead of one micro-kernel pass per 16-wide
-// column group. At m <= 8 the product is a memory-bound stream of the
-// packed weights, so the walk reads each stored tile row once (both
-// column groups of a 32-column strip per step, 2 x 8 zmm accumulators)
-// and prefetches the stored stream 4 KB ahead, past the end of the tile
-// into the next one — tiles are stored back to back in visiting order.
-// This is the CPU form of the paper's V3 pipeline: the next tile is in
-// flight while the current one computes. Blocking, accumulation order
-// and the epilogue are the m-block path's, so results are bit-identical
-// to it; V1, V2, V3-packed, AVX2 and scalar builds keep their kernels.
+// Row walk (takes_row_walk): under V3's non-packed path, with L = 16, in
+// an AVX-512 build, every m-block is run as a row walk instead of one
+// micro-kernel pass per 16-wide column group and 8-row tile. The walk
+// takes a 32-column strip of the resident tile (two column groups) and
+// walks its stored rows once per 8-row strip of the m-block, both groups
+// per step (two B vectors, two index entries, 2 x 8 zmm accumulators),
+// and the strip stays L1-hot across the row strips. It prefetches the
+// stored stream 4 KB ahead, past the end of the tile into the next one —
+// tiles are stored back to back in visiting order.
+//   - Decode (m <= 8): one row strip, so the product is a stream of the
+//     packed weights read once, the next tile in flight while the
+//     current one computes — the CPU form of the paper's V3 pipeline.
+//   - Prefill (m > 8): each step feeds 2 x 8 accumulators (the paper's
+//     Eq. 6 register tile, two column groups wide), so the A panel of an
+//     m-block, read in place and larger than L1 at prefill blocking, is
+//     read once per 32-column strip instead of once per 16-wide group.
+// Blocking, accumulation order and the epilogue are unchanged, so
+// results are bit-identical to V1; V1, V2, V3-packed, AVX2 and scalar
+// builds keep the per-group micro kernels.
 #pragma once
 
 #include "core/col_info.hpp"
@@ -50,13 +57,12 @@ const char* to_string(KernelVariant v);
 PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
                                          bool use_packing);
 
-/// True when the blocked driver runs an m-block of @p block_rows rows
-/// through the small-m row walk (see the header comment) instead of the
-/// per-column-group micro kernels: V3's non-packed path, L = 16, at most
-/// kMicroM (8) rows, in an AVX-512 build. Fixed, like the nc/mc choice —
-/// no option selects it.
+/// True when the blocked driver runs every m-block through the row walk
+/// (see the header comment) instead of the per-column-group micro
+/// kernels: V3's non-packed path, L = 16, in an AVX-512 build, at any
+/// batch size. Fixed, like the nc/mc choice — no option selects it.
 bool takes_row_walk(KernelVariant variant, bool use_packing,
-                    const NMConfig& cfg, index_t block_rows);
+                    const NMConfig& cfg);
 
 // Every kernel takes an optional ThreadPool. A null pool runs the exact
 // serial loop nest (the bit-exact reference ordering); a pool partitions

@@ -1,7 +1,7 @@
 // Correctness of the V1/V2/V3 optimized kernels against the Eq. 1
 // reference, across sparsity levels, vector lengths, padding edges, and
-// both packing paths — and of V3's small-m row walk against the m-block
-// path it replaces for batches of at most kMicroM rows.
+// both packing paths — and of V3's row walk against V1, which computes
+// the same FMA chain through the per-group micro kernels.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -244,8 +244,8 @@ TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
 }
 
 // ---------------------------------------------------------------------------
-// Small-m row walk: V3's non-packed path runs m-blocks of at most kMicroM
-// rows in one forward pass per tile (AVX-512 builds). Float-valued
+// Row walk: V3's non-packed path walks each 32-column tile strip once
+// per 8-row strip of the m-block (AVX-512 builds). Float-valued
 // operands, so a changed accumulation order would show in the bits.
 
 #if defined(__AVX512F__)
@@ -256,36 +256,29 @@ constexpr bool kRowWalkBuild = false;
 
 TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
   const NMConfig l16 = kSparsity75;
-  for (index_t rows = 1; rows <= 8; ++rows) {
-    EXPECT_EQ(takes_row_walk(KernelVariant::kV3, false, l16, rows),
-              kRowWalkBuild)
-        << rows << " rows";
-  }
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, l16, 9));
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, l16, 256));
+  EXPECT_EQ(takes_row_walk(KernelVariant::kV3, false, l16), kRowWalkBuild);
   // V1, V2 and V3-packed keep their kernels (the ablation ladder).
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV1, false, l16, 8));
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV2, true, l16, 8));
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, true, l16, 8));
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kReference, false, l16, 8));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV1, false, l16));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV2, true, l16));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, true, l16));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kReference, false, l16));
   // Only L = 16 pruning units.
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{2, 4, 8}, 8));
-  EXPECT_FALSE(
-      takes_row_walk(KernelVariant::kV3, false, NMConfig{1, 16, 32}, 8));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{2, 4, 8}));
+  EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{1, 16, 32}));
 
-  // The serving default for a decode batch (V3 under PackingMode::kAuto)
-  // is exactly the configuration the walk serves.
+  // The serving default (V3 under PackingMode::kAuto) walks at every
+  // batch size: decode batches and prompts alike.
   Rng rng(70);
   const auto B = std::make_shared<const CompressedNM>(
       random_compressed(512, 256, l16, rng));
   Engine engine;
-  for (const index_t m : {1, 4, 8}) {
+  for (const index_t m : {1, 4, 8, 9, 64, 256}) {
     auto plan = engine.plan_for(m, B);
     NMSPMM_ASSERT_OK(plan.status());
     EXPECT_EQ(takes_row_walk((*plan)->variant(), (*plan)->uses_packing(),
-                             B->config, m),
+                             B->config),
               kRowWalkBuild)
-        << "decode batch of " << m;
+        << "batch of " << m;
   }
 }
 
@@ -304,22 +297,12 @@ struct WalkShape {
   index_t k, n, ns;
 };
 
-EpilogueArgs rows_of(const EpilogueArgs& full, index_t r0, index_t m) {
-  EpilogueArgs args = full;
-  if (full.other.data() != nullptr) {
-    args.other = full.other.block(r0, 0, m, full.other.cols());
-  }
-  if (full.residual.data() != nullptr) {
-    args.residual = full.residual.block(r0, 0, m, full.residual.cols());
-  }
-  return args;
-}
-
-// Each row of an m <= 8 batch equals, bit for bit, the same row computed
-// inside a 64-row batch (which takes the m-block path) at the same
-// params; the fused epilogue equals the unfused oracle; and the product
+// V3's non-packed path equals V1 bit for bit at every batch size: both
+// run the same p-ascending FMA chain per element, V1 through the
+// per-group micro kernels and V3 (in AVX-512 builds) through the row
+// walk. The fused epilogue equals the unfused oracle, and the product
 // stays within tolerance of spmm_reference.
-TEST(RowWalk, RowsMatchTheMBlockPathBitForBit) {
+TEST(RowWalk, MatchesV1BitForBit) {
   Rng rng(71);
   const NMConfig cfg = kSparsity75;  // L = 16, M = 32
   const WalkShape shapes[] = {
@@ -329,6 +312,10 @@ TEST(RowWalk, RowsMatchTheMBlockPathBitForBit) {
       {256, 203, 64},  // ns = 64: two strips per n-block, ragged last one
       {256, 120, 64},  // a 24-column last strip (second group masked)
   };
+  // ms = 32: m = 40 and 100 end in a ragged m-block, m = 9 and 17 in a
+  // one-row 8-row strip. With 4 workers, m = 100 (4 m-blocks) splits
+  // m-blocks and the rest split n-blocks.
+  const index_t batch_rows[] = {1, 7, 8, 9, 17, 40, 64, 100};
   EpilogueSpec bias;
   bias.bias = true;
   EpilogueSpec swiglu;
@@ -345,44 +332,40 @@ TEST(RowWalk, RowsMatchTheMBlockPathBitForBit) {
     BlockingParams p = table1_preset(SizeClass::kSmall);
     p.ks = 64;
     p.ns = s.ns;
+    ASSERT_EQ(p.ms, 32);
     const PackedWeights packed = pack(B, p, kDirect);
-    const MatrixF A64 = random_matrix(64, s.k, rng);
-    const MatrixF other64 = random_matrix(64, s.n, rng);
-    const MatrixF residual64 = random_matrix(64, s.n, rng);
     const MatrixF bias_row = random_matrix(1, s.n, rng);
-    EpilogueArgs args64;
-    args64.bias = bias_row.data();
-    args64.other = other64.cview();
-    args64.residual = residual64.cview();
-
-    for (const EpilogueSpec& spec : specs) {
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-        MatrixF C64(64, s.n);
-        spmm_v3(A64.view(), B, C64.view(), p, false, packed, pool, spec,
-                args64);
-        for (const index_t m : {1, 3, 7, 8}) {
-          const index_t r0 = 9;  // rows inside the 64-batch's first m-block
-          const ConstViewF A = A64.cview().block(r0, 0, m, s.k);
-          const EpilogueArgs args = rows_of(args64, r0, m);
+    for (const index_t m : batch_rows) {
+      const MatrixF A = random_matrix(m, s.k, rng);
+      const MatrixF other = random_matrix(m, s.n, rng);
+      const MatrixF resid = random_matrix(m, s.n, rng);
+      EpilogueArgs args;
+      args.bias = bias_row.data();
+      args.other = other.cview();
+      args.residual = resid.cview();
+      for (const EpilogueSpec& spec : specs) {
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
           const std::string where =
               "k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
               " ns=" + std::to_string(s.ns) + " m=" + std::to_string(m) +
               " threads=" + std::to_string(pool != nullptr ? 4 : 1) +
               " epilogue=" + std::to_string(spec.bias) +
               std::to_string(spec.mul) + std::to_string(spec.add);
+          MatrixF v1(m, s.n);
+          spmm_v1(A.cview(), B, v1.view(), p, packed, pool, spec, args);
           MatrixF C(m, s.n);
           C.fill(-7.0f);  // poison: the first chunk must store, not add
-          spmm_v3(A, B, C.view(), p, false, packed, pool, spec, args);
-          EXPECT_TRUE(same_bits(C.cview(), C64.cview().block(r0, 0, m, s.n)))
-              << where;
+          spmm_v3(A.cview(), B, C.view(), p, false, packed, pool, spec,
+                  args);
+          EXPECT_TRUE(same_bits(C.cview(), v1.cview())) << where;
 
           MatrixF unfused(m, s.n);
-          spmm_v3(A, B, unfused.view(), p, false, packed, pool);
+          spmm_v3(A.cview(), B, unfused.view(), p, false, packed, pool);
           apply_epilogue(spec, args, unfused.view());
           EXPECT_TRUE(same_bits(C.cview(), unfused.cview())) << where;
 
           MatrixF expect(m, s.n);
-          spmm_reference(A, B, expect.view(), /*rescale=*/false);
+          spmm_reference(A.cview(), B, expect.view(), /*rescale=*/false);
           apply_epilogue(spec, args, expect.view());
           EXPECT_LT(max_abs_diff(expect.cview(), C.cview()), 1e-4) << where;
         }
