@@ -13,6 +13,11 @@
 //     stride_i = 1, stride_col = panel height).
 // The column index `col` comes from an index provider — the only
 // difference between V1/V2/V3 is how that index is produced.
+//
+// Every loop over the accumulator rows carries `#pragma GCC unroll 8`
+// (8 = kMicroM, the largest MT): fully unrolled, the accumulator arrays
+// live in registers at -O2 as at -O3; left rolled, -O2 keeps them on the
+// stack and the kernels run at half speed or less.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +25,7 @@
 #include <utility>
 
 #include "core/epilogue.hpp"
+#include "core/pack.hpp"
 #include "util/matrix.hpp"
 
 #if defined(__SSE__) || defined(__AVX__)
@@ -103,6 +109,7 @@ inline void micro_kernel(index_t ws, APanel a,
 #if defined(__AVX512F__)
   if constexpr (NT == 16) {
     __m512 acc[MT];
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) acc[i] = _mm512_setzero_ps();
     for (index_t p = 0; p < ws; ++p) {
       const index_t col = idx_of(p) * a.stride_col;
@@ -113,10 +120,12 @@ inline void micro_kernel(index_t ws, APanel a,
                        _MM_HINT_T0);
       }
       const __m512 b = _mm512_loadu_ps(bpack + p * ldb);
+#pragma GCC unroll 8
       for (int i = 0; i < MT; ++i)
         acc[i] = _mm512_fmadd_ps(_mm512_set1_ps(ap[i * a.stride_i]), b,
                                  acc[i]);
     }
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) {
       float* crow = c + i * ldc;
       if constexpr (Accumulate) {
@@ -135,6 +144,7 @@ inline void micro_kernel(index_t ws, APanel a,
     for (int half = 0; half < MT; half += MT / 2) {
       constexpr int HM = MT / 2;
       __m256 acc[HM][2];
+#pragma GCC unroll 8
       for (int i = 0; i < HM; ++i)
         acc[i][0] = acc[i][1] = _mm256_setzero_ps();
       IdxFn idx = idx_of;  // restart the (possibly stateful) stream
@@ -148,12 +158,14 @@ inline void micro_kernel(index_t ws, APanel a,
         }
         const __m256 b0 = _mm256_loadu_ps(bpack + p * ldb);
         const __m256 b1 = _mm256_loadu_ps(bpack + p * ldb + 8);
+#pragma GCC unroll 8
         for (int i = 0; i < HM; ++i) {
           const __m256 av = _mm256_set1_ps(ap[i * a.stride_i]);
           acc[i][0] = _mm256_fmadd_ps(av, b0, acc[i][0]);
           acc[i][1] = _mm256_fmadd_ps(av, b1, acc[i][1]);
         }
       }
+#pragma GCC unroll 8
       for (int i = 0; i < HM; ++i) {
         float* crow = c + (half + i) * ldc;
         if constexpr (Accumulate) {
@@ -176,14 +188,17 @@ inline void micro_kernel(index_t ws, APanel a,
   // without them the scalar fallback dominates the small-L sweep.
   if constexpr (NT == 8) {
     __m256 acc[MT];
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) acc[i] = _mm256_setzero_ps();
     for (index_t p = 0; p < ws; ++p) {
       const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
       const __m256 b = _mm256_loadu_ps(bpack + p * ldb);
+#pragma GCC unroll 8
       for (int i = 0; i < MT; ++i)
         acc[i] = _mm256_fmadd_ps(_mm256_set1_ps(ap[i * a.stride_i]), b,
                                  acc[i]);
     }
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) {
       float* crow = c + i * ldc;
       if constexpr (Accumulate) {
@@ -197,13 +212,16 @@ inline void micro_kernel(index_t ws, APanel a,
   }
   if constexpr (NT == 4) {
     __m128 acc[MT];
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) acc[i] = _mm_setzero_ps();
     for (index_t p = 0; p < ws; ++p) {
       const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
       const __m128 b = _mm_loadu_ps(bpack + p * ldb);
+#pragma GCC unroll 8
       for (int i = 0; i < MT; ++i)
         acc[i] = _mm_fmadd_ps(_mm_set1_ps(ap[i * a.stride_i]), b, acc[i]);
     }
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) {
       float* crow = c + i * ldc;
       if constexpr (Accumulate) {
@@ -294,32 +312,53 @@ inline constexpr bool kHasRowWalk = true;
 ///     walk keeps the same lead.
 inline constexpr index_t kRowWalkLeadBytes = 4096;
 
-/// Row walk over one 32-column strip of a resident tile for one strip of
-/// MT <= kMicroM rows (V3's non-packed path): each step reads one stored
-/// strip row — both 16-wide column groups, two index-stream entries —
-/// into 2 x MT accumulators, so the strip is read front to back once per
-/// row strip instead of once per column group and row strip. The driver
-/// walks an m-block's 8-row strips back to back over the same L1-hot
-/// strip; at m <= 8 (decode) there is one. Columns at or past @p nt
-/// (1..32) are computed but never stored; a strip of at most 16 columns
-/// passes @p idx0 twice and reads the second vector from the tile's zero
-/// column padding (the strip lies inside one ns-wide tile row, ns a
-/// multiple of 32). The prefetch runs kRowWalkLeadBytes ahead of the
-/// strip row, clamped below @p stream_end (one past the packed buffer).
-/// Every element is the same p-ascending FMA chain micro_kernel
-/// computes, so the result is bit-identical to V1's.
+/// How far ahead of the current step the row walk prefetches the staged
+/// A strip. At 4:32 sparsity each step advances about 256 B through the
+/// strip (8 columns of 8 rows), so the stream crosses a 4 KB page every
+/// ~16 steps, where the hardware prefetcher stops; without this prefetch
+/// down's walk ran x1.15 slower. Leads of 1-4 KB measured alike, 3 KB
+/// brought down back to x1.00 (4-vCPU AVX-512 Xeon).
+inline constexpr index_t kRowWalkALeadBytes = 3072;
+
+static_assert(kAStripRows == kMicroM,
+              "a staged A strip is one row-walk register tile high");
+
+/// Row walk over one 32-column strip of a resident tile for one staged
+/// strip of MT <= kMicroM rows of A (V3's non-packed path): each step
+/// reads one stored strip row — both 16-wide column groups, two
+/// index-stream entries — into 2 x MT accumulators, so the strip is read
+/// front to back once per row strip instead of once per column group and
+/// row strip. The driver walks an m-block's 8-row strips back to back
+/// over the same L1-hot strip; at m <= 8 (decode) there is one.
+///
+/// @p at is the row strip staged by stage_a_strips, k-column c at
+/// at[c * a_strip_width(MT)], and @p k0 the chunk's first k-column (the
+/// index streams are chunk-local). Each step turns an index entry into
+/// one pointer; the MT broadcasts read fixed offsets 0, 4, ... from it.
+///
+/// Columns at or past @p nt (1..32) are computed but never stored; a
+/// strip of at most 16 columns passes @p idx0 twice and reads the second
+/// vector from the tile's zero column padding (the strip lies inside one
+/// ns-wide tile row, ns a multiple of 32). The B prefetch runs
+/// kRowWalkLeadBytes ahead of the strip row, clamped below @p stream_end
+/// (one past the packed buffer). Every element is the same p-ascending
+/// FMA chain micro_kernel computes, so the result is bit-identical to
+/// V1's.
 template <int MT, bool Accumulate, class Epi>
-inline void row_walk_strip(index_t wb, APanel a,
+inline void row_walk_strip(index_t wb, const float* at, index_t k0,
                            const float* NMSPMM_RESTRICT b, index_t ldb,
                            const std::uint16_t* NMSPMM_RESTRICT idx0,
                            const std::uint16_t* NMSPMM_RESTRICT idx1, int nt,
                            const float* stream_end, float* NMSPMM_RESTRICT c,
                            index_t ldc, const Epi& epi) {
   if constexpr (Epi::kActive) epi.prefetch(MT, nt);
+  constexpr index_t kW = a_strip_width(MT);
   constexpr index_t kLead = kRowWalkLeadBytes / sizeof(float);
   // Last strip-row start whose two lines still lie inside the buffer.
   const index_t pf_last = (stream_end - b) - 32;
+  const float* const a = at + k0 * kW;
   __m512 acc0[MT], acc1[MT];
+#pragma GCC unroll 8
   for (int i = 0; i < MT; ++i) acc0[i] = acc1[i] = _mm512_setzero_ps();
   for (index_t p = 0; p < wb; ++p) {
     const float* NMSPMM_RESTRICT brow = b + p * ldb;
@@ -327,31 +366,36 @@ inline void row_walk_strip(index_t wb, APanel a,
         b + std::min(p * ldb + kLead, pf_last));
     _mm_prefetch(pf, _MM_HINT_T0);
     _mm_prefetch(pf + 64, _MM_HINT_T0);
-    const float* NMSPMM_RESTRICT ap0 = a.base + idx0[p] * a.stride_col;
-    const float* NMSPMM_RESTRICT ap1 = a.base + idx1[p] * a.stride_col;
+    const float* a0 = a + idx0[p] * kW;
+    const float* a1 = a + idx1[p] * kW;
+    // Keep both step pointers in registers: otherwise GCC folds
+    // a + idx * kW back into every broadcast as an indexed operand.
+    asm("" : "+r"(a0), "+r"(a1));
+    _mm_prefetch(reinterpret_cast<const char*>(a0) + kRowWalkALeadBytes,
+                 _MM_HINT_T0);
     const __m512 b0 = _mm512_loadu_ps(brow);
     const __m512 b1 = _mm512_loadu_ps(brow + 16);
+#pragma GCC unroll 8
     for (int i = 0; i < MT; ++i) {
-      acc0[i] = _mm512_fmadd_ps(_mm512_set1_ps(ap0[i * a.stride_i]), b0,
-                                acc0[i]);
-      acc1[i] = _mm512_fmadd_ps(_mm512_set1_ps(ap1[i * a.stride_i]), b1,
-                                acc1[i]);
+      acc0[i] = _mm512_fmadd_ps(_mm512_set1_ps(a0[i]), b0, acc0[i]);
+      acc1[i] = _mm512_fmadd_ps(_mm512_set1_ps(a1[i]), b1, acc1[i]);
     }
   }
   const auto lanes = [](int w) -> __mmask16 {
     return w >= 16 ? __mmask16{0xFFFF}
                    : static_cast<__mmask16>((1u << std::max(w, 0)) - 1u);
   };
-  const __mmask16 k0 = lanes(nt);
-  const __mmask16 k1 = lanes(nt - 16);
+  const __mmask16 k0m = lanes(nt);
+  const __mmask16 k1m = lanes(nt - 16);
+#pragma GCC unroll 8
   for (int i = 0; i < MT; ++i) {
     float* crow = c + i * ldc;
     if constexpr (Accumulate) {
-      acc0[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k0, crow), acc0[i]);
-      acc1[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k1, crow + 16), acc1[i]);
+      acc0[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k0m, crow), acc0[i]);
+      acc1[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k1m, crow + 16), acc1[i]);
     }
-    _mm512_mask_storeu_ps(crow, k0, acc0[i]);
-    _mm512_mask_storeu_ps(crow + 16, k1, acc1[i]);
+    _mm512_mask_storeu_ps(crow, k0m, acc0[i]);
+    _mm512_mask_storeu_ps(crow + 16, k1m, acc1[i]);
   }
   if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, nt);
 }

@@ -30,6 +30,35 @@ void pack_a_full(ConstViewF A, index_t i0, index_t mb, index_t k0, index_t kb,
   }
 }
 
+void stage_a_strips(ConstViewF A, index_t pk, index_t s_lo, index_t s_hi,
+                    float* astrips) {
+  const index_t k_real = A.cols();
+  for (index_t s = s_lo; s < s_hi; ++s) {
+    const index_t r0 = s * kAStripRows;
+    const index_t rows = std::min(kAStripRows, A.rows() - r0);
+    const index_t w = a_strip_width(rows);
+    const float* src[kAStripRows];
+    for (index_t r = 0; r < rows; ++r) src[r] = A.row(r0 + r);
+    float* __restrict__ dst = astrips + r0 * pk;
+    // Column by column, each k-column one contiguous run of stores:
+    // measured twice as fast as row by row with strided stores.
+    if (rows == kAStripRows) {
+      for (index_t c = 0; c < k_real; ++c) {
+        for (index_t r = 0; r < kAStripRows; ++r) {
+          dst[c * kAStripRows + r] = src[r][c];
+        }
+      }
+    } else {
+      for (index_t c = 0; c < k_real; ++c) {
+        for (index_t r = 0; r < w; ++r) {
+          dst[c * w + r] = r < rows ? src[r][c] : 0.0f;
+        }
+      }
+    }
+    std::fill(dst + k_real * w, dst + pk * w, 0.0f);
+  }
+}
+
 void pack_a_cols(ConstViewF A, index_t i0, index_t mb, index_t k0,
                  std::span<const std::int32_t> cols, float* apack,
                  index_t lda) {

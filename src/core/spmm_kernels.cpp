@@ -1,5 +1,8 @@
 #include "core/spmm_kernels.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -72,6 +75,58 @@ std::vector<float>& worker_a_scratch(std::size_t need) {
   thread_local std::vector<float> scratch;
   if (scratch.size() < need) scratch.resize(need);
   return scratch;
+}
+
+/// Grow-only float buffer mapped straight from the OS. Through malloc,
+/// each growth would free a chunk above glibc's mmap threshold, which
+/// raises that threshold and moves later allocations onto the heap:
+/// serve_mixed then read ~11 MB more peak RSS than the buffer itself.
+class MappedFloats {
+ public:
+  MappedFloats() = default;
+  MappedFloats(const MappedFloats&) = delete;
+  MappedFloats& operator=(const MappedFloats&) = delete;
+  ~MappedFloats() { release(); }
+
+  /// At least @p floats floats; the contents are not kept on growth.
+  float* reserve(std::size_t floats) {
+    const std::size_t bytes = floats * sizeof(float);
+    if (bytes > bytes_) {
+      release();
+      void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      data_ = static_cast<float*>(p);
+      bytes_ = bytes;
+    }
+    return data_;
+  }
+
+ private:
+  void release() {
+    if (data_ != nullptr) munmap(data_, bytes_);
+    data_ = nullptr;
+    bytes_ = 0;
+  }
+
+  float* data_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+/// Stage all of A for the row walk (detail::stage_a_strips: k-major
+/// 8-row strips, zero-padded to @p pk) into the calling thread's
+/// grow-only buffer, splitting the strips across @p pool. The buffer
+/// holds at most m x pk floats (rounded up to the last strip's width)
+/// and stays valid until this thread stages again.
+const float* stage_a_for_walk(ConstViewF A, index_t pk, ThreadPool* pool) {
+  thread_local MappedFloats strips;
+  float* const out = strips.reserve(
+      static_cast<std::size_t>(detail::a_strips_floats(A.rows(), pk)));
+  parallel_for(pool, 0, ceil_div(A.rows(), detail::kAStripRows),
+               [&](index_t s_lo, index_t s_hi) {
+                 detail::stage_a_strips(A, pk, s_lo, s_hi, out);
+               });
+  return out;
 }
 
 /// The non-packing strategy (Section III-C1): the kernel reads the whole
@@ -185,10 +240,10 @@ void run_segment(index_t wb, APanel a, const float* bpack, index_t ldb,
 /// Blocked driver (Listing 1 structure) over plan-time resident weights:
 /// loop n-blocks, k-chunks, m-blocks; the Bs tile is already resident in
 /// the PackedWeights (tile-major, execution order — a pure linear read),
-/// A is prepared per m-block, and index streams are consumed directly
-/// from the packed form. The k-chunk 0 pass stores (beta = 0) instead of
-/// accumulating, fusing the former C zero-fill pass into the first
-/// micro-kernel stores.
+/// A is prepared per m-block (or, for the row walk, staged once per
+/// call), and index streams are consumed directly from the packed form.
+/// The k-chunk 0 pass stores (beta = 0) instead of accumulating, fusing
+/// the former C zero-fill pass into the first micro-kernel stores.
 ///
 /// Parallelism: a null @p pool runs the nest serially. With a pool, the
 /// driver picks the partitioning axis — m-blocks when there are enough
@@ -246,14 +301,24 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
   const detail::EpilogueApply epi_root =
       detail::EpilogueApply::root(espec, eargs);
 
+  // The row walk (takes_row_walk) reads A from 8-row strips staged once
+  // for the whole call. Pool workers reach the calling thread's buffer
+  // through this pointer: a thread_local named inside run_tile would
+  // resolve to each worker's own, empty, buffer.
+  const float* a_strips = nullptr;
+  if constexpr (row_walk_kernel(Policy::kVariant, Policy::kPacking)) {
+    if (row_walk_block(cfg)) a_strips = stage_a_for_walk(A, pk, pool);
+  }
+  const std::size_t a_scratch_floats =
+      static_cast<std::size_t>(prm.ms * lda);
+
   // One tile's worth of m-blocks [mb_lo, mb_hi): prepare A per m-block,
   // then walk the pruning-window column groups of the n-block against
   // the resident Bs tile and its flattened index streams — or, when
   // takes_row_walk selects it, walk each 32-column strip of the tile's
-  // rows once per 8-row strip, both groups per step.
+  // rows once per staged 8-row strip of A, both groups per step.
   auto run_tile = [&](const TileCtx& t, index_t j0, index_t jb,
-                      index_t mb_lo, index_t mb_hi,
-                      std::vector<float>& a_scratch) {
+                      index_t mb_lo, index_t mb_hi) {
     const float* btile = packed.tile_values(t.chunk, t.nblock);
     const bool accumulate = t.chunk > 0;
     const bool finalize = epi_active && t.chunk == num_chunks - 1;
@@ -270,7 +335,6 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
     for (index_t mb_idx = mb_lo; mb_idx < mb_hi; ++mb_idx) {
       const index_t i0 = mb_idx * prm.ms;
       const index_t mb = std::min(prm.ms, m - i0);
-      const APanel a = policy.prepare_a(t, A, i0, mb, a_scratch, lda);
       if (finalize && mb_idx + 1 < mb_hi) {
         const index_t i1 = (mb_idx + 1) * prm.ms;
         epi_root.shifted(i1, j0).prefetch_block(std::min(prm.ms, m - i1),
@@ -297,14 +361,16 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
               for (index_t i = 0; i < mb; i += kMicroM) {
                 detail::row_walk<kAccumulate, Epi>(
                     static_cast<int>(std::min<index_t>(kMicroM, mb - i)),
-                    t.wb, a.shifted_rows(i), btile + j, ldb, s0, s1, nt,
-                    packed.values_end(), c_block + i * C.ld() + j, C.ld(),
-                    epi.shifted(i, j));
+                    t.wb, a_strips + (i0 + i) * pk, t.k0, btile + j, ldb,
+                    s0, s1, nt, packed.values_end(),
+                    c_block + i * C.ld() + j, C.ld(), epi.shifted(i, j));
               }
             }
             return;
           }
         }
+        const APanel a = policy.prepare_a(
+            t, A, i0, mb, worker_a_scratch(a_scratch_floats), lda);
         for (index_t g = g0; g < g1; ++g) {
           const index_t seg_lo = std::max(g * L, j0);
           const index_t seg_hi = std::min((g + 1) * L, j0 + jb);
@@ -328,20 +394,17 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
     }
   };
 
-  const std::size_t a_scratch_floats =
-      static_cast<std::size_t>(prm.ms * lda);
   const index_t workers = pool != nullptr ? pool->size() : 1;
   if (workers > 1 && num_mblocks < workers && num_nblocks > 1) {
     // nc partitioning: each worker owns whole n-blocks. With resident
     // weights there is no Bs staging at all — per-worker scratch is just
     // the (thread-local, reused across calls) A panel.
     parallel_for(pool, 0, num_nblocks, [&](index_t nb_lo, index_t nb_hi) {
-      std::vector<float>& a_scratch = worker_a_scratch(a_scratch_floats);
       for (index_t nb = nb_lo; nb < nb_hi; ++nb) {
         const index_t j0 = nb * prm.ns;
         const index_t jb = std::min(prm.ns, n - j0);
         for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
-          run_tile(make_tile(nb, chunk), j0, jb, 0, num_mblocks, a_scratch);
+          run_tile(make_tile(nb, chunk), j0, jb, 0, num_mblocks);
         }
       }
     });
@@ -359,8 +422,7 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
       const TileCtx t = make_tile(nb, chunk);
       parallel_for(pool, 0, num_mblocks,
                    [&](index_t mb_lo, index_t mb_hi) {
-        run_tile(t, j0, jb, mb_lo, mb_hi,
-                 worker_a_scratch(a_scratch_floats));
+        run_tile(t, j0, jb, mb_lo, mb_hi);
       });
     }
   }

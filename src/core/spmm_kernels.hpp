@@ -30,9 +30,12 @@
 //     packed weights read once, the next tile in flight while the
 //     current one computes — the CPU form of the paper's V3 pipeline.
 //   - Prefill (m > 8): each step feeds 2 x 8 accumulators (the paper's
-//     Eq. 6 register tile, two column groups wide), so the A panel of an
-//     m-block, read in place and larger than L1 at prefill blocking, is
-//     read once per 32-column strip instead of once per 16-wide group.
+//     Eq. 6 register tile, two column groups wide), so A is read once
+//     per 32-column strip instead of once per 16-wide group.
+// The walk reads A from 8-row strips staged once per call, k-major
+// (detail::stage_a_strips): each step forms one pointer per index entry
+// and broadcasts the strip's rows from fixed offsets of it, the CPU form
+// of the paper's staged As tile read at fixed offsets (Section III-C).
 // Blocking, accumulation order and the epilogue are unchanged, so
 // results are bit-identical to V1; V1, V2, V3-packed, AVX2 and scalar
 // builds keep the per-group micro kernels.

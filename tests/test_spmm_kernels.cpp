@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <thread>
 #include <tuple>
 
 #include "core/nmspmm.hpp"
@@ -371,6 +373,90 @@ TEST(RowWalk, MatchesV1BitForBit) {
         }
       }
     }
+  }
+}
+
+// The walk stages A once per call into k-major 8-row strips. A column
+// sub-view of a wider matrix (A.ld() > A.cols()) must stage the view's
+// columns only, with k % M != 0 padding the last window and m % 8 != 0
+// leaving a ragged last strip.
+TEST(RowWalk, StagesColumnSubViewOfA) {
+  Rng rng(73);
+  const NMConfig cfg = kSparsity75;  // M = 32
+  const index_t k = 200, n = 203;
+  const CompressedNM B = random_compressed(k, n, cfg, rng);
+  BlockingParams p = table1_preset(SizeClass::kSmall);
+  p.ks = 64;
+  const PackedWeights packed = pack(B, p, kDirect);
+  ThreadPool pool4(4);
+  for (const index_t m : {3, 13, 100}) {
+    const MatrixF wide = random_matrix(m, k + 37, rng);
+    const ConstViewF A = wide.cview().block(0, 5, m, k);
+    ASSERT_GT(A.ld(), A.cols());
+    MatrixF dense_a(m, k);
+    for (index_t i = 0; i < m; ++i) {
+      std::memcpy(dense_a.row(i), A.row(i),
+                  static_cast<std::size_t>(k) * sizeof(float));
+    }
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+      const std::string where =
+          "m=" + std::to_string(m) +
+          " threads=" + std::to_string(pool != nullptr ? 4 : 1);
+      MatrixF v1(m, n);
+      spmm_v1(dense_a.cview(), B, v1.view(), p, packed, pool);
+      MatrixF C(m, n);
+      C.fill(-7.0f);
+      spmm_v3(A, B, C.view(), p, false, packed, pool);
+      EXPECT_TRUE(same_bits(C.cview(), v1.cview())) << where;
+    }
+  }
+}
+
+// Two callers share one 4-worker plan: each stages its own A in its own
+// thread's buffer, and the pool's workers must read the staging of the
+// call they work for. Both partition axes: m = 100 splits m-blocks, m = 9
+// splits n-blocks.
+TEST(RowWalk, ConcurrentCallersOnOnePooledPlan) {
+  Rng rng(74);
+  const index_t k = 200, n = 203;
+  const auto B = std::make_shared<const CompressedNM>(
+      random_compressed(k, n, kSparsity75, rng));
+  BlockingParams p = table1_preset(SizeClass::kSmall);
+  p.ks = 64;
+  SpmmOptions opt;
+  opt.params = p;
+  SpmmOptions serial_opt = opt;
+  serial_opt.num_threads = 1;
+  opt.num_threads = 4;
+  for (const index_t m : {9, 100}) {
+    const SpmmPlan plan = SpmmPlan::create(m, B, opt);
+    const SpmmPlan serial = SpmmPlan::create(m, B, serial_opt);
+    ASSERT_EQ(plan.variant(), KernelVariant::kV3);
+    ASSERT_FALSE(plan.uses_packing());
+    const MatrixF a0 = random_matrix(m, k, rng);
+    const MatrixF a1 = random_matrix(m, k, rng);
+    MatrixF want0(m, n), want1(m, n);
+    NMSPMM_ASSERT_OK(serial.execute(a0.cview(), want0.view()));
+    NMSPMM_ASSERT_OK(serial.execute(a1.cview(), want1.view()));
+
+    constexpr int kRounds = 20;
+    auto caller = [&](const MatrixF& a, const MatrixF& want, int* bad) {
+      MatrixF C(m, n);
+      for (int r = 0; r < kRounds; ++r) {
+        C.fill(-7.0f);
+        if (!plan.execute(a.cview(), C.view()).ok() ||
+            !same_bits(C.cview(), want.cview())) {
+          ++*bad;
+        }
+      }
+    };
+    int bad0 = 0, bad1 = 0;
+    std::thread t0(caller, std::cref(a0), std::cref(want0), &bad0);
+    std::thread t1(caller, std::cref(a1), std::cref(want1), &bad1);
+    t0.join();
+    t1.join();
+    EXPECT_EQ(bad0, 0) << "m=" << m;
+    EXPECT_EQ(bad1, 0) << "m=" << m;
   }
 }
 
