@@ -14,28 +14,152 @@
 // The column index `col` comes from an index provider — the only
 // difference between V1/V2/V3 is how that index is produced.
 //
-// Every loop over the accumulator rows carries `#pragma GCC unroll 8`
-// (8 = kMicroM, the largest MT): fully unrolled, the accumulator arrays
-// live in registers at -O2 as at -O3; left rolled, -O2 keeps them on the
-// stack and the kernels run at half speed or less.
+// Both kernels, micro_kernel and the row walk, are written once, over a
+// per-ISA vector description: a register type, its width in floats, the
+// number of such registers, and the handful of operations the kernels
+// use (load, masked load/store, broadcast, FMA, add, zero). The build's
+// feature macros fix the descriptions — Vec512 (AVX-512), Vec256 (AVX2 +
+// FMA) and VecBase (a generic four-float vector: __m128 on x86-64,
+// scalar code elsewhere) — and the register tile follows from the
+// description's register count (rows_per_pass, the paper's Eq. 6 on a
+// CPU register file), so every ISA runs the same loops and no option
+// sizes the tile.
+//
+// Every loop over the accumulators carries `#pragma GCC unroll 16` (the
+// most a pass holds: AVX-512's 2 x 8): fully unrolled, the accumulator
+// arrays live in registers at -O2 as at -O3; left rolled, -O2 keeps them
+// on the stack and the kernels run at half speed or less.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "core/epilogue.hpp"
 #include "core/pack.hpp"
 #include "util/matrix.hpp"
 
-#if defined(__SSE__) || defined(__AVX__)
+#if defined(__AVX2__)
 #include <immintrin.h>
-#define NMSPMM_HAS_PREFETCH 1
 #endif
 
 #define NMSPMM_RESTRICT __restrict__
 
 namespace nmspmm::detail {
+
+/// Fast-path tile sizes for the CPU micro kernel: 8 x 16, the CPU analog
+/// of the paper's 8x8 / 8x16 thread tiles; a 16-wide column group is one
+/// L = 16 pruning unit.
+inline constexpr int kMicroM = 8;
+inline constexpr int kMicroN = 16;
+
+#if defined(__AVX512F__)
+/// AVX-512: 32 registers of 16 floats.
+struct Vec512 {
+  using V = __m512;
+  static constexpr int kWidth = 16;
+  static constexpr int kRegs = 32;
+  static V zero() { return _mm512_setzero_ps(); }
+  static V set1(float x) { return _mm512_set1_ps(x); }
+  static V load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
+  static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  static V add(V a, V b) { return _mm512_add_ps(a, b); }
+  using Mask = __mmask16;
+  /// The first @p n lanes: none for n <= 0, all for n >= kWidth.
+  static Mask lanes(int n) {
+    return n >= 16 ? Mask{0xFFFF}
+                   : static_cast<Mask>((1u << std::max(n, 0)) - 1u);
+  }
+  static V load_n(const float* p, Mask m) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  static void store_n(float* p, V v, Mask m) {
+    _mm512_mask_storeu_ps(p, m, v);
+  }
+};
+#endif
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// AVX2 + FMA: 16 registers of 8 floats.
+struct Vec256 {
+  using V = __m256;
+  static constexpr int kWidth = 8;
+  static constexpr int kRegs = 16;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V set1(float x) { return _mm256_set1_ps(x); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  using Mask = __m256i;
+  static Mask lanes(int n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static V load_n(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static void store_n(float* p, V v, Mask m) {
+    _mm256_maskstore_ps(p, m, v);
+  }
+};
+#endif
+
+/// The baseline: four floats as a generic compiler vector — __m128 on
+/// x86-64, plain scalar code elsewhere. a * b + c contracts to one FMA
+/// where the build has FMA and stays mul + add where it has not, exactly
+/// as the scalar tail kernel's arithmetic does.
+struct VecBase {
+  using V = float __attribute__((vector_size(16)));
+  static constexpr int kWidth = 4;
+  static constexpr int kRegs = 16;
+  static V zero() { return V{}; }
+  static V set1(float x) { return V{x, x, x, x}; }
+  static V load(const float* p) { return load_n(p, kWidth); }
+  static void store(float* p, V v) { store_n(p, v, kWidth); }
+  static V fma(V a, V b, V c) { return a * b + c; }
+  static V add(V a, V b) { return a + b; }
+  using Mask = int;  ///< lanes to touch, 0..4
+  static Mask lanes(int n) { return std::clamp(n, 0, kWidth); }
+  static V load_n(const float* p, Mask m) {
+    V v{};
+    std::memcpy(&v, p, static_cast<std::size_t>(m) * sizeof(float));
+    return v;
+  }
+  static void store_n(float* p, V v, Mask m) {
+    std::memcpy(p, &v, static_cast<std::size_t>(m) * sizeof(float));
+  }
+};
+
+/// The widest description of this build whose width divides @p NT.
+#if defined(__AVX512F__)
+template <int NT>
+using VecFor = std::conditional_t<NT % 16 == 0, Vec512,
+                                  std::conditional_t<NT % 8 == 0, Vec256,
+                                                     VecBase>>;
+#elif defined(__AVX2__) && defined(__FMA__)
+template <int NT>
+using VecFor = std::conditional_t<NT % 8 == 0, Vec256, VecBase>;
+#else
+template <int NT>
+using VecFor = VecBase;
+#endif
+
+/// Rows per pass of a register tile @p vecs vectors wide in @p Vec's
+/// registers (Eq. 6 on a CPU register file): rows x vecs accumulators
+/// plus vecs B vectors plus one broadcast A value must fit. Rounded down
+/// to a power of two, at most kMicroM and at least one, so the passes
+/// over an 8-row tile are of equal height: AVX2 at 16 columns fits 6
+/// rows, but a 6 + 2 split leaves the 2-row pass's four FMA chains short
+/// of hiding the FMA latency (V1 at m = 256 ran ~34 against ~42 GFLOP/s
+/// with 4 + 4, -mavx2 -mfma on a 4-vCPU AVX-512 Xeon).
+template <class Vec>
+constexpr int rows_per_pass(int vecs) {
+  return static_cast<int>(std::bit_floor(static_cast<unsigned>(
+      std::clamp((Vec::kRegs - 1) / vecs - 1, 1, kMicroM))));
+}
 
 /// Addressing descriptor for the A operand of the inner kernel.
 struct APanel {
@@ -48,55 +172,63 @@ struct APanel {
   }
 };
 
-/// Index provider: resolves the A column for step p by computing
-/// (p/N)*M + D[p][g] on the fly (the V1 kernel; Listing 2's
-/// LoadFragByIdx reads Ds inside the loop). Stateful: must be consumed
-/// with strictly increasing p starting at 0.
-struct IdxFromD {
-  const std::uint8_t* NMSPMM_RESTRICT d_col;  ///< &D[u0][g]
-  index_t stride;                             ///< D leading dimension
-  int n;                                      ///< N of N:M
-  int m;                                      ///< M of N:M
-  index_t window_base = 0;
-  int in_window = 0;
-
-  index_t operator()(index_t p) {
-    const index_t idx = window_base + d_col[p * stride];
-    if (++in_window == n) {
-      in_window = 0;
-      window_base += m;
-    }
-    return idx;
-  }
-};
-
-/// Index provider reading the offline-reordered index matrix (V2: after
-/// reorderingIdx the entry already names the packed column directly).
-struct IdxFromRemap {
-  const std::uint16_t* NMSPMM_RESTRICT remap_col;  ///< &remap[0][g]
-  index_t stride;
-
-  index_t operator()(index_t p) const { return remap_col[p * stride]; }
-};
-
-/// Index provider reading a per-group buffer the caller hoisted before
-/// the loop (V3: "pre-fetch the indices required by each thread from
-/// shared memory into registers", Listing 4 line 12/23).
+/// Index provider reading a per-group stream (V3: "pre-fetch the indices
+/// required by each thread from shared memory into registers", Listing 4
+/// line 12/23). Every driver reads the streams PackedWeights flattened
+/// at pack time through it.
 struct IdxFromBuffer {
   const std::uint16_t* NMSPMM_RESTRICT buf;
 
   index_t operator()(index_t p) const { return buf[p]; }
 };
 
+/// One register-resident pass of micro_kernel: MT rows x NT columns, NT /
+/// Vec::kWidth vectors per row, accumulator e holding row e / kV.
+template <class Vec, int MT, int NT, bool Prefetch, bool Accumulate,
+          class IdxFn>
+inline void micro_pass(index_t ws, APanel a,
+                       const float* NMSPMM_RESTRICT bpack, index_t ldb,
+                       IdxFn idx_of, float* NMSPMM_RESTRICT c, index_t ldc) {
+  constexpr int kV = NT / Vec::kWidth;
+  static_assert(kV * Vec::kWidth == NT);
+  typename Vec::V acc[MT * kV];
+#pragma GCC unroll 16
+  for (int e = 0; e < MT * kV; ++e) acc[e] = Vec::zero();
+  for (index_t p = 0; p < ws; ++p) {
+    const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
+    if (Prefetch && p + 4 < ws) __builtin_prefetch(bpack + (p + 4) * ldb);
+    typename Vec::V b[kV];
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+      b[v] = Vec::load(bpack + p * ldb + v * Vec::kWidth);
+    }
+#pragma GCC unroll 16
+    for (int e = 0; e < MT * kV; ++e) {
+      acc[e] = Vec::fma(Vec::set1(ap[e / kV * a.stride_i]), b[e % kV], acc[e]);
+    }
+  }
+#pragma GCC unroll 16
+  for (int e = 0; e < MT * kV; ++e) {
+    float* cv = c + e / kV * ldc + e % kV * Vec::kWidth;
+    if constexpr (Accumulate) {
+      Vec::store(cv, Vec::add(Vec::load(cv), acc[e]));
+    } else {
+      Vec::store(cv, acc[e]);
+    }
+  }
+}
+
 /// MT x NT inner kernel: C[0..MT)[0..NT) += sum_p A[.., idx(p)] (x)
-/// Bpack[p][..]. @p Prefetch additionally prefetches the B row a few
-/// steps ahead (part of the V3 pipeline). With @p Accumulate false the
-/// tile is stored instead of added (beta = 0), which lets the blocked
-/// driver fuse the C zero-fill into the first k-chunk's stores and drop
-/// one full write+read pass over C per call. @p Epi (EpilogueApply on
-/// the final k-chunk, pre-shifted to this tile's C origin) finalizes
-/// the tile right after its stores, while it is still L1-hot —
-/// bias/activation/elementwise-mul never cost a separate pass over C.
+/// Bpack[p][..], in passes of rows_per_pass rows over the widest
+/// description that divides NT. @p Prefetch additionally prefetches the
+/// B row a few steps ahead (part of the V3 pipeline). With @p Accumulate
+/// false the tile is stored instead of added (beta = 0), which lets the
+/// blocked driver fuse the C zero-fill into the first k-chunk's stores
+/// and drop one full write+read pass over C per call. @p Epi
+/// (EpilogueApply on the final k-chunk, pre-shifted to this tile's C
+/// origin) finalizes the tile right after its stores, while it is still
+/// L1-hot — bias/activation/elementwise-mul never cost a separate pass
+/// over C.
 template <int MT, int NT, bool Prefetch, bool Accumulate = true,
           class Epi = EpilogueNone, class IdxFn>
 inline void micro_kernel(index_t ws, APanel a,
@@ -106,153 +238,14 @@ inline void micro_kernel(index_t ws, APanel a,
   // Fetch the epilogue's strided second-operand slice under the FMA
   // loop's compute shadow (see EpilogueApply::prefetch).
   if constexpr (Epi::kActive) epi.prefetch(MT, NT);
-#if defined(__AVX512F__)
-  if constexpr (NT == 16) {
-    __m512 acc[MT];
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) acc[i] = _mm512_setzero_ps();
-    for (index_t p = 0; p < ws; ++p) {
-      const index_t col = idx_of(p) * a.stride_col;
-      const float* NMSPMM_RESTRICT ap = a.base + col;
-      if constexpr (Prefetch) {
-        if (p + 4 < ws)
-          _mm_prefetch(reinterpret_cast<const char*>(bpack + (p + 4) * ldb),
-                       _MM_HINT_T0);
-      }
-      const __m512 b = _mm512_loadu_ps(bpack + p * ldb);
-#pragma GCC unroll 8
-      for (int i = 0; i < MT; ++i)
-        acc[i] = _mm512_fmadd_ps(_mm512_set1_ps(ap[i * a.stride_i]), b,
-                                 acc[i]);
-    }
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) {
-      float* crow = c + i * ldc;
-      if constexpr (Accumulate) {
-        _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), acc[i]));
-      } else {
-        _mm512_storeu_ps(crow, acc[i]);
-      }
-    }
-    if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, NT);
-    return;
-  }
-#elif defined(__AVX2__) && defined(__FMA__)
-  if constexpr (NT == 16 && MT % 2 == 0) {
-    // Two row-halves per pass keep the accumulator count within the 16
-    // ymm registers AVX2 provides.
-    for (int half = 0; half < MT; half += MT / 2) {
-      constexpr int HM = MT / 2;
-      __m256 acc[HM][2];
-#pragma GCC unroll 8
-      for (int i = 0; i < HM; ++i)
-        acc[i][0] = acc[i][1] = _mm256_setzero_ps();
-      IdxFn idx = idx_of;  // restart the (possibly stateful) stream
-      for (index_t p = 0; p < ws; ++p) {
-        const float* NMSPMM_RESTRICT ap =
-            a.base + idx(p) * a.stride_col + half * a.stride_i;
-        if constexpr (Prefetch) {
-          if (p + 4 < ws)
-            _mm_prefetch(reinterpret_cast<const char*>(bpack + (p + 4) * ldb),
-                         _MM_HINT_T0);
-        }
-        const __m256 b0 = _mm256_loadu_ps(bpack + p * ldb);
-        const __m256 b1 = _mm256_loadu_ps(bpack + p * ldb + 8);
-#pragma GCC unroll 8
-        for (int i = 0; i < HM; ++i) {
-          const __m256 av = _mm256_set1_ps(ap[i * a.stride_i]);
-          acc[i][0] = _mm256_fmadd_ps(av, b0, acc[i][0]);
-          acc[i][1] = _mm256_fmadd_ps(av, b1, acc[i][1]);
-        }
-      }
-#pragma GCC unroll 8
-      for (int i = 0; i < HM; ++i) {
-        float* crow = c + (half + i) * ldc;
-        if constexpr (Accumulate) {
-          _mm256_storeu_ps(crow,
-                           _mm256_add_ps(_mm256_loadu_ps(crow), acc[i][0]));
-          _mm256_storeu_ps(
-              crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[i][1]));
-        } else {
-          _mm256_storeu_ps(crow, acc[i][0]);
-          _mm256_storeu_ps(crow + 8, acc[i][1]);
-        }
-      }
-    }
-    if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, NT);
-    return;
-  }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  // Narrow-vector paths for small pruning-unit lengths (L = 8 / L = 4):
-  // without them the scalar fallback dominates the small-L sweep.
-  if constexpr (NT == 8) {
-    __m256 acc[MT];
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) acc[i] = _mm256_setzero_ps();
-    for (index_t p = 0; p < ws; ++p) {
-      const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
-      const __m256 b = _mm256_loadu_ps(bpack + p * ldb);
-#pragma GCC unroll 8
-      for (int i = 0; i < MT; ++i)
-        acc[i] = _mm256_fmadd_ps(_mm256_set1_ps(ap[i * a.stride_i]), b,
-                                 acc[i]);
-    }
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) {
-      float* crow = c + i * ldc;
-      if constexpr (Accumulate) {
-        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[i]));
-      } else {
-        _mm256_storeu_ps(crow, acc[i]);
-      }
-    }
-    if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, NT);
-    return;
-  }
-  if constexpr (NT == 4) {
-    __m128 acc[MT];
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) acc[i] = _mm_setzero_ps();
-    for (index_t p = 0; p < ws; ++p) {
-      const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
-      const __m128 b = _mm_loadu_ps(bpack + p * ldb);
-#pragma GCC unroll 8
-      for (int i = 0; i < MT; ++i)
-        acc[i] = _mm_fmadd_ps(_mm_set1_ps(ap[i * a.stride_i]), b, acc[i]);
-    }
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) {
-      float* crow = c + i * ldc;
-      if constexpr (Accumulate) {
-        _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), acc[i]));
-      } else {
-        _mm_storeu_ps(crow, acc[i]);
-      }
-    }
-    if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, NT);
-    return;
-  }
-#endif
-  // Portable fallback (also the non-16/8/4-wide path).
-  float acc[MT][NT] = {};
-  for (index_t p = 0; p < ws; ++p) {
-    const float* NMSPMM_RESTRICT ap = a.base + idx_of(p) * a.stride_col;
-    const float* NMSPMM_RESTRICT b = bpack + p * ldb;
-    for (int i = 0; i < MT; ++i) {
-      const float av = ap[i * a.stride_i];
-      for (int j = 0; j < NT; ++j) acc[i][j] += av * b[j];
-    }
-  }
-  for (int i = 0; i < MT; ++i) {
-    for (int j = 0; j < NT; ++j) {
-      if constexpr (Accumulate) {
-        c[i * ldc + j] += acc[i][j];
-      } else {
-        c[i * ldc + j] = acc[i][j];
-      }
-    }
-  }
+  using Vec = VecFor<NT>;
+  constexpr int kRows = rows_per_pass<Vec>(NT / Vec::kWidth);
+  [&]<int... Q>(std::integer_sequence<int, Q...>) {
+    (micro_pass<Vec, std::min(kRows, MT - Q * kRows), NT, Prefetch,
+                Accumulate>(ws, a.shifted_rows(Q * kRows), bpack, ldb,
+                            idx_of, c + Q * kRows * ldc, ldc),
+     ...);
+  }(std::make_integer_sequence<int, (MT + kRows - 1) / kRows>{});
   if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, NT);
 }
 
@@ -286,18 +279,6 @@ inline void micro_kernel_tail(index_t ws, APanel a,
   if constexpr (Epi::kActive) epi.apply_tile(mt, c, ldc, nt);
 }
 
-/// Fast-path tile sizes for the CPU micro kernel: 8 x 16 keeps the
-/// accumulator in eight 16-float vector registers (AVX-512) or sixteen
-/// 8-float registers (AVX2) — the CPU analog of the paper's 8x8 / 8x16
-/// thread tiles.
-inline constexpr int kMicroM = 8;
-inline constexpr int kMicroN = 16;
-
-#if defined(__AVX512F__)
-/// The row walk below is compiled in (AVX-512 builds only: its 2 x 8
-/// zmm accumulators do not fit AVX2's 16 ymm registers).
-inline constexpr bool kHasRowWalk = true;
-
 /// How far ahead of the current tile row the row walk prefetches the
 /// stored B stream: 32 rows at ns = 32, which runs past the end of the
 /// tile into the next one (tiles are stored in visiting order). Measured
@@ -320,30 +301,109 @@ inline constexpr index_t kRowWalkLeadBytes = 4096;
 /// brought down back to x1.00 (4-vCPU AVX-512 Xeon).
 inline constexpr index_t kRowWalkALeadBytes = 3072;
 
+/// The row walk's description and register tile (Eq. 6): both 16-wide
+/// column groups of a 32-column strip per step when kMicroM rows of them
+/// fit the registers (AVX-512: 2 x 8 accumulators, one pass per strip),
+/// else one group per step (AVX2: 4 rows x 2 ymm); and kWalkRows rows of
+/// the staged strip per pass.
+using WalkVec = VecFor<kMicroN>;
+inline constexpr int kWalkGroupVecs = kMicroN / WalkVec::kWidth;
+inline constexpr int kWalkGroups =
+    rows_per_pass<WalkVec>(2 * kWalkGroupVecs) == kMicroM ? 2 : 1;
+inline constexpr int kWalkRows =
+    rows_per_pass<WalkVec>(kWalkGroups * kWalkGroupVecs);
+
 static_assert(kAStripRows == kMicroM,
-              "a staged A strip is one row-walk register tile high");
+              "a staged A strip is at most one micro tile high");
+
+/// One register-resident pass of the row walk: MT rows of a staged strip
+/// kW floats wide (@p a at the pass's first row and the chunk's first
+/// k-column), G column groups from @p b read through the index streams
+/// @p idx0 (and @p idx1 for a second group), columns at or past @p nt
+/// masked at the stores. The @p Lead pass — the first over the strip —
+/// prefetches both lines of the strip row kRowWalkLeadBytes ahead and the
+/// staged A kRowWalkALeadBytes ahead; later passes find both in cache.
+template <class Vec, int MT, index_t kW, int G, bool Accumulate, bool Lead>
+inline void walk_pass(index_t wb, const float* a,
+                      const float* NMSPMM_RESTRICT b, index_t ldb,
+                      const std::uint16_t* NMSPMM_RESTRICT idx0,
+                      const std::uint16_t* NMSPMM_RESTRICT idx1, int nt,
+                      const float* stream_end, float* NMSPMM_RESTRICT c,
+                      index_t ldc) {
+  constexpr int kV = G * kMicroN / Vec::kWidth;  // vectors per row
+  constexpr int kGV = kMicroN / Vec::kWidth;     // vectors per group
+  constexpr index_t kLead = kRowWalkLeadBytes / sizeof(float);
+  // Last strip-row start whose two lines still lie inside the buffer.
+  const index_t pf_last = (stream_end - b) - 2 * kMicroN;
+  typename Vec::V acc[MT * kV];  // row e / kV, vector e % kV
+#pragma GCC unroll 16
+  for (int e = 0; e < MT * kV; ++e) acc[e] = Vec::zero();
+  for (index_t p = 0; p < wb; ++p) {
+    const float* NMSPMM_RESTRICT brow = b + p * ldb;
+    if constexpr (Lead) {
+      const char* pf = reinterpret_cast<const char*>(
+          b + std::min(p * ldb + kLead, pf_last));
+      __builtin_prefetch(pf);
+      __builtin_prefetch(pf + 64);
+    }
+    const float* ag[G];
+#pragma GCC unroll 2
+    for (int g = 0; g < G; ++g) ag[g] = a + (g == 0 ? idx0 : idx1)[p] * kW;
+    // Keep the step pointers in registers: otherwise GCC folds
+    // a + idx * kW back into every broadcast as an indexed operand.
+    if constexpr (G == 2) {
+      asm("" : "+r"(ag[0]), "+r"(ag[1]));
+    } else {
+      asm("" : "+r"(ag[0]));
+    }
+    if constexpr (Lead) {
+      __builtin_prefetch(reinterpret_cast<const char*>(ag[0]) +
+                         kRowWalkALeadBytes);
+    }
+    typename Vec::V bv[kV];
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) bv[v] = Vec::load(brow + v * Vec::kWidth);
+#pragma GCC unroll 16
+    for (int e = 0; e < MT * kV; ++e) {
+      const float* ae = ag[e % kV / kGV];
+      acc[e] = Vec::fma(Vec::set1(ae[e / kV]), bv[e % kV], acc[e]);
+    }
+  }
+  typename Vec::Mask lanes[kV];
+#pragma GCC unroll 4
+  for (int v = 0; v < kV; ++v) lanes[v] = Vec::lanes(nt - v * Vec::kWidth);
+#pragma GCC unroll 16
+  for (int e = 0; e < MT * kV; ++e) {
+    float* cv = c + e / kV * ldc + e % kV * Vec::kWidth;
+    if constexpr (Accumulate) {
+      acc[e] = Vec::add(Vec::load_n(cv, lanes[e % kV]), acc[e]);
+    }
+    Vec::store_n(cv, acc[e], lanes[e % kV]);
+  }
+}
 
 /// Row walk over one 32-column strip of a resident tile for one staged
 /// strip of MT <= kMicroM rows of A (V3's non-packed path): each step
-/// reads one stored strip row — both 16-wide column groups, two
-/// index-stream entries — into 2 x MT accumulators, so the strip is read
-/// front to back once per row strip instead of once per column group and
-/// row strip. The driver walks an m-block's 8-row strips back to back
+/// of a pass reads its column groups of one stored strip row — one
+/// index-stream entry per group — so the strip is read front to back once
+/// per pass instead of once per column group and 8-row tile: kWalkRows
+/// rows and kWalkGroups groups per pass; on AVX-512 one pass covers the
+/// whole strip. The driver walks an m-block's 8-row strips back to back
 /// over the same L1-hot strip; at m <= 8 (decode) there is one.
 ///
 /// @p at is the row strip staged by stage_a_strips, k-column c at
 /// at[c * a_strip_width(MT)], and @p k0 the chunk's first k-column (the
 /// index streams are chunk-local). Each step turns an index entry into
-/// one pointer; the MT broadcasts read fixed offsets 0, 4, ... from it.
+/// one pointer; the broadcasts read fixed offsets 0, 4, ... from it.
 ///
 /// Columns at or past @p nt (1..32) are computed but never stored; a
-/// strip of at most 16 columns passes @p idx0 twice and reads the second
-/// vector from the tile's zero column padding (the strip lies inside one
-/// ns-wide tile row, ns a multiple of 32). The B prefetch runs
-/// kRowWalkLeadBytes ahead of the strip row, clamped below @p stream_end
-/// (one past the packed buffer). Every element is the same p-ascending
-/// FMA chain micro_kernel computes, so the result is bit-identical to
-/// V1's.
+/// strip of at most 16 columns passes @p idx0 twice and either skips the
+/// second group (a one-group pass) or reads it from the tile's zero
+/// column padding (a two-group pass; the strip lies inside one ns-wide
+/// tile row, ns a multiple of 32). The B prefetch runs kRowWalkLeadBytes
+/// ahead of the strip row, clamped below @p stream_end (one past the
+/// packed buffer). Every element is the same p-ascending FMA chain
+/// micro_kernel computes, so the result is bit-identical to V1's.
 template <int MT, bool Accumulate, class Epi>
 inline void row_walk_strip(index_t wb, const float* at, index_t k0,
                            const float* NMSPMM_RESTRICT b, index_t ldb,
@@ -353,50 +413,22 @@ inline void row_walk_strip(index_t wb, const float* at, index_t k0,
                            index_t ldc, const Epi& epi) {
   if constexpr (Epi::kActive) epi.prefetch(MT, nt);
   constexpr index_t kW = a_strip_width(MT);
-  constexpr index_t kLead = kRowWalkLeadBytes / sizeof(float);
-  // Last strip-row start whose two lines still lie inside the buffer.
-  const index_t pf_last = (stream_end - b) - 32;
+  constexpr int kRowPasses = (MT + kWalkRows - 1) / kWalkRows;
   const float* const a = at + k0 * kW;
-  __m512 acc0[MT], acc1[MT];
-#pragma GCC unroll 8
-  for (int i = 0; i < MT; ++i) acc0[i] = acc1[i] = _mm512_setzero_ps();
-  for (index_t p = 0; p < wb; ++p) {
-    const float* NMSPMM_RESTRICT brow = b + p * ldb;
-    const char* pf = reinterpret_cast<const char*>(
-        b + std::min(p * ldb + kLead, pf_last));
-    _mm_prefetch(pf, _MM_HINT_T0);
-    _mm_prefetch(pf + 64, _MM_HINT_T0);
-    const float* a0 = a + idx0[p] * kW;
-    const float* a1 = a + idx1[p] * kW;
-    // Keep both step pointers in registers: otherwise GCC folds
-    // a + idx * kW back into every broadcast as an indexed operand.
-    asm("" : "+r"(a0), "+r"(a1));
-    _mm_prefetch(reinterpret_cast<const char*>(a0) + kRowWalkALeadBytes,
-                 _MM_HINT_T0);
-    const __m512 b0 = _mm512_loadu_ps(brow);
-    const __m512 b1 = _mm512_loadu_ps(brow + 16);
-#pragma GCC unroll 8
-    for (int i = 0; i < MT; ++i) {
-      acc0[i] = _mm512_fmadd_ps(_mm512_set1_ps(a0[i]), b0, acc0[i]);
-      acc1[i] = _mm512_fmadd_ps(_mm512_set1_ps(a1[i]), b1, acc1[i]);
-    }
-  }
-  const auto lanes = [](int w) -> __mmask16 {
-    return w >= 16 ? __mmask16{0xFFFF}
-                   : static_cast<__mmask16>((1u << std::max(w, 0)) - 1u);
+  // Pass P covers the column groups from g and the rows from r.
+  const auto pass = [&]<int P>(std::integral_constant<int, P>) {
+    constexpr int g = P / kRowPasses * kWalkGroups;
+    constexpr int r = P % kRowPasses * kWalkRows;
+    if (g > 0 && g * kMicroN >= nt) return;  // no second group
+    walk_pass<WalkVec, std::min(kWalkRows, MT - r), kW, kWalkGroups,
+              Accumulate, P == 0>(wb, a + r, b + g * kMicroN, ldb,
+                                  g == 0 ? idx0 : idx1, idx1,
+                                  nt - g * kMicroN, stream_end,
+                                  c + r * ldc + g * kMicroN, ldc);
   };
-  const __mmask16 k0m = lanes(nt);
-  const __mmask16 k1m = lanes(nt - 16);
-#pragma GCC unroll 8
-  for (int i = 0; i < MT; ++i) {
-    float* crow = c + i * ldc;
-    if constexpr (Accumulate) {
-      acc0[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k0m, crow), acc0[i]);
-      acc1[i] = _mm512_add_ps(_mm512_maskz_loadu_ps(k1m, crow + 16), acc1[i]);
-    }
-    _mm512_mask_storeu_ps(crow, k0m, acc0[i]);
-    _mm512_mask_storeu_ps(crow + 16, k1m, acc1[i]);
-  }
+  [&]<int... P>(std::integer_sequence<int, P...>) {
+    (pass(std::integral_constant<int, P>{}), ...);
+  }(std::make_integer_sequence<int, 2 / kWalkGroups * kRowPasses>{});
   if constexpr (Epi::kActive) epi.apply_tile(MT, c, ldc, nt);
 }
 
@@ -410,13 +442,5 @@ inline void row_walk(int mt, Args&&... args) {
      ...);
   }(std::make_integer_sequence<int, kMicroM>{});
 }
-#else
-inline constexpr bool kHasRowWalk = false;
-
-/// Declared only, for the driver's branch under `if constexpr
-/// (kHasRowWalk)`: without AVX-512 it is discarded and never instantiated.
-template <bool Accumulate, class Epi, class... Args>
-void row_walk(int mt, Args&&... args);
-#endif
 
 }  // namespace nmspmm::detail

@@ -2,6 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <memory>
+#include <mutex>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -33,12 +35,11 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
 
 namespace {
 
-/// The compile-time half of takes_row_walk: V3's non-packed path in a
-/// build that has the row walk. The blocked driver branches on it with
-/// `if constexpr`, so the walk is instantiated only for that policy.
+/// The compile-time half of takes_row_walk: V3's non-packed path. The
+/// blocked driver branches on it with `if constexpr`, so the walk is
+/// instantiated only for that policy.
 constexpr bool row_walk_kernel(KernelVariant variant, bool use_packing) {
-  return detail::kHasRowWalk && variant == KernelVariant::kV3 &&
-         !use_packing;
+  return variant == KernelVariant::kV3 && !use_packing;
 }
 
 /// The runtime half of takes_row_walk: L = 16 pruning units, so a
@@ -56,31 +57,21 @@ namespace {
 
 using detail::APanel;
 using detail::kMicroM;
-using detail::kMicroN;
 
 /// Context of one (k-chunk, n-block) tile handed to the policies.
 struct TileCtx {
   index_t chunk = 0;    ///< k-chunk index
   index_t nblock = 0;   ///< n-block index
-  index_t u0 = 0;       ///< first compressed row of the chunk
   index_t wb = 0;       ///< compressed rows in this chunk
   index_t k0 = 0;       ///< first original-k column of the chunk
   index_t kb = 0;       ///< original-k extent (<= ks)
 };
 
-/// Per-thread reusable A-staging scratch (grow-only, like dense_gemm's
-/// B staging): pool workers are long-lived, so steady-state serving
-/// calls never touch the heap for the A panel either.
-std::vector<float>& worker_a_scratch(std::size_t need) {
-  thread_local std::vector<float> scratch;
-  if (scratch.size() < need) scratch.resize(need);
-  return scratch;
-}
-
-/// Grow-only float buffer mapped straight from the OS. Through malloc,
-/// each growth would free a chunk above glibc's mmap threshold, which
-/// raises that threshold and moves later allocations onto the heap:
-/// serve_mixed then read ~11 MB more peak RSS than the buffer itself.
+/// Grow-only float buffer mapped straight from the OS, the one holder of
+/// the kernels' reusable scratch. Through malloc, each growth would free
+/// a chunk above glibc's mmap threshold, which raises that threshold and
+/// moves later allocations onto the heap: serve_mixed then read ~11 MB
+/// more peak RSS than the buffer itself.
 class MappedFloats {
  public:
   MappedFloats() = default;
@@ -113,14 +104,53 @@ class MappedFloats {
   std::size_t bytes_ = 0;
 };
 
+/// Per-thread A-panel scratch of the per-group path: pool workers are
+/// long-lived, so steady-state serving calls never map memory for it.
+float* worker_a_scratch(std::size_t floats) {
+  thread_local MappedFloats scratch;
+  return scratch.reserve(floats);
+}
+
+/// The row walk's staging buffers, shared by every caller: a call takes
+/// one for its duration and gives it back, so the set holds as many
+/// buffers as calls ever staged at once, not one per thread that ever
+/// staged (a serving dispatcher and a checking caller share one).
+struct StagingBuffers {
+  std::mutex mu;
+  std::vector<std::unique_ptr<MappedFloats>> free;
+
+  static StagingBuffers& get() {
+    static auto* const buffers = new StagingBuffers;  // outlives callers
+    return *buffers;
+  }
+};
+
+/// Gives a taken buffer back to the set when the call ends.
+struct GiveBack {
+  void operator()(MappedFloats* buffer) const {
+    StagingBuffers& set = StagingBuffers::get();
+    const std::lock_guard<std::mutex> lock(set.mu);
+    set.free.emplace_back(buffer);
+  }
+};
+using StagingLease = std::unique_ptr<MappedFloats, GiveBack>;
+
+StagingLease take_staging() {
+  StagingBuffers& set = StagingBuffers::get();
+  const std::lock_guard<std::mutex> lock(set.mu);
+  if (set.free.empty()) return StagingLease(new MappedFloats);
+  StagingLease lease(set.free.back().release());
+  set.free.pop_back();
+  return lease;
+}
+
 /// Stage all of A for the row walk (detail::stage_a_strips: k-major
-/// 8-row strips, zero-padded to @p pk) into the calling thread's
-/// grow-only buffer, splitting the strips across @p pool. The buffer
-/// holds at most m x pk floats (rounded up to the last strip's width)
-/// and stays valid until this thread stages again.
-const float* stage_a_for_walk(ConstViewF A, index_t pk, ThreadPool* pool) {
-  thread_local MappedFloats strips;
-  float* const out = strips.reserve(
+/// 8-row strips, zero-padded to @p pk) into @p buffer, splitting the
+/// strips across @p pool. The buffer grows to at most m x pk floats
+/// (rounded up to the last strip's width).
+const float* stage_a_for_walk(ConstViewF A, index_t pk, ThreadPool* pool,
+                              MappedFloats& buffer) {
+  float* const out = buffer.reserve(
       static_cast<std::size_t>(detail::a_strips_floats(A.rows(), pk)));
   parallel_for(pool, 0, ceil_div(A.rows(), detail::kAStripRows),
                [&](index_t s_lo, index_t s_hi) {
@@ -129,63 +159,38 @@ const float* stage_a_for_walk(ConstViewF A, index_t pk, ThreadPool* pool) {
   return out;
 }
 
-/// The non-packing strategy (Section III-C1): the kernel reads the whole
-/// ks-wide working set of A in place — the CPU cache hierarchy stands in
-/// for the staged shared-memory copy. When the chunk reaches past the
-/// real depth of A (window padding), a zero-filled staging copy is used
-/// instead so out-of-range columns read as zero.
-APanel prepare_a_direct(const TileCtx& t, ConstViewF A, index_t i0,
-                        index_t mb, std::vector<float>& scratch,
-                        index_t lda) {
-  if (t.k0 + t.kb <= A.cols()) {
-    return APanel{A.data() + i0 * A.ld() + t.k0, A.ld(), 1};
-  }
-  detail::pack_a_full(A, i0, mb, t.k0, t.kb, scratch.data(), lda);
-  return APanel{scratch.data(), lda, 1};
-}
-
-/// Non-packed A addressing over plan-time resident weights: A is read in
-/// place (V1, and V3's moderate-sparsity path with Prefetch on). The
-/// index streams already hold (p/N)*M + D, flattened at pack time.
-template <bool Prefetch>
-struct PolicyResidentDirect {
+/// A addressing over plan-time resident weights. Without @p Packing (V1,
+/// and V3's moderate-sparsity path) the kernel reads the whole ks-wide
+/// working set of A in place — the non-packing strategy of Section
+/// III-C1, the CPU cache hierarchy standing in for the staged
+/// shared-memory copy — unless the chunk reaches past the real depth of
+/// A (window padding), where a zero-filled staging copy is used so
+/// out-of-range columns read as zero. With @p Packing (V2, and V3's
+/// high-sparsity path) A is gathered through the tile's col_info
+/// columns. @p Prefetch is V3's. Either way the index streams were
+/// flattened at pack time: (p/N)*M + D, or packed panel positions from
+/// the reordered index matrix.
+template <bool Packing, bool Prefetch>
+struct PolicyResident {
   const PackedWeights& packed;
 
   static constexpr bool kPrefetch = Prefetch;
   static constexpr KernelVariant kVariant =
-      Prefetch ? KernelVariant::kV3 : KernelVariant::kV1;
-  static constexpr bool kPacking = false;
+      Prefetch ? KernelVariant::kV3
+               : (Packing ? KernelVariant::kV2 : KernelVariant::kV1);
+  static constexpr bool kPacking = Packing;
 
   APanel prepare_a(const TileCtx& t, ConstViewF A, index_t i0, index_t mb,
-                   std::vector<float>& scratch, index_t lda) const {
-    return prepare_a_direct(t, A, i0, mb, scratch, lda);
-  }
-
-  detail::IdxFromBuffer idx_fn(const TileCtx& t, index_t g) const {
-    return detail::IdxFromBuffer{
-        packed.tile_index_stream(t.chunk, t.nblock, g)};
-  }
-};
-
-/// Packing-strategy addressing over plan-time resident weights: A is
-/// gathered through the tile's col_info columns (V2, and V3's
-/// high-sparsity path with Prefetch on). The index streams hold packed
-/// panel positions, flattened from the reordered index matrix.
-template <bool Prefetch>
-struct PolicyResidentPacked {
-  const PackedWeights& packed;
-
-  static constexpr bool kPrefetch = Prefetch;
-  static constexpr KernelVariant kVariant =
-      Prefetch ? KernelVariant::kV3 : KernelVariant::kV2;
-  static constexpr bool kPacking = true;
-
-  APanel prepare_a(const TileCtx& t, ConstViewF A, index_t i0, index_t mb,
-                   std::vector<float>& scratch, index_t lda) const {
-    detail::pack_a_cols(A, i0, mb, t.k0,
-                        packed.tile_cols(t.chunk, t.nblock), scratch.data(),
-                        lda);
-    return APanel{scratch.data(), lda, 1};
+                   float* scratch, index_t lda) const {
+    if constexpr (Packing) {
+      detail::pack_a_cols(A, i0, mb, t.k0,
+                          packed.tile_cols(t.chunk, t.nblock), scratch, lda);
+    } else if (t.k0 + t.kb <= A.cols()) {
+      return APanel{A.data() + i0 * A.ld() + t.k0, A.ld(), 1};
+    } else {
+      detail::pack_a_full(A, i0, mb, t.k0, t.kb, scratch, lda);
+    }
+    return APanel{scratch, lda, 1};
   }
 
   detail::IdxFromBuffer idx_fn(const TileCtx& t, index_t g) const {
@@ -202,7 +207,7 @@ struct PolicyResidentPacked {
 /// c_block's origin element.
 template <bool Prefetch, bool Accumulate, class Epi, class IdxFn>
 void run_segment(index_t wb, APanel a, const float* bpack, index_t ldb,
-                 index_t b_off, const IdxFn& idx_proto, index_t mb,
+                 index_t b_off, const IdxFn& idx, index_t mb,
                  float* c_block, index_t ldc, index_t seg_off,
                  index_t seg_w, const Epi& epi) {
   for (index_t i0 = 0; i0 < mb; i0 += kMicroM) {
@@ -217,7 +222,6 @@ void run_segment(index_t wb, APanel a, const float* bpack, index_t ldb,
       float* c = c_block + i0 * ldc + seg_off + j;
       const float* b = bpack + b_off + j;
       const Epi epi_tile = epi.shifted(i0, seg_off + j);
-      IdxFn idx = idx_proto;  // fresh (possibly stateful) index stream
       if (mt == kMicroM && jw == 16) {
         detail::micro_kernel<kMicroM, 16, Prefetch, Accumulate, Epi>(
             wb, a_tile, b, ldb, idx, c, ldc, epi_tile);
@@ -288,8 +292,7 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
     t.nblock = nb;
     t.k0 = chunk * prm.ks;
     t.kb = std::min(prm.ks, pk - t.k0);
-    t.u0 = chunk * ws_full;
-    t.wb = std::min(ws_full, B.rows() - t.u0);
+    t.wb = std::min(ws_full, B.rows() - chunk * ws_full);
     return t;
   };
 
@@ -302,12 +305,15 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
       detail::EpilogueApply::root(espec, eargs);
 
   // The row walk (takes_row_walk) reads A from 8-row strips staged once
-  // for the whole call. Pool workers reach the calling thread's buffer
-  // through this pointer: a thread_local named inside run_tile would
-  // resolve to each worker's own, empty, buffer.
+  // for the whole call into a buffer this call holds until it returns.
+  // Pool workers reach it through this pointer.
+  StagingLease staging;
   const float* a_strips = nullptr;
   if constexpr (row_walk_kernel(Policy::kVariant, Policy::kPacking)) {
-    if (row_walk_block(cfg)) a_strips = stage_a_for_walk(A, pk, pool);
+    if (row_walk_block(cfg)) {
+      staging = take_staging();
+      a_strips = stage_a_for_walk(A, pk, pool, *staging);
+    }
   }
   const std::size_t a_scratch_floats =
       static_cast<std::size_t>(prm.ms * lda);
@@ -428,12 +434,22 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
   }
 }
 
-void check_kind(const PackedWeights& packed, PackedWeights::IndexKind kind,
-                const char* who) {
+/// Run the blocked driver under PolicyResident<Packing, Prefetch> once
+/// @p packed is known to hold the index streams that policy reads.
+template <bool Packing, bool Prefetch>
+void run_resident(const char* who, ConstViewF A, const CompressedNM& B,
+                  ViewF C, const BlockingParams& params,
+                  const PackedWeights& packed, ThreadPool* pool,
+                  const EpilogueSpec& epilogue,
+                  const EpilogueArgs& epilogue_args) {
+  using Policy = PolicyResident<Packing, Prefetch>;
+  const auto kind = packed_kind_for(Policy::kVariant, Packing);
   NMSPMM_CHECK_MSG(packed.kind() == kind,
                    who << " needs " << to_string(kind)
                        << " index streams but PackedWeights holds "
                        << to_string(packed.kind()));
+  spmm_blocked(A, B, C, params, packed, Policy{packed}, pool, epilogue,
+               epilogue_args);
 }
 
 }  // namespace
@@ -442,20 +458,16 @@ void spmm_v1(ConstViewF A, const CompressedNM& B, ViewF C,
              const BlockingParams& params, const PackedWeights& packed,
              ThreadPool* pool, const EpilogueSpec& epilogue,
              const EpilogueArgs& epilogue_args) {
-  check_kind(packed, PackedWeights::IndexKind::kDirect, "V1");
-  PolicyResidentDirect<false> policy{packed};
-  spmm_blocked(A, B, C, params, packed, policy, pool, epilogue,
-               epilogue_args);
+  run_resident<false, false>("V1", A, B, C, params, packed, pool, epilogue,
+                             epilogue_args);
 }
 
 void spmm_v2(ConstViewF A, const CompressedNM& B, ViewF C,
              const BlockingParams& params, const PackedWeights& packed,
              ThreadPool* pool, const EpilogueSpec& epilogue,
              const EpilogueArgs& epilogue_args) {
-  check_kind(packed, PackedWeights::IndexKind::kRemapped, "V2");
-  PolicyResidentPacked<false> policy{packed};
-  spmm_blocked(A, B, C, params, packed, policy, pool, epilogue,
-               epilogue_args);
+  run_resident<true, false>("V2", A, B, C, params, packed, pool, epilogue,
+                            epilogue_args);
 }
 
 void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
@@ -464,15 +476,11 @@ void spmm_v3(ConstViewF A, const CompressedNM& B, ViewF C,
              const EpilogueSpec& epilogue,
              const EpilogueArgs& epilogue_args) {
   if (use_packing) {
-    check_kind(packed, PackedWeights::IndexKind::kRemapped, "V3 (packed)");
-    PolicyResidentPacked<true> policy{packed};
-    spmm_blocked(A, B, C, params, packed, policy, pool, epilogue,
-                 epilogue_args);
+    run_resident<true, true>("V3 (packed)", A, B, C, params, packed, pool,
+                             epilogue, epilogue_args);
   } else {
-    check_kind(packed, PackedWeights::IndexKind::kDirect, "V3 (non-packed)");
-    PolicyResidentDirect<true> policy{packed};
-    spmm_blocked(A, B, C, params, packed, policy, pool, epilogue,
-                 epilogue_args);
+    run_resident<false, true>("V3 (non-packed)", A, B, C, params, packed,
+                              pool, epilogue, epilogue_args);
   }
 }
 

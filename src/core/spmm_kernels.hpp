@@ -17,28 +17,32 @@
 // pure linear stream. One-shot callers build the PackedWeights
 // themselves (packed_kind_for names the IndexKind a variant needs).
 //
-// Row walk (takes_row_walk): under V3's non-packed path, with L = 16, in
-// an AVX-512 build, every m-block is run as a row walk instead of one
-// micro-kernel pass per 16-wide column group and 8-row tile. The walk
+// Row walk (takes_row_walk): under V3's non-packed path, with L = 16,
+// every m-block is run as a row walk instead of one micro-kernel pass
+// per 16-wide column group and 8-row tile, in every build. The walk
 // takes a 32-column strip of the resident tile (two column groups) and
-// walks its stored rows once per 8-row strip of the m-block, both groups
-// per step (two B vectors, two index entries, 2 x 8 zmm accumulators),
-// and the strip stays L1-hot across the row strips. It prefetches the
-// stored stream 4 KB ahead, past the end of the tile into the next one —
-// tiles are stored back to back in visiting order.
+// walks its stored rows once per register pass over an 8-row strip of
+// the m-block, and the strip stays L1-hot across the passes. Its
+// register tile is the paper's Eq. 6 over the build's vector
+// description (core/micro_kernel.hpp): with AVX-512, both groups per
+// step and all 8 rows in one pass (2 x 8 zmm accumulators); with AVX2,
+// one group per step in passes of fewer rows; the SSE2 baseline the
+// same in passes of 2. It prefetches the stored stream 4 KB ahead, past
+// the end of the tile into the next one — tiles are stored back to back
+// in visiting order.
 //   - Decode (m <= 8): one row strip, so the product is a stream of the
 //     packed weights read once, the next tile in flight while the
 //     current one computes — the CPU form of the paper's V3 pipeline.
-//   - Prefill (m > 8): each step feeds 2 x 8 accumulators (the paper's
-//     Eq. 6 register tile, two column groups wide), so A is read once
-//     per 32-column strip instead of once per 16-wide group.
+//   - Prefill (m > 8): each step feeds a full register tile, so A is
+//     read once per pass instead of once per 16-wide group and 8-row
+//     tile.
 // The walk reads A from 8-row strips staged once per call, k-major
 // (detail::stage_a_strips): each step forms one pointer per index entry
 // and broadcasts the strip's rows from fixed offsets of it, the CPU form
 // of the paper's staged As tile read at fixed offsets (Section III-C).
 // Blocking, accumulation order and the epilogue are unchanged, so
-// results are bit-identical to V1; V1, V2, V3-packed, AVX2 and scalar
-// builds keep the per-group micro kernels.
+// results are bit-identical to V1; V1, V2 and V3-packed keep the
+// per-group micro kernels, the ladder's steps and the walk's oracle.
 #pragma once
 
 #include "core/col_info.hpp"
@@ -62,7 +66,7 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
 
 /// True when the blocked driver runs every m-block through the row walk
 /// (see the header comment) instead of the per-column-group micro
-/// kernels: V3's non-packed path, L = 16, in an AVX-512 build, at any
+/// kernels: V3's non-packed path with L = 16, in every build, at any
 /// batch size. Fixed, like the nc/mc choice — no option selects it.
 bool takes_row_walk(KernelVariant variant, bool use_packing,
                     const NMConfig& cfg);

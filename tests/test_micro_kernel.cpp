@@ -1,9 +1,12 @@
-// Unit tests of the inner-kernel building blocks: index providers, the
-// APanel addressing modes, the SIMD micro kernels at every fast-path
-// width, and the packing (copy-in) routines.
+// Unit tests of the inner-kernel building blocks: the index provider,
+// the APanel addressing modes, the SIMD micro kernels at every fast-path
+// width, the row walk at every row count, and the packing (copy-in)
+// routines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "core/micro_kernel.hpp"
@@ -12,31 +15,6 @@
 
 namespace nmspmm::detail {
 namespace {
-
-TEST(IdxFromD, WalksWindowsIncrementally) {
-  // N=2, M=4: D column [1,3, 0,2] -> indices 1,3, 4+0,4+2.
-  const std::uint8_t d[] = {1, 3, 0, 2};
-  IdxFromD idx{d, 1, 2, 4};
-  EXPECT_EQ(idx(0), 1);
-  EXPECT_EQ(idx(1), 3);
-  EXPECT_EQ(idx(2), 4);
-  EXPECT_EQ(idx(3), 6);
-}
-
-TEST(IdxFromD, RespectsStride) {
-  // Two groups interleaved row-major (stride 2); read group 1.
-  const std::uint8_t d[] = {9, 1, 9, 3};
-  IdxFromD idx{d + 1, 2, 2, 4};
-  EXPECT_EQ(idx(0), 1);
-  EXPECT_EQ(idx(1), 3);
-}
-
-TEST(IdxFromRemap, ReadsStrided) {
-  const std::uint16_t remap[] = {5, 0, 7, 0};
-  IdxFromRemap idx{remap, 2};
-  EXPECT_EQ(idx(0), 5);
-  EXPECT_EQ(idx(1), 7);
-}
 
 TEST(IdxFromBuffer, ReadsContiguous) {
   const std::uint16_t buf[] = {2, 4, 6};
@@ -65,10 +43,6 @@ void reference_tile(index_t ws, const float* a_base, index_t si, index_t sc,
                                               sc] *
                           b[p * ldb + j];
 }
-
-struct WidthCase {
-  int nt;
-};
 
 class MicroKernelWidths : public ::testing::TestWithParam<int> {};
 
@@ -177,6 +151,67 @@ TEST(MicroKernelTail, RuntimeBoundsMatchReference) {
                         IdxFromBuffer{idx16.data()}, mt, nt, got.data(), nt);
       for (std::size_t i = 0; i < expect.size(); ++i)
         EXPECT_EQ(expect[i], got[i]) << mt << "x" << nt;
+    }
+  }
+}
+
+// The row walk at every row count (one row_walk_strip instantiation
+// each) and strip width — both column groups (32), one (16), a ragged
+// one (11) — storing (first k-chunk) and accumulating, over a short and
+// a ragged chunk depth. The stored stream ends with the strip, so every
+// B prefetch is clamped below its end. Columns at or past nt stay as
+// they were.
+TEST(RowWalk, EveryRowCountAndWidthMatchesReference) {
+  Rng rng(400);
+  const index_t k0 = 8, k = 40;  // the chunk starts at A column k0
+  const index_t ldb = 32, ldc = 37;
+  for (const index_t wb : {3, 21}) {
+    for (int mt = 1; mt <= kMicroM; ++mt) {
+      const MatrixF A = random_int_matrix(mt, k, rng);
+      std::vector<float> strip(
+          static_cast<std::size_t>(a_strips_floats(mt, k)));
+      stage_a_strips(A.cview(), k, 0, 1, strip.data());
+      for (const int nt : {32, 16, 11}) {
+        std::vector<float> b(static_cast<std::size_t>(wb * ldb));
+        for (auto& v : b) v = static_cast<float>(rng.next_int(-3, 3));
+        std::vector<index_t> idx[2];
+        std::vector<std::uint16_t> idx16[2];
+        for (int g = 0; g < 2; ++g) {
+          for (index_t p = 0; p < wb; ++p) {
+            idx[g].push_back(rng.next_int(0, k - k0 - 1));
+            idx16[g].push_back(static_cast<std::uint16_t>(idx[g].back()));
+          }
+        }
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> expect(static_cast<std::size_t>(mt * ldc), 1.0f);
+          if (!accumulate) {
+            for (int i = 0; i < mt; ++i)
+              std::fill_n(expect.begin() + i * ldc, nt, 0.0f);
+          }
+          std::vector<float> got(static_cast<std::size_t>(mt * ldc), 1.0f);
+          for (int g = 0; g * 16 < nt; ++g) {
+            reference_tile(wb, A.data() + k0, A.ld(), 1, b.data() + g * 16,
+                           ldb, idx[g], mt, std::min(16, nt - g * 16),
+                           expect.data() + g * 16, ldc);
+          }
+          const std::uint16_t* s1 = nt > 16 ? idx16[1].data() : idx16[0].data();
+          const auto walk = [&](auto accumulate_c) {
+            row_walk<decltype(accumulate_c)::value, EpilogueNone>(
+                mt, wb, strip.data(), k0, b.data(), ldb, idx16[0].data(), s1,
+                nt, b.data() + b.size(), got.data(), ldc, EpilogueNone{});
+          };
+          if (accumulate) {
+            walk(std::true_type{});
+          } else {
+            walk(std::false_type{});
+          }
+          for (std::size_t e = 0; e < expect.size(); ++e) {
+            EXPECT_EQ(expect[e], got[e])
+                << "mt=" << mt << " nt=" << nt << " wb=" << wb
+                << " accumulate=" << accumulate << " element " << e;
+          }
+        }
+      }
     }
   }
 }

@@ -247,18 +247,12 @@ TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
 
 // ---------------------------------------------------------------------------
 // Row walk: V3's non-packed path walks each 32-column tile strip once
-// per 8-row strip of the m-block (AVX-512 builds). Float-valued
+// per 8-row strip of the m-block, in every build. Float-valued
 // operands, so a changed accumulation order would show in the bits.
-
-#if defined(__AVX512F__)
-constexpr bool kRowWalkBuild = true;
-#else
-constexpr bool kRowWalkBuild = false;
-#endif
 
 TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
   const NMConfig l16 = kSparsity75;
-  EXPECT_EQ(takes_row_walk(KernelVariant::kV3, false, l16), kRowWalkBuild);
+  EXPECT_TRUE(takes_row_walk(KernelVariant::kV3, false, l16));
   // V1, V2 and V3-packed keep their kernels (the ablation ladder).
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV1, false, l16));
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV2, true, l16));
@@ -277,9 +271,8 @@ TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
   for (const index_t m : {1, 4, 8, 9, 64, 256}) {
     auto plan = engine.plan_for(m, B);
     NMSPMM_ASSERT_OK(plan.status());
-    EXPECT_EQ(takes_row_walk((*plan)->variant(), (*plan)->uses_packing(),
-                             B->config),
-              kRowWalkBuild)
+    EXPECT_TRUE(takes_row_walk((*plan)->variant(), (*plan)->uses_packing(),
+                               B->config))
         << "batch of " << m;
   }
 }
@@ -301,9 +294,9 @@ struct WalkShape {
 
 // V3's non-packed path equals V1 bit for bit at every batch size: both
 // run the same p-ascending FMA chain per element, V1 through the
-// per-group micro kernels and V3 (in AVX-512 builds) through the row
-// walk. The fused epilogue equals the unfused oracle, and the product
-// stays within tolerance of spmm_reference.
+// per-group micro kernels and V3 through the row walk. The fused
+// epilogue equals the unfused oracle, and the product stays within
+// tolerance of spmm_reference.
 TEST(RowWalk, MatchesV1BitForBit) {
   Rng rng(71);
   const NMConfig cfg = kSparsity75;  // L = 16, M = 32
