@@ -6,45 +6,46 @@
 namespace nmspmm::obs {
 namespace {
 
+/// Every exported metric name starts with this.
+constexpr const char* kPrefix = "nmspmm_";
+
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
   out += buf;
 }
 
-void counter(std::string& out, const std::string& prefix, const char* name,
-             const char* help, std::uint64_t value,
-             const std::string& labels = {}) {
-  out += "# HELP " + prefix + "_" + name + " " + help + "\n";
-  out += "# TYPE " + prefix + "_" + name + " counter\n";
-  out += prefix + "_" + name + labels + " ";
-  append_u64(out, value);
-  out += "\n";
-}
-
-void gauge(std::string& out, const std::string& prefix, const char* name,
-           const char* help, std::uint64_t value,
-           const std::string& labels = {}) {
-  out += "# HELP " + prefix + "_" + name + " " + help + "\n";
-  out += "# TYPE " + prefix + "_" + name + " gauge\n";
-  out += prefix + "_" + name + labels + " ";
-  append_u64(out, value);
-  out += "\n";
-}
-
 /// Bare sample line (no HELP/TYPE — the family header was emitted once).
-void sample(std::string& out, const std::string& prefix, const char* name,
-            const std::string& labels, std::uint64_t value) {
-  out += prefix + "_" + name + labels + " ";
+void sample(std::string& out, const char* name, const std::string& labels,
+            std::uint64_t value) {
+  out += std::string(kPrefix) + name + labels + " ";
   append_u64(out, value);
   out += "\n";
+}
+
+/// A single-sample family of @p type ("counter" / "gauge").
+void scalar(std::string& out, const char* type, const char* name,
+            const char* help, std::uint64_t value) {
+  out += std::string("# HELP ") + kPrefix + name + " " + help + "\n";
+  out += std::string("# TYPE ") + kPrefix + name + " " + type + "\n";
+  sample(out, name, {}, value);
+}
+
+void counter(std::string& out, const char* name, const char* help,
+             std::uint64_t value) {
+  scalar(out, "counter", name, help, value);
+}
+
+void gauge(std::string& out, const char* name, const char* help,
+           std::uint64_t value) {
+  scalar(out, "gauge", name, help, value);
 }
 
 /// One Prometheus histogram (cumulative le buckets, only occupied
 /// boundaries + +Inf, then _sum and _count) for a StageSnapshot.
-void histogram(std::string& out, const std::string& prefix, const char* name,
-               const std::string& labels, const serve::StageSnapshot& s) {
-  const std::string base = prefix + "_" + name;
+void histogram(std::string& out, const char* name, const std::string& labels,
+               const serve::StageSnapshot& s) {
+  const std::string base = std::string(kPrefix) + name;
   std::uint64_t cum = 0;
   for (int b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
     if (s.counts[b] == 0) continue;
@@ -136,95 +137,73 @@ void write_file_atomic(const std::string& path, const std::string& body) {
 
 }  // namespace
 
-std::string escape_label_value(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string render_prometheus(const Server::Stats& stats,
-                              const std::vector<TargetMetrics>& targets,
-                              const MetricsOptions& options) {
-  const std::string& p = options.prefix;
+std::string render_prometheus(const Server::Stats& stats) {
   std::string out;
   out.reserve(16 * 1024);
 
-  counter(out, p, "requests_total", "Submissions accepted",
+  counter(out, "requests_total", "Submissions accepted",
           stats.totals.requests);
-  counter(out, p, "rows_total", "Activation rows accepted", stats.totals.rows);
-  counter(out, p, "batches_total", "Batches dispatched", stats.totals.batches);
-  counter(out, p, "full_flushes_total", "Batches flushed on row budget",
+  counter(out, "rows_total", "Activation rows accepted", stats.totals.rows);
+  counter(out, "batches_total", "Batches dispatched", stats.totals.batches);
+  counter(out, "full_flushes_total", "Batches flushed on row budget",
           stats.totals.full_flushes);
-  counter(out, p, "timeout_flushes_total", "Batches flushed on max_wait/drain",
+  counter(out, "timeout_flushes_total", "Batches flushed on max_wait/drain",
           stats.totals.timeout_flushes);
-  counter(out, p, "slo_flushes_total", "Batches flushed early for a deadline",
+  counter(out, "slo_flushes_total", "Batches flushed early for a deadline",
           stats.totals.slo_flushes);
-  counter(out, p, "bypassed_total", "Requests served on the submit thread",
+  counter(out, "bypassed_total", "Requests served on the submit thread",
           stats.totals.bypassed);
-  counter(out, p, "errors_total", "Requests resolved non-OK",
+  counter(out, "errors_total", "Requests resolved non-OK",
           stats.totals.errors);
-  counter(out, p, "split_batches_total", "Batches run as concurrent serial SpMMs",
+  counter(out, "split_batches_total", "Batches run as concurrent serial SpMMs",
           stats.totals.split_batches);
-  counter(out, p, "ring_stalls_total", "Submits that found a full ring",
+  counter(out, "ring_stalls_total", "Submits that found a full ring",
           stats.ring_stalls);
-  counter(out, p, "shed_requests_total", "Requests refused by admission",
+  counter(out, "shed_requests_total", "Requests refused by admission",
           stats.shed_requests);
-  counter(out, p, "shed_bytes_total", "Staging bytes of shed requests",
+  counter(out, "shed_bytes_total", "Staging bytes of shed requests",
           stats.shed_bytes);
-  counter(out, p, "submit_deadline_fails_total",
+  counter(out, "submit_deadline_fails_total",
           "Submits whose deadline expired while stalled",
           stats.submit_deadline_fails);
-  counter(out, p, "trace_spans_total", "Trace spans recorded",
+  counter(out, "trace_spans_total", "Trace spans recorded",
           stats.trace_spans);
-  counter(out, p, "trace_drops_total",
+  counter(out, "trace_drops_total",
           "Trace spans overwritten by ring wraparound", stats.trace_drops);
-  gauge(out, p, "groups", "Distinct (target, options) groups seen",
+  gauge(out, "groups",
+        "Groups created (an evicted group that returns counts again)",
         stats.groups);
-  gauge(out, p, "shards", "Dispatcher shards", stats.shards);
-  gauge(out, p, "max_queue_depth", "Peak pending requests in any group",
+  gauge(out, "shards", "Dispatcher shards", stats.shards);
+  gauge(out, "max_queue_depth", "Peak pending requests in any group",
         stats.totals.max_queue_depth);
 
   // Per-shard counters, one family header then a sample per shard.
   if (!stats.per_shard.empty()) {
-    out += "# HELP " + p + "_shard_requests_total Per-shard counters\n";
-    out += "# TYPE " + p + "_shard_requests_total counter\n";
+    out += "# HELP nmspmm_shard_requests_total Per-shard counters\n";
+    out += "# TYPE nmspmm_shard_requests_total counter\n";
     for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
       std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_requests_total", labels,
+      sample(out, "shard_requests_total", labels,
              stats.per_shard[i].requests);
     }
-    out += "# TYPE " + p + "_shard_batches_total counter\n";
+    out += "# TYPE nmspmm_shard_batches_total counter\n";
     for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
       std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_batches_total", labels, stats.per_shard[i].batches);
+      sample(out, "shard_batches_total", labels, stats.per_shard[i].batches);
     }
-    out += "# TYPE " + p + "_shard_errors_total counter\n";
+    out += "# TYPE nmspmm_shard_errors_total counter\n";
     for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
       std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_errors_total", labels, stats.per_shard[i].errors);
+      sample(out, "shard_errors_total", labels, stats.per_shard[i].errors);
     }
   }
 
   // Latency histograms per (class, stage), plus exact min/max gauges
   // (the histogram's _sum/_count give the exact mean).
-  out += "# HELP " + p +
-         "_stage_latency_us Per-request stage latency (microseconds)\n";
-  out += "# TYPE " + p + "_stage_latency_us histogram\n";
+  out +=
+      "# HELP nmspmm_stage_latency_us Per-request stage latency "
+      "(microseconds)\n";
+  out += "# TYPE nmspmm_stage_latency_us histogram\n";
   for (int c = 0; c < serve::kNumClasses; ++c) {
     for (int st = 0; st < serve::kNumStages; ++st) {
       const auto& s = stats.latency.stages[c][st];
@@ -234,11 +213,11 @@ std::string render_prometheus(const Server::Stats& stats,
       labels += "\",stage=\"";
       labels += serve::to_string(static_cast<serve::Stage>(st));
       labels += "\",";
-      histogram(out, p, "stage_latency_us", labels, s);
+      histogram(out, "stage_latency_us", labels, s);
     }
   }
-  out += "# TYPE " + p + "_stage_latency_us_min gauge\n";
-  out += "# TYPE " + p + "_stage_latency_us_max gauge\n";
+  out += "# TYPE nmspmm_stage_latency_us_min gauge\n";
+  out += "# TYPE nmspmm_stage_latency_us_max gauge\n";
   for (int c = 0; c < serve::kNumClasses; ++c) {
     for (int st = 0; st < serve::kNumStages; ++st) {
       const auto& s = stats.latency.stages[c][st];
@@ -248,56 +227,23 @@ std::string render_prometheus(const Server::Stats& stats,
       labels += "\",stage=\"";
       labels += serve::to_string(static_cast<serve::Stage>(st));
       labels += "\"}";
-      sample(out, p, "stage_latency_us_min", labels, s.min_us);
-      sample(out, p, "stage_latency_us_max", labels, s.max_us);
+      sample(out, "stage_latency_us_min", labels, s.min_us);
+      sample(out, "stage_latency_us_max", labels, s.max_us);
     }
   }
-  out += "# TYPE " + p + "_class_slo_violations_total counter\n";
+  out += "# TYPE nmspmm_class_slo_violations_total counter\n";
   for (int c = 0; c < serve::kNumClasses; ++c) {
     std::string labels = "{class=\"";
     labels += serve::to_string(static_cast<serve::RequestClass>(c));
     labels += "\"}";
-    sample(out, p, "class_slo_violations_total", labels,
+    sample(out, "class_slo_violations_total", labels,
            stats.latency.violations[c]);
-  }
-
-  // Per-target sections (names escaped; a target label is caller text).
-  if (!targets.empty()) {
-    out += "# TYPE " + p + "_target_requests_total counter\n";
-    out += "# TYPE " + p + "_target_errors_total counter\n";
-    out += "# TYPE " + p + "_target_latency_us summary\n";
-    for (const TargetMetrics& t : targets) {
-      const std::string name = escape_label_value(t.name);
-      sample(out, p, "target_requests_total", "{target=\"" + name + "\"}",
-             t.stats.requests);
-      sample(out, p, "target_errors_total", "{target=\"" + name + "\"}",
-             t.stats.errors);
-      for (int c = 0; c < serve::kNumClasses; ++c) {
-        const auto& s =
-            t.latency.stage(static_cast<serve::RequestClass>(c),
-                            serve::Stage::kTotal);
-        if (s.count == 0) continue;
-        std::string base = "target=\"" + name + "\",class=\"";
-        base += serve::to_string(static_cast<serve::RequestClass>(c));
-        base += "\"";
-        sample(out, p, "target_latency_us",
-               "{" + base + ",quantile=\"0.5\"}", s.p50());
-        sample(out, p, "target_latency_us",
-               "{" + base + ",quantile=\"0.95\"}", s.p95());
-        sample(out, p, "target_latency_us",
-               "{" + base + ",quantile=\"0.99\"}", s.p99());
-        sample(out, p, "target_latency_us_sum", "{" + base + "}", s.sum_us);
-        sample(out, p, "target_latency_us_count", "{" + base + "}", s.count);
-      }
-    }
   }
   return out;
 }
 
-std::string render_json(const Server::Stats& stats,
-                        const std::vector<TargetMetrics>& targets,
-                        const MetricsOptions& options) {
-  std::string out = "{\"prefix\":\"" + options.prefix + "\",\"totals\":";
+std::string render_json(const Server::Stats& stats) {
+  std::string out = "{\"prefix\":\"nmspmm\",\"totals\":";
   append_json_group(out, stats.totals);
   out += ",\"groups\":";
   append_u64(out, stats.groups);
@@ -322,26 +268,7 @@ std::string render_json(const Server::Stats& stats,
   }
   out += "],\"latency\":";
   append_json_latency(out, stats.latency);
-  out += ",\"targets\":{";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (i > 0) out += ",";
-    std::string name = targets[i].name;
-    std::string escaped;
-    for (char c : name) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      if (c == '\n') {
-        escaped += "\\n";
-        continue;
-      }
-      escaped += c;
-    }
-    out += "\"" + escaped + "\":{\"stats\":";
-    append_json_group(out, targets[i].stats);
-    out += ",\"latency\":";
-    append_json_latency(out, targets[i].latency);
-    out += "}";
-  }
-  out += "}}\n";
+  out += "}\n";
   return out;
 }
 
@@ -401,11 +328,11 @@ void MetricsExporter::tick() {
   }
   if (!options_.prometheus_path.empty()) {
     write_file_atomic(options_.prometheus_path,
-                      render_prometheus(stats, {}, options_.metrics));
+                      render_prometheus(stats));
   }
   if (!options_.json_path.empty()) {
     write_file_atomic(options_.json_path,
-                      render_json(stats, {}, options_.metrics));
+                      render_json(stats));
   }
 }
 

@@ -15,10 +15,8 @@
 //    object, for harnesses that want numbers without a Prometheus
 //    parser.
 //
-// Per-shard counters ride with a shard="i" label; per-target sections
-// (a target is one weight matrix / model plan) are opt-in via the
-// targets argument because only the caller knows a printable name for a
-// target pointer — target labels are escaped per the exposition rules.
+// Every metric name carries the nmspmm_ prefix. Per-shard counters ride
+// with a shard="i" label.
 //
 // MetricsExporter is the periodic half: a background thread polls
 // server.stats() every interval_ms, rewrites the Prometheus/JSON files
@@ -40,32 +38,12 @@
 
 namespace nmspmm::obs {
 
-struct MetricsOptions {
-  std::string prefix = "nmspmm";  ///< metric-name prefix
-};
-
-/// One named target (weight matrix / model plan) to export per-target
-/// series for. The caller supplies the name — pointers are not labels.
-struct TargetMetrics {
-  std::string name;
-  Server::GroupStats stats;
-  serve::TelemetrySnapshot latency;
-};
-
-/// Escape a label value per the Prometheus text exposition rules
-/// (backslash, double quote, newline). Exposed for tests.
-[[nodiscard]] std::string escape_label_value(const std::string& value);
-
-/// Render @p stats (plus optional per-target sections) in Prometheus
-/// text exposition format, ending with a trailing newline.
-[[nodiscard]] std::string render_prometheus(
-    const Server::Stats& stats, const std::vector<TargetMetrics>& targets = {},
-    const MetricsOptions& options = {});
+/// Render @p stats in Prometheus text exposition format, ending with a
+/// trailing newline.
+[[nodiscard]] std::string render_prometheus(const Server::Stats& stats);
 
 /// The same snapshot as one JSON object.
-[[nodiscard]] std::string render_json(
-    const Server::Stats& stats, const std::vector<TargetMetrics>& targets = {},
-    const MetricsOptions& options = {});
+[[nodiscard]] std::string render_json(const Server::Stats& stats);
 
 /// One compact point of the exporter's in-memory timeline. Counters are
 /// cumulative-since-server-start (difference adjacent samples for
@@ -88,7 +66,6 @@ class MetricsExporter {
     std::uint32_t interval_ms = 100;
     std::string prometheus_path;  ///< rewritten each tick ("" = skip)
     std::string json_path;        ///< rewritten each tick ("" = skip)
-    MetricsOptions metrics;
     std::size_t max_samples = 4096;  ///< timeline bound (oldest dropped)
   };
 

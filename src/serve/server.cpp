@@ -97,6 +97,32 @@ std::uint8_t trace_cls_byte(serve::RequestClass cls) {
   return static_cast<std::uint8_t>(cls);
 }
 
+// The first five span kinds mirror serve::Stage one to one.
+static_assert(static_cast<int>(obs::SpanKind::kSubmit) ==
+                  static_cast<int>(serve::Stage::kSubmit) &&
+              static_cast<int>(obs::SpanKind::kQueue) ==
+                  static_cast<int>(serve::Stage::kQueue) &&
+              static_cast<int>(obs::SpanKind::kGather) ==
+                  static_cast<int>(serve::Stage::kGather) &&
+              static_cast<int>(obs::SpanKind::kExecute) ==
+                  static_cast<int>(serve::Stage::kExecute) &&
+              static_cast<int>(obs::SpanKind::kTotal) ==
+                  static_cast<int>(serve::Stage::kTotal));
+
+/// The attributes every stage record of one request carries: its class
+/// (the histogram row) and, for a sampled request, its span identity.
+obs::TraceSpan request_span(std::uint16_t shard, std::uint64_t trace_id,
+                            const void* target, index_t rows) {
+  obs::TraceSpan span;
+  span.trace_id = trace_id;
+  span.target =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(target));
+  span.rows = static_cast<std::uint32_t>(rows);
+  span.shard = shard;
+  span.cls = trace_cls_byte(serve::classify_rows(rows));
+  return span;
+}
+
 /// A plain-SpMM batch splits into concurrent serial lanes once its
 /// average rows per request reach this many: each request keeps a core
 /// busy on its own, and skipping the gather/scatter of large row blocks
@@ -320,7 +346,6 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
   if (stop_.load(std::memory_order_seq_cst)) {
     return ready(Status::Unavailable("server is shut down"));
   }
-  const auto cls = serve::classify_rows(A.rows());
 
   // Trace sampling: every accepted request (bypassed included) draws a
   // ticket; 1 in trace_sample_n carries a nonzero trace id through its
@@ -361,48 +386,16 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
     Status status = execute(g, key.options, A, &seq_id, C, &row);
     if (status.ok()) status = row;
     const auto resolved = Clock::now();
-    const bool violated =
-        deadline_us != 0 && resolved > deadline_from(submitted, deadline_us);
-    // Telemetry rides the shared_ptr, outside the lock: the bypassed
-    // request never queued or gathered, so only submit-side overhead,
-    // execution, and the end-to-end total are recorded.
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kSubmit,
-                 elapsed_us(submitted, exec_start));
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kExecute,
-                 elapsed_us(exec_start, resolved));
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kTotal,
-                 elapsed_us(submitted, resolved));
-    if (violated) {
-      g.counters.slo_violations.fetch_add(1, std::memory_order_relaxed);
-      shard.totals.slo_violations.fetch_add(1, std::memory_order_relaxed);
-      if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
-      if (shard.telemetry != nullptr) shard.telemetry->count_violation(cls);
-    }
-    if (!status.ok()) {
-      g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-      shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (trace_id != 0) {
-      const auto target = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(key.target));
-      auto emit = [&](obs::SpanKind kind, Clock::time_point from,
-                      Clock::time_point to) {
-        obs::TraceSpan span;
-        span.trace_id = trace_id;
-        span.kind = kind;
-        span.ts_us = tracer_->to_us(from);
-        span.dur_us = elapsed_us(from, to);
-        span.target = target;
-        span.rows = 1;
-        span.shard = shard.index;
-        span.cls = trace_cls_byte(cls);
-        span.lane = obs::ExecLane::kBypass;
-        tracer_->record(span);
-      };
-      emit(obs::SpanKind::kSubmit, submitted, exec_start);
-      emit(obs::SpanKind::kExecute, exec_start, resolved);
-      emit(obs::SpanKind::kTotal, submitted, resolved);
-    }
+    // The bypassed request never queued or gathered, so only submit-side
+    // overhead, execution, and the end-to-end total are recorded.
+    obs::TraceSpan request = request_span(shard.index, trace_id, key.target, 1);
+    request.lane = obs::ExecLane::kBypass;
+    record_stage(shard, request, serve::Stage::kSubmit, submitted, exec_start);
+    record_stage(shard, request, serve::Stage::kExecute, exec_start, resolved);
+    record_stage(shard, request, serve::Stage::kTotal, submitted, resolved);
+    count_outcome(
+        shard, g, serve::RequestClass::kDecode, !status.ok(),
+        deadline_us != 0 && resolved > deadline_from(submitted, deadline_us));
     return ready(status);
   }
 
@@ -542,9 +535,6 @@ std::shared_ptr<Server::Group>& Server::make_group(Shard& shard,
     slot->row_budget = shape.max_rows != 0
                            ? std::min(options_.max_batch_rows, shape.max_rows)
                            : options_.max_batch_rows;
-    if (options_.telemetry) {
-      slot->telemetry = std::make_shared<serve::Telemetry>();
-    }
     shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
   }
   return slot;
@@ -566,23 +556,11 @@ std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
     shard.totals.requests.fetch_add(1, std::memory_order_relaxed);
     shard.totals.rows.fetch_add(rows, std::memory_order_relaxed);
     // kSubmit ends at ring publish; ring residency counts as kQueue.
-    record_stage(shard, g.telemetry.get(),
-                 serve::classify_rows(m.request.a.rows()),
-                 serve::Stage::kSubmit,
-                 elapsed_us(m.request.submitted, m.request.enqueued));
-    if (m.request.trace_id != 0 && tracer_ != nullptr) {
-      obs::TraceSpan span;
-      span.trace_id = m.request.trace_id;
-      span.kind = obs::SpanKind::kSubmit;
-      span.ts_us = tracer_->to_us(m.request.submitted);
-      span.dur_us = elapsed_us(m.request.submitted, m.request.enqueued);
-      span.target = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(m.key.target));
-      span.rows = static_cast<std::uint32_t>(rows);
-      span.shard = shard.index;
-      span.cls = trace_cls_byte(serve::classify_rows(m.request.a.rows()));
-      tracer_->record(span);
-    }
+    record_stage(shard,
+                 request_span(shard.index, m.request.trace_id, m.key.target,
+                              m.request.a.rows()),
+                 serve::Stage::kSubmit, m.request.submitted,
+                 m.request.enqueued);
     g.queue.push(std::move(m.request));
     atomic_max(g.counters.max_queue_depth, g.queue.max_depth_seen());
     atomic_max(shard.totals.max_queue_depth, g.queue.max_depth_seen());
@@ -648,7 +626,7 @@ void Server::prune_idle_groups(Shard& shard, const Group* keep) {
        shard.groups.size() > options_.max_groups;) {
     // Idle = empty queue. A group whose batch is mid-flight on the
     // dispatcher may be evicted safely: the PendingBatch holds shared
-    // ownership of the Group (and its weights / plan / telemetry), and
+    // ownership of the Group (and its weights / plan), and
     // shard totals already carry every counter. An evicted group that
     // comes back starts fresh.
     if (it->second.get() != keep && it->second->queue.empty()) {
@@ -669,81 +647,79 @@ void Server::prune_staging(Shard& shard, StagingMap& staging) {
   }
 }
 
-void Server::record_stage(Shard& shard, serve::Telemetry* group_telemetry,
-                          serve::RequestClass cls, serve::Stage stage,
-                          std::uint64_t us) const {
-  if (group_telemetry != nullptr) group_telemetry->record(cls, stage, us);
-  if (shard.telemetry != nullptr) shard.telemetry->record(cls, stage, us);
+void Server::record_stage(Shard& shard, const obs::TraceSpan& request,
+                          serve::Stage stage, Clock::time_point from,
+                          Clock::time_point to, std::uint64_t detail) const {
+  const std::uint64_t us = elapsed_us(from, to);
+  if (shard.telemetry != nullptr) {
+    shard.telemetry->record(static_cast<serve::RequestClass>(request.cls),
+                            stage, us);
+  }
+  if (request.trace_id != 0 && tracer_ != nullptr) {
+    obs::TraceSpan span = request;
+    span.kind = static_cast<obs::SpanKind>(stage);
+    span.ts_us = tracer_->to_us(from);
+    span.dur_us = us;
+    span.detail = detail;
+    tracer_->record(span);
+  }
 }
 
-void Server::resolve_request(Shard& shard, PendingBatch& batch,
-                             BatchRequest& r, Clock::time_point exec_start,
-                             Clock::time_point exec_end,
-                             const Status& status) {
-  Group& g = *batch.group;
-  // Record before resolving the future: a caller that joins on its
-  // future and then reads stats() must see its own sample.
-  const auto resolved = Clock::now();
-  const auto cls = serve::classify_rows(r.a.rows());
-  if (r.has_deadline() && resolved > r.deadline) {
+obs::TraceSpan Server::batch_span(const Shard& shard,
+                                  const PendingBatch& batch,
+                                  const BatchRequest& r) {
+  obs::TraceSpan span =
+      request_span(shard.index, r.trace_id, batch.key.target, r.a.rows());
+  span.flush = trace_flush_byte(batch.reason);
+  span.lane = batch.lane;
+  return span;
+}
+
+void Server::count_outcome(Shard& shard, Group& g, serve::RequestClass cls,
+                           bool failed, bool violated) {
+  if (violated) {
     g.counters.slo_violations.fetch_add(1, std::memory_order_relaxed);
     shard.totals.slo_violations.fetch_add(1, std::memory_order_relaxed);
-    if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
     if (shard.telemetry != nullptr) shard.telemetry->count_violation(cls);
   }
-  if (!status.ok()) {
+  if (failed) {
     g.counters.errors.fetch_add(1, std::memory_order_relaxed);
     shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kQueue,
-               elapsed_us(r.enqueued, batch.popped));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kGather,
-               elapsed_us(batch.popped, exec_start));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kExecute,
-               elapsed_us(exec_start, exec_end));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kTotal,
-               elapsed_us(r.submitted, resolved));
-  if (r.trace_id != 0 && tracer_ != nullptr) {
-    trace_request(shard, batch, r, exec_start, exec_end, resolved);
-  }
-  // Drop inflight before fulfilling the promise: a caller that joins
-  // and immediately submits a single row must observe the idle shard
-  // (bypass eligibility), not a stale in-flight count.
+}
+
+void Server::release_request(Shard& shard, Group& g, const BatchRequest& r,
+                             bool failed, bool violated) {
+  count_outcome(shard, g, serve::classify_rows(r.a.rows()), failed, violated);
   shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
                                std::memory_order_relaxed);
   shard.pending_bytes.fetch_sub(staging_bytes(r.a.rows(), r.a.cols(),
                                               r.c.cols()),
                                 std::memory_order_relaxed);
   shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
-  r.done.set_value(status);
 }
 
-void Server::trace_request(const Shard& shard, const PendingBatch& batch,
-                           const BatchRequest& r,
-                           Clock::time_point exec_start,
-                           Clock::time_point exec_end,
-                           Clock::time_point resolved) const {
-  obs::TraceSpan span;
-  span.trace_id = r.trace_id;
-  span.target = static_cast<std::uint64_t>(
-      reinterpret_cast<std::uintptr_t>(batch.key.target));
-  span.rows = static_cast<std::uint32_t>(r.a.rows());
-  span.shard = shard.index;
-  span.cls = trace_cls_byte(serve::classify_rows(r.a.rows()));
-  span.flush = trace_flush_byte(batch.reason);
-  span.lane = batch.lane;
-  auto emit = [&](obs::SpanKind kind, Clock::time_point from,
-                  Clock::time_point to, std::uint64_t detail = 0) {
-    span.kind = kind;
-    span.ts_us = tracer_->to_us(from);
-    span.dur_us = elapsed_us(from, to);
-    span.detail = detail;
-    tracer_->record(span);
-  };
-  emit(obs::SpanKind::kQueue, r.enqueued, batch.popped);
-  emit(obs::SpanKind::kGather, batch.popped, exec_start);
-  emit(obs::SpanKind::kExecute, exec_start, exec_end, batch.exec_repacks);
-  emit(obs::SpanKind::kTotal, r.submitted, resolved);
+void Server::resolve_request(Shard& shard, PendingBatch& batch,
+                             BatchRequest& r, Clock::time_point exec_start,
+                             Clock::time_point exec_end,
+                             const Status& status) {
+  // Record before resolving the future: a caller that joins on its
+  // future and then reads stats() must see its own sample.
+  const auto resolved = Clock::now();
+  const obs::TraceSpan request = batch_span(shard, batch, r);
+  record_stage(shard, request, serve::Stage::kQueue, r.enqueued,
+               batch.popped);
+  record_stage(shard, request, serve::Stage::kGather, batch.popped,
+               exec_start);
+  record_stage(shard, request, serve::Stage::kExecute, exec_start, exec_end,
+               batch.exec_repacks);
+  record_stage(shard, request, serve::Stage::kTotal, r.submitted, resolved);
+  // Drop inflight before fulfilling the promise: a caller that joins
+  // and immediately submits a single row must observe the idle shard
+  // (bypass eligibility), not a stale in-flight count.
+  release_request(shard, *batch.group, r, !status.ok(),
+                  r.has_deadline() && resolved > r.deadline);
+  r.done.set_value(status);
 }
 
 Status Server::execute(const Group& group, const SpmmOptions& options,
@@ -784,6 +760,7 @@ Status Server::serve_batch(Shard& shard, PendingBatch& batch,
 
   // A lone request needs no gather/scatter: its own views are the batch
   // (same plan caches, zero copies).
+  batch.lane = obs::ExecLane::kCoalesce;
   BatchRequest& front = batch.requests.front();
   ConstViewF a_view = front.a;
   ViewF c_view = front.c;
@@ -891,7 +868,6 @@ Status Server::serve_batch_split(Shard& shard, PendingBatch& batch) {
 
 void Server::fail_batch(Shard& shard, PendingBatch& batch,
                         const Status& status) {
-  Group& g = *batch.group;
   for (BatchRequest& r : batch.requests) {
     // A request may already have been resolved before the failure
     // surfaced; second set_value throws future_error — skip those
@@ -901,14 +877,8 @@ void Server::fail_batch(Shard& shard, PendingBatch& batch,
     } catch (const std::future_error&) {
       continue;
     }
-    g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
-                                 std::memory_order_relaxed);
-    shard.pending_bytes.fetch_sub(staging_bytes(r.a.rows(), r.a.cols(),
-                                                r.c.cols()),
-                                  std::memory_order_relaxed);
-    shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
+    release_request(shard, *batch.group, r, /*failed=*/true,
+                    /*violated=*/false);
   }
 }
 
@@ -931,32 +901,15 @@ void Server::dispatcher_loop(Shard& shard) {
       // the drain's remaining time computing an answer nobody is
       // waiting for (and instead of hanging its future).
       if (stop_.load(std::memory_order_relaxed)) {
-        Group& g = *batch.group;
         const auto now = Clock::now();
         std::vector<BatchRequest> live;
         live.reserve(batch.requests.size());
         for (BatchRequest& r : batch.requests) {
           if (r.has_deadline() && now > r.deadline) {
-            const auto cls = serve::classify_rows(r.a.rows());
-            g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-            g.counters.slo_violations.fetch_add(1,
-                                                std::memory_order_relaxed);
-            shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-            shard.totals.slo_violations.fetch_add(
-                1, std::memory_order_relaxed);
-            if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
-            if (shard.telemetry != nullptr) {
-              shard.telemetry->count_violation(cls);
-            }
-            record_stage(shard, g.telemetry.get(), cls,
-                         serve::Stage::kTotal, elapsed_us(r.submitted, now));
-            shard.pending_rows.fetch_sub(
-                static_cast<std::uint64_t>(r.a.rows()),
-                std::memory_order_relaxed);
-            shard.pending_bytes.fetch_sub(
-                staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
-                std::memory_order_relaxed);
-            shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
+            record_stage(shard, batch_span(shard, batch, r),
+                         serve::Stage::kTotal, r.submitted, now);
+            release_request(shard, *batch.group, r, /*failed=*/true,
+                            /*violated=*/true);
             r.done.set_value(Status::DeadlineExceeded(
                 "deadline expired before the drain reached the request"));
           } else {
@@ -1100,18 +1053,6 @@ Server::GroupStats Server::target_stats(const void* target) const {
   return stats;
 }
 
-serve::TelemetrySnapshot Server::target_latency(const void* target) const {
-  Shard& shard = shard_of(target);
-  std::lock_guard lock(shard.mutex);
-  serve::TelemetrySnapshot snap;
-  for (const auto& [key, group] : shard.groups) {
-    if (key.target == target && group->telemetry != nullptr) {
-      snap.merge(group->telemetry->snapshot());
-    }
-  }
-  return snap;
-}
-
 Server::GroupStats Server::weights_stats(const CompressedNM* weights) const {
   return target_stats(weights);
 }
@@ -1123,21 +1064,6 @@ Server::GroupStats Server::model_stats(const model::ModelPlan* plan) const {
 Server::GroupStats Server::decode_stats(
     const model::DecoderPlan* plan) const {
   return target_stats(plan);
-}
-
-serve::TelemetrySnapshot Server::weights_latency(
-    const CompressedNM* weights) const {
-  return target_latency(weights);
-}
-
-serve::TelemetrySnapshot Server::model_latency(
-    const model::ModelPlan* plan) const {
-  return target_latency(plan);
-}
-
-serve::TelemetrySnapshot Server::decode_latency(
-    const model::DecoderPlan* plan) const {
-  return target_latency(plan);
 }
 
 }  // namespace nmspmm

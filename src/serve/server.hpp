@@ -13,7 +13,7 @@
 //   auto f2 = server.submit(a2.view(), weights, c2.view());
 //   f1.get().check_ok();                          // both served by ONE SpMM
 //
-// Architecture (sharded since the lock-free-submit refactor):
+// Architecture:
 //
 //   submit threads                dispatcher shards              engine
 //   ──────────────                ─────────────────              ──────
@@ -91,8 +91,7 @@
 // future) so one malformed submission can never poison a batch. Shutdown
 // drains: every request accepted before shutdown() is served, then the
 // dispatchers exit; submissions after shutdown fail with UNAVAILABLE
-// (retryable — e.g. against a replacement server; before the overload
-// work this surfaced as FAILED_PRECONDITION). Prefer raw Engine::spmm
+// (retryable — e.g. against a replacement server). Prefer raw Engine::spmm
 // when requests are already large batches — batching adds a
 // gather/scatter copy and up to max_wait_us of latency that only pay
 // off on small concurrent requests.
@@ -300,7 +299,9 @@ class Server {
   struct Stats {
     GroupStats totals;  ///< every request ever accepted, incl. evicted
                         ///< groups (per-shard counters, exact)
-    std::size_t groups = 0;  ///< distinct (target, options) groups seen
+    /// (target, options) groups created. An evicted group that comes
+    /// back is created, and counted, again.
+    std::size_t groups = 0;
     std::size_t shards = 0;  ///< dispatcher shards (resolved num_shards)
     /// Times a submit found its shard's ring full and had to back off
     /// before claiming a slot (one per stalled request, not per retry).
@@ -339,16 +340,6 @@ class Server {
   [[nodiscard]] GroupStats model_stats(const model::ModelPlan* plan) const;
   /// As weights_stats, for the decode groups serving @p plan.
   [[nodiscard]] GroupStats decode_stats(const model::DecoderPlan* plan) const;
-  /// Latency snapshot of the *live* groups serving @p weights (any
-  /// options); evicted groups' samples only survive in stats().latency.
-  [[nodiscard]] serve::TelemetrySnapshot weights_latency(
-      const CompressedNM* weights) const;
-  /// As weights_latency, for the FFN groups serving @p plan.
-  [[nodiscard]] serve::TelemetrySnapshot model_latency(
-      const model::ModelPlan* plan) const;
-  /// As weights_latency, for the decode groups serving @p plan.
-  [[nodiscard]] serve::TelemetrySnapshot decode_latency(
-      const model::DecoderPlan* plan) const;
 
   /// Write every retained trace span as Chrome trace-event JSON (load
   /// the file in chrome://tracing or ui.perfetto.dev). FAILED_PRECONDITION
@@ -424,13 +415,6 @@ class Server {
     /// (dispatcher drain/flush, bypass idle checks never read it).
     BatchQueue queue;
     GroupCounters counters;
-    /// Stage-latency recorder for the per-target latency queries (null
-    /// when ServerOptions::telemetry is off). shared_ptr: bypassed
-    /// submissions and in-flight batches record into it outside the
-    /// shard lock, so it must outlive a concurrent eviction of the
-    /// group (samples recorded after eviction are dropped from the
-    /// per-target view; the shard recorder keeps them).
-    std::shared_ptr<serve::Telemetry> telemetry;
   };
   /// One submission in flight between submit() and its shard's
   /// dispatcher: everything needed to find-or-create the group and
@@ -442,7 +426,7 @@ class Server {
     BatchRequest request;
   };
   /// A popped batch, ready to execute outside the lock. Holds shared
-  /// ownership of its group (and through it weights / plan / telemetry),
+  /// ownership of its group (and through it weights / plan),
   /// so eviction can never free state a batch still executes against.
   struct PendingBatch {
     std::shared_ptr<Group> group;
@@ -453,9 +437,10 @@ class Server {
     Clock::time_point popped;
     /// Why next_batch flushed it (a trace attribute on every span).
     FlushReason reason = FlushReason::kTimeout;
-    /// How serve_batch executed it, and the WeightStore repack events
-    /// observed during the execute window (trace attributes).
-    obs::ExecLane lane = obs::ExecLane::kCoalesce;
+    /// How serve_batch executed it (kNone until it runs), and the
+    /// WeightStore repack events observed during the execute window
+    /// (trace attributes).
+    obs::ExecLane lane = obs::ExecLane::kNone;
     std::uint64_t exec_repacks = 0;
   };
   /// Reusable gather/scatter staging, owned by one dispatcher thread and
@@ -478,8 +463,8 @@ class Server {
   ///    evict), by bypassing submitters (shard idle by definition), by
   ///    per-target stats queries, and momentarily by a submitter waking
   ///    a sleeping dispatcher — never on the lock-free submit path.
-  ///  - `totals`, group counters, and telemetry are atomics / lock-free
-  ///    recorders, updated and read without the mutex.
+  ///  - `totals`, group counters, and the telemetry recorder are atomics
+  ///    / lock-free, updated and read without the mutex.
   ///
   /// Sleep/wake is an eventcount over `pushed` + `sleeping`, all
   /// seq_cst (TSan-clean; no fences): a producer does {publish;
@@ -593,12 +578,29 @@ class Server {
   /// Prefill-heavy plain-SpMM batches: run the requests as concurrent
   /// serial SpMMs on the engine pool, each straight on its caller's views.
   Status serve_batch_split(Shard& shard, PendingBatch& batch);
-  /// Record @p us for @p stage into both the group and shard recorders.
-  void record_stage(Shard& shard, serve::Telemetry* group_telemetry,
-                    serve::RequestClass cls, serve::Stage stage,
-                    std::uint64_t us) const;
-  /// Account one resolved request (violation / error counters, stage
-  /// telemetry, inflight) and fulfil its promise.
+  /// The one stage record: the interval [@p from, @p to] of @p stage
+  /// goes into the shard histogram of @p request's class and, when the
+  /// request is sampled (nonzero trace_id), out as a span carrying
+  /// @p request's attributes and @p detail.
+  void record_stage(Shard& shard, const obs::TraceSpan& request,
+                    serve::Stage stage, Clock::time_point from,
+                    Clock::time_point to, std::uint64_t detail = 0) const;
+  /// The attributes of @p r's stage records once it sits in @p batch:
+  /// request identity plus the batch's flush reason and execute lane.
+  [[nodiscard]] static obs::TraceSpan batch_span(const Shard& shard,
+                                                 const PendingBatch& batch,
+                                                 const BatchRequest& r);
+  /// Count a resolved request's error / SLO violation on its group and
+  /// shard (bypassed requests included).
+  static void count_outcome(Shard& shard, Group& g, serve::RequestClass cls,
+                            bool failed, bool violated);
+  /// Settle one ring-path request before its promise is fulfilled:
+  /// count_outcome, then give back its admission gauges
+  /// (pending_rows / pending_bytes) and its inflight slot.
+  static void release_request(Shard& shard, Group& g, const BatchRequest& r,
+                              bool failed, bool violated);
+  /// Record the batched stages of one executed request, release it, and
+  /// fulfil its promise.
   void resolve_request(Shard& shard, PendingBatch& batch, BatchRequest& r,
                        Clock::time_point exec_start,
                        Clock::time_point exec_end, const Status& status);
@@ -606,16 +608,6 @@ class Server {
   void fail_batch(Shard& shard, PendingBatch& batch, const Status& status);
   /// Aggregate the live groups whose key target is @p target.
   [[nodiscard]] GroupStats target_stats(const void* target) const;
-  /// Merge the latency snapshots of the live groups serving @p target.
-  [[nodiscard]] serve::TelemetrySnapshot target_latency(
-      const void* target) const;
-
-  /// Emit the per-stage spans of one resolved traced request (r must
-  /// carry a nonzero trace_id); @p resolved closes the kTotal span.
-  void trace_request(const Shard& shard, const PendingBatch& batch,
-                     const BatchRequest& r, Clock::time_point exec_start,
-                     Clock::time_point exec_end,
-                     Clock::time_point resolved) const;
   /// Dump the flight recorder to options_.trace_flight_path (no-op when
   /// tracing is off or the path is empty). Called by the dispatcher's
   /// exception guard after a batch failure.

@@ -12,7 +12,7 @@
 // into fixed-bucket log-scale latency histograms, split by request class
 // (decode = 1 activation row, prefill = more). Percentiles (p50/p95/p99)
 // fall out of the bucket counts; Server::stats() exposes the aggregate
-// and per-group snapshots.
+// over its shards.
 //
 // The capture path is deliberately lock-free: a Telemetry object owns up
 // to kMaxShards per-thread shards (lazily CAS-installed, one per

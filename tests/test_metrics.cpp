@@ -1,5 +1,5 @@
-// Metrics export: Prometheus text exposition (line grammar, label
-// escaping, histogram bucket cumulativity), the JSON rendering, and the
+// Metrics export: Prometheus text exposition (line grammar, histogram
+// bucket cumulativity), the JSON rendering, and the
 // periodic MetricsExporter (timeline samples + atomic file rewrites).
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ std::shared_ptr<const CompressedNM> shared_weights(index_t k, index_t n,
 
 // A server that has actually served traffic, so the exposition carries
 // occupied histograms, per-shard counters, and nonzero totals.
-Server::Stats served_stats(std::vector<obs::TargetMetrics>* targets = nullptr) {
+Server::Stats served_stats() {
   Rng rng(61);
   auto b = shared_weights(64, 64, rng);
   ServerOptions opt;
@@ -40,11 +40,6 @@ Server::Stats served_stats(std::vector<obs::TargetMetrics>* targets = nullptr) {
     const MatrixF a = random_int_matrix(i % 4 == 0 ? 4 : 1, 64, rng);
     MatrixF c(a.rows(), 64);
     NMSPMM_EXPECT_OK(server.submit(a.view(), b, c.view()).get());
-  }
-  if (targets != nullptr) {
-    targets->push_back(obs::TargetMetrics{
-        "llama\"ffn\\b0\n", server.weights_stats(b.get()),
-        server.weights_latency(b.get())});
   }
   return server.stats();
 }
@@ -153,14 +148,6 @@ struct Exposition {
   return ::testing::AssertionSuccess();
 }
 
-TEST(Metrics, EscapeLabelValueHandlesTheThreeSpecials) {
-  EXPECT_EQ(obs::escape_label_value("plain"), "plain");
-  EXPECT_EQ(obs::escape_label_value("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::escape_label_value("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::escape_label_value("a\nb"), "a\\nb");
-  EXPECT_EQ(obs::escape_label_value("\\\"\n"), "\\\\\\\"\\n");
-}
-
 TEST(Metrics, EmptyStatsRenderAValidExposition) {
   Exposition exp;
   const std::string text = obs::render_prometheus(Server::Stats{});
@@ -171,10 +158,9 @@ TEST(Metrics, EmptyStatsRenderAValidExposition) {
   EXPECT_EQ(exp.types.at("nmspmm_max_queue_depth"), "gauge");
 }
 
-TEST(Metrics, ServedStatsExpositionParsesWithEscapedTargetLabels) {
-  std::vector<obs::TargetMetrics> targets;
-  const Server::Stats stats = served_stats(&targets);
-  const std::string text = obs::render_prometheus(stats, targets);
+TEST(Metrics, ServedStatsExpositionParsesAndShardsSumToTotals) {
+  const Server::Stats stats = served_stats();
+  const std::string text = obs::render_prometheus(stats);
   Exposition exp;
   ASSERT_TRUE(parse_exposition(text, exp)) << text;
 
@@ -189,11 +175,6 @@ TEST(Metrics, ServedStatsExpositionParsesWithEscapedTargetLabels) {
                                 std::to_string(i) + "\"}");
   }
   EXPECT_EQ(shard_sum, static_cast<double>(stats.totals.requests));
-  // The hostile target name round-trips escaped (parse already checked
-  // escape validity; presence checks the exact escaping).
-  EXPECT_NE(
-      text.find("target=\"llama\\\"ffn\\\\b0\\n\""), std::string::npos)
-      << text;
 }
 
 TEST(Metrics, HistogramBucketsAreCumulativeAndEndAtInf) {
@@ -252,9 +233,8 @@ TEST(Metrics, HistogramBucketsAreCumulativeAndEndAtInf) {
 }
 
 TEST(Metrics, JsonRenderingIsStructurallySound) {
-  std::vector<obs::TargetMetrics> targets;
-  const Server::Stats stats = served_stats(&targets);
-  const std::string json = obs::render_json(stats, targets);
+  const Server::Stats stats = served_stats();
+  const std::string json = obs::render_json(stats);
   // Cheap structural checks: balanced braces outside strings, the
   // expected top-level keys, a trailing newline.
   long depth = 0;
@@ -278,8 +258,8 @@ TEST(Metrics, JsonRenderingIsStructurallySound) {
   EXPECT_FALSE(in_string);
   EXPECT_EQ(json.back(), '\n');
   for (const char* key :
-       {"\"totals\":", "\"per_shard\":", "\"latency\":", "\"targets\":",
-        "\"trace_spans\":", "\"min_us\":", "\"p99_us\":"}) {
+       {"\"totals\":", "\"per_shard\":", "\"latency\":", "\"trace_spans\":",
+        "\"min_us\":", "\"p99_us\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }

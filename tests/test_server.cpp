@@ -8,7 +8,9 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -32,6 +34,54 @@ MatrixF reference_for(ConstViewF A, const CompressedNM& B) {
   MatrixF C(A.rows(), B.cols);
   spmm_reference(A, B, C.view(), false);
   return C;
+}
+
+using serve::RequestClass;
+using serve::Stage;
+using obs::SpanKind;
+using SpanKinds = std::set<SpanKind>;
+const SpanKinds kBatchedSpans = {SpanKind::kSubmit, SpanKind::kQueue,
+                                 SpanKind::kGather, SpanKind::kExecute,
+                                 SpanKind::kTotal};
+const SpanKinds kBypassSpans = {SpanKind::kSubmit, SpanKind::kExecute,
+                                SpanKind::kTotal};
+
+/// Expect @p latency's sample count per stage of @p cls, in Stage order
+/// (submit, queue, gather, execute, total).
+void expect_stage_counts(const serve::TelemetrySnapshot& latency,
+                         RequestClass cls,
+                         const std::vector<std::uint64_t>& counts) {
+  for (int st = 0; st < serve::kNumStages; ++st) {
+    EXPECT_EQ(latency.stage(cls, static_cast<Stage>(st)).count,
+              counts[static_cast<std::size_t>(st)])
+        << serve::to_string(cls) << " "
+        << serve::to_string(static_cast<Stage>(st));
+  }
+}
+
+/// For a server tracing every request (trace_sample_n = 1): expect the
+/// spans of each (class, stage) to number exactly the histogram samples
+/// stats().latency holds for it, and return how many requests left each
+/// set of span kinds.
+std::map<SpanKinds, int> expect_spans_match_stages(const Server& server) {
+  std::uint64_t spans[serve::kNumClasses][serve::kNumStages] = {};
+  std::map<std::uint64_t, SpanKinds> by_request;
+  for (const obs::TraceSpan& s : server.tracer()->snapshot()) {
+    if (s.trace_id == 0) continue;  // batch-window spans (repack, attn)
+    ++spans[s.cls][static_cast<int>(s.kind)];
+    by_request[s.trace_id].insert(s.kind);
+  }
+  const serve::TelemetrySnapshot latency = server.stats().latency;
+  for (int c = 0; c < serve::kNumClasses; ++c) {
+    for (int st = 0; st < serve::kNumStages; ++st) {
+      EXPECT_EQ(spans[c][st], latency.stages[c][st].count)
+          << serve::to_string(static_cast<RequestClass>(c)) << " "
+          << serve::to_string(static_cast<Stage>(st));
+    }
+  }
+  std::map<SpanKinds, int> paths;
+  for (const auto& [id, kinds] : by_request) ++paths[kinds];
+  return paths;
 }
 
 TEST(BatchQueuePolicy, ReadyOnRowBudgetOrDeadline) {
@@ -320,6 +370,7 @@ TEST(Server, DispatcherGuardFailsBatchWithInternalInsteadOfTerminating) {
   opt.max_wait_us = 60 * 1000 * 1000;  // flush only when full
   opt.bypass_single_rows = false;      // force the queued path
   opt.max_staging_bytes = 1;  // any multi-request gather trips the guard
+  opt.trace_sample_n = 1;
   Server server(opt);
 
   // Two 1-row requests coalesce into one 2-row batch whose staging
@@ -345,6 +396,16 @@ TEST(Server, DispatcherGuardFailsBatchWithInternalInsteadOfTerminating) {
   const Server::GroupStats stats = server.weights_stats(B.get());
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_GE(stats.batches, 2u);
+  EXPECT_EQ(server.stats().totals.errors, 2u);
+
+  // The failed batch's requests recorded only their submit stage; the
+  // lone one that followed recorded every stage.
+  const auto latency = server.stats().latency;
+  expect_stage_counts(latency, RequestClass::kDecode, {2, 0, 0, 0, 0});
+  expect_stage_counts(latency, RequestClass::kPrefill, {1, 1, 1, 1, 1});
+  const auto paths = expect_spans_match_stages(server);
+  EXPECT_EQ(paths, (std::map<SpanKinds, int>{{{SpanKind::kSubmit}, 2},
+                                             {kBatchedSpans, 1}}));
 }
 
 TEST(Server, RejectsEpilogueOptionsOnBatchedSubmissions) {
@@ -467,6 +528,7 @@ TEST(ServerSlo, ShutdownFailsExpiredDeadlinesInsteadOfServingThem) {
   opt.max_batch_rows = 1 << 20;
   opt.max_wait_us = 60 * 1000 * 1000;  // nothing flushes before shutdown
   opt.slo_aware = false;               // keep the expired request queued
+  opt.trace_sample_n = 1;
   Server server(opt);
 
   MatrixF a_expired = random_int_matrix(2, k, rng);
@@ -491,8 +553,18 @@ TEST(ServerSlo, ShutdownFailsExpiredDeadlinesInsteadOfServingThem) {
       max_abs_diff(reference_for(a_live.view(), *B).cview(), c_live.cview()),
       0.0);
   const auto stats = server.stats();
-  EXPECT_GE(stats.totals.errors, 1u);
-  EXPECT_GE(stats.totals.slo_violations, 1u);
+  EXPECT_EQ(stats.totals.errors, 1u);
+  EXPECT_EQ(stats.totals.slo_violations, 1u);
+  EXPECT_EQ(stats.latency.violations[static_cast<int>(RequestClass::kPrefill)],
+            1u);
+
+  // The expired request recorded submit and total, the live one every
+  // stage; each left exactly the spans of the stages it recorded.
+  expect_stage_counts(stats.latency, RequestClass::kPrefill, {2, 1, 1, 1, 2});
+  const auto paths = expect_spans_match_stages(server);
+  EXPECT_EQ(paths, (std::map<SpanKinds, int>{
+                       {{SpanKind::kSubmit, SpanKind::kTotal}, 1},
+                       {kBatchedSpans, 1}}));
 }
 
 TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
@@ -503,6 +575,7 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
   ServerOptions opt;
   opt.max_batch_rows = 8;
   opt.max_wait_us = 500;
+  opt.trace_sample_n = 1;
   Server server(opt);  // telemetry defaults on
 
   for (int i = 0; i < 6; ++i) {
@@ -514,22 +587,19 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
     NMSPMM_ASSERT_OK(server.submit(a3.view(), B, c3.view()).get());
   }
 
-  using serve::RequestClass;
-  using serve::Stage;
   const auto latency = server.stats().latency;
   EXPECT_EQ(latency.requests(RequestClass::kDecode), 6u);
   EXPECT_EQ(latency.requests(RequestClass::kPrefill), 6u);
   // Batched prefill requests pass through every stage; bypassed decode
   // requests skip queue/gather but record submit/execute/total.
-  EXPECT_EQ(latency.stage(RequestClass::kPrefill, Stage::kQueue).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kPrefill, Stage::kGather).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kDecode, Stage::kExecute).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kDecode, Stage::kQueue).count, 0u);
+  expect_stage_counts(latency, RequestClass::kDecode, {6, 0, 0, 6, 6});
+  expect_stage_counts(latency, RequestClass::kPrefill, {6, 6, 6, 6, 6});
   EXPECT_GT(latency.stage(RequestClass::kPrefill, Stage::kTotal).p99(), 0u);
-  // The per-target view agrees with the aggregate for a one-group server.
-  EXPECT_EQ(server.weights_latency(B.get()).total_requests(),
-            latency.total_requests());
   EXPECT_EQ(latency.total_violations(), 0u);
+  EXPECT_EQ(server.stats().totals.bypassed, 6u);
+  const auto paths = expect_spans_match_stages(server);
+  EXPECT_EQ(paths, (std::map<SpanKinds, int>{{kBypassSpans, 6},
+                                             {kBatchedSpans, 6}}));
 }
 
 // --- Sharded dispatch: the lock-free submission rings, per-shard
@@ -606,6 +676,7 @@ TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
   opt.num_shards = 1;
   opt.max_batch_rows = 32;
   opt.max_wait_us = 200000;  // only full batches flush
+  opt.trace_sample_n = 1;
 
   Server server(opt);
   struct Request {
@@ -637,6 +708,18 @@ TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_GE(stats.split_batches, 1u);
   EXPECT_EQ(stats.split_batches, stats.batches);
+
+  // Split lanes record every stage of every request, like a gather.
+  const auto latency = server.stats().latency;
+  expect_stage_counts(latency, RequestClass::kPrefill, {4, 4, 4, 4, 4});
+  expect_stage_counts(latency, RequestClass::kDecode, {0, 0, 0, 0, 0});
+  const auto paths = expect_spans_match_stages(server);
+  EXPECT_EQ(paths, (std::map<SpanKinds, int>{{kBatchedSpans, 4}}));
+  for (const obs::TraceSpan& s : server.tracer()->snapshot()) {
+    if (s.kind == SpanKind::kExecute) {
+      EXPECT_EQ(s.lane, obs::ExecLane::kSplit);
+    }
+  }
 }
 
 TEST(ServerSharded, AutoPolicySplitsPrefillAndCoalescesDecode) {
