@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/epilogue.hpp"  // fast_exp, fast_exp16, fast_exp8
+#include "core/epilogue.hpp"  // fast_exp, detail::exp_of
 
 namespace nmspmm::attn {
 
@@ -28,11 +28,6 @@ Status AttnConfig::validate() const {
     os << "AttnConfig.rope_theta must be positive, got " << rope_theta;
     return Status::InvalidArgument(os.str());
   }
-  if (!simd::kernel_compiled(kernel)) {
-    os << "attention kernel '" << simd::to_string(kernel)
-       << "' is not compiled into this build";
-    return Status::InvalidArgument(os.str());
-  }
   return Status::Ok();
 }
 
@@ -43,287 +38,100 @@ namespace {
 /// reduction, which reduces one block's sixteen dots in one register.
 constexpr index_t kBlock = 16;
 
-// The three kernel-specific sweeps of a block. Each vector path mirrors
-// its scalar form op for op: the logits reduce through simd::dot's
-// 16-lane tree, the weights are elementwise fast_exp, and the
-// attention·V update is one fma per element per token in token order.
-
-// GCC 12 leaks a bogus -Wmaybe-uninitialized out of the unmasked
-// AVX-512 intrinsics' undefined merge sources (GCC PR105593), as in
-// core/epilogue.hpp's vector mirrors; silenced for these kernels only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-#if defined(__AVX512F__)
-/// simd::detail::lane_tree of sixteen accumulators at once (token t in
-/// @p a[t]), returned in token order. Each stage shuffles two registers
-/// so one add performs that tree level for two, then four tokens, with
-/// exactly lane_tree's operand pairs.
-inline __m512 lane_tree16x16(const __m512* a) {
-  __m512 u[8];  // stride 8: quarters 0-1 token 2i, 2-3 token 2i+1
-  for (int i = 0; i < 8; ++i) {
-    u[i] = _mm512_add_ps(_mm512_shuffle_f32x4(a[2 * i], a[2 * i + 1], 0x44),
-                         _mm512_shuffle_f32x4(a[2 * i], a[2 * i + 1], 0xEE));
-  }
-  __m512 v[4];  // stride 4: quarter k holds token 4i + k
-  for (int i = 0; i < 4; ++i) {
-    v[i] = _mm512_add_ps(_mm512_shuffle_f32x4(u[2 * i], u[2 * i + 1], 0x88),
-                         _mm512_shuffle_f32x4(u[2 * i], u[2 * i + 1], 0xDD));
-  }
-  // stride 2: quarter k holds tokens (k, 4 + k), then (8 + k, 12 + k)
-  const __m512 w0 = _mm512_add_ps(_mm512_shuffle_ps(v[0], v[1], 0x44),
-                                  _mm512_shuffle_ps(v[0], v[1], 0xEE));
-  const __m512 w1 = _mm512_add_ps(_mm512_shuffle_ps(v[2], v[3], 0x44),
-                                  _mm512_shuffle_ps(v[2], v[3], 0xEE));
-  // stride 1: lane 4k + j holds token k + 4j; permute to token order.
-  const __m512 x = _mm512_add_ps(_mm512_shuffle_ps(w0, w1, 0x88),
-                                 _mm512_shuffle_ps(w0, w1, 0xDD));
-  return _mm512_permutexvar_ps(
-      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15),
-      x);
-}
-
-inline __mmask16 tail_mask16(index_t n) {
-  return static_cast<__mmask16>((1u << n) - 1u);
-}
-#endif
-
-#if defined(__AVX2__) && defined(__FMA__)
-/// simd::detail::lane_tree of lanes 0..7 in @p lo and 8..15 in @p hi.
-inline float lane_tree8x2(__m256 lo, __m256 hi) {
-  const __m256 s8 = _mm256_add_ps(lo, hi);
-  const __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
-                               _mm256_extractf128_ps(s8, 1));
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  return _mm_cvtss_f32(_mm_add_ss(s2, _mm_movehdup_ps(s2)));
-}
-
-/// Lane mask of the first min(@p n, 8) lanes.
-inline __m256i tail_mask8(index_t n) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
-/// fma into the first @p n lanes of @p c only (simd::detail::dot_tail).
-inline __m256 fma_tail8(const float* a, const float* b, __m256 c,
-                        index_t n) {
-  const __m256i mask = tail_mask8(n);
-  const __m256 f = _mm256_fmadd_ps(_mm256_maskload_ps(a, mask),
-                                   _mm256_maskload_ps(b, mask), c);
-  return _mm256_blendv_ps(c, f, _mm256_castsi256_ps(mask));
-}
-#endif
+// The three sweeps of a block, written once over a vector description
+// (core/vec.hpp). Every lane runs the scalar op sequence: the logits
+// reduce through simd::dot's 16-lane tree, the weights are elementwise
+// fast_exp, and the attention·V update is one fma per element per token
+// in token order.
 
 /// logits[h * kBlock + t] = dot(q_h, k_t) for the @p group heads of
-/// @p q (stride @p ld) and the first @p count rows of @p k. All kBlock
-/// rows of @p k must be readable (attend pads a short block with a zero
-/// row), so the AVX-512 path always reduces a full block in registers.
+/// @p q (stride @p ld) and the first @p count rows of @p k, in passes of
+/// as many tokens as the description's registers hold (Eq. 6, as for the
+/// SpMM tiles): Vec512 reduces a whole block per pass. All kBlock rows
+/// of @p k must be readable (attend pads a short block with a zero row);
+/// a pass may write logits past @p count.
+template <class Vec>
 void block_logits(const float* q, index_t group, index_t ld,
                   const float* const* k, index_t count, index_t n,
-                  float* logits, Kernel kernel) {
-  [[maybe_unused]] const index_t n16 = n - n % simd::kReduceLanes;
-#if defined(__AVX512F__)
-  if (kernel == Kernel::kAvx512) {
-    const __mmask16 tail = tail_mask16(n - n16);
+                  float* logits) {
+  constexpr int kR = simd::detail::kReduceRegs<Vec>;
+  constexpr int kT = simd::rows_per_pass<Vec>(kR, kBlock);
+  for (index_t t0 = 0; t0 < count; t0 += kT) {
     for (index_t h = 0; h < group; ++h) {
-      const float* qh = q + h * ld;
-      __m512 acc[kBlock];
+      typename Vec::V acc[kT * kR];
+      simd::detail::dot_lanes<Vec, kT>(q + h * ld, k + t0, n, acc);
+      float* out = logits + h * kBlock + t0;
+      if constexpr (kT == Vec::kWidth && requires { Vec::lane_trees(acc); }) {
+        Vec::store(out, Vec::lane_trees(acc));
+      } else {
 #pragma GCC unroll 16
-      for (index_t t = 0; t < kBlock; ++t) acc[t] = _mm512_setzero_ps();
-      for (index_t j = 0; j < n16; j += 16) {
-        const __m512 qv = _mm512_loadu_ps(qh + j);
-#pragma GCC unroll 16
-        for (index_t t = 0; t < kBlock; ++t) {
-          acc[t] = _mm512_fmadd_ps(qv, _mm512_loadu_ps(k[t] + j), acc[t]);
+        for (int t = 0; t < kT; ++t) {
+          out[t] = simd::detail::lane_tree<Vec>(acc + t * kR);
         }
       }
-      if (tail != 0) {
-        const __m512 qv = _mm512_maskz_loadu_ps(tail, qh + n16);
-#pragma GCC unroll 16
-        for (index_t t = 0; t < kBlock; ++t) {
-          acc[t] = _mm512_mask3_fmadd_ps(
-              qv, _mm512_maskz_loadu_ps(tail, k[t] + n16), acc[t], tail);
-        }
-      }
-      _mm512_storeu_ps(logits + h * kBlock, lane_tree16x16(acc));
-    }
-    return;
-  }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (kernel == Kernel::kAvx2) {
-    for (index_t t = 0; t < count; ++t) {
-      const float* kt = k[t];
-      for (index_t h = 0; h < group; ++h) {
-        const float* qh = q + h * ld;
-        __m256 lo = _mm256_setzero_ps();
-        __m256 hi = _mm256_setzero_ps();
-        for (index_t j = 0; j < n16; j += 16) {
-          lo = _mm256_fmadd_ps(_mm256_loadu_ps(qh + j),
-                               _mm256_loadu_ps(kt + j), lo);
-          hi = _mm256_fmadd_ps(_mm256_loadu_ps(qh + j + 8),
-                               _mm256_loadu_ps(kt + j + 8), hi);
-        }
-        if (n16 < n) lo = fma_tail8(qh + n16, kt + n16, lo, n - n16);
-        if (n16 + 8 < n) {
-          hi = fma_tail8(qh + n16 + 8, kt + n16 + 8, hi, n - n16 - 8);
-        }
-        logits[h * kBlock + t] = lane_tree8x2(lo, hi);
-      }
-    }
-    return;
-  }
-#endif
-  (void)kernel;
-  for (index_t t = 0; t < count; ++t) {
-    for (index_t h = 0; h < group; ++h) {
-      logits[h * kBlock + t] =
-          simd::dot(q + h * ld, k[t], n, Kernel::kScalar);
     }
   }
 }
 
 /// w[t] = fast_exp(logits[t] - m) for t < count.
-void block_exp(const float* logits, float m, index_t count, float* w,
-               Kernel kernel) {
-  index_t t = 0;
-#if defined(__AVX512F__)
-  if (kernel == Kernel::kAvx512) {
-    const __m512 mm = _mm512_set1_ps(m);
-    for (; t < count; t += 16) {
-      const __mmask16 mask = tail_mask16(std::min<index_t>(16, count - t));
-      _mm512_mask_storeu_ps(
-          w + t, mask,
-          detail::fast_exp16(
-              _mm512_sub_ps(_mm512_maskz_loadu_ps(mask, logits + t), mm)));
-    }
-    return;
+template <class Vec>
+void block_exp(const float* logits, float m, index_t count, float* w) {
+  const typename Vec::V mm = Vec::set1(m);
+  for (index_t t = 0; t < count; t += Vec::kWidth) {
+    const typename Vec::Mask mask = Vec::lanes(static_cast<int>(count - t));
+    Vec::store_n(w + t,
+                 detail::exp_of<Vec>(Vec::sub(Vec::load_n(logits + t, mask),
+                                              mm)),
+                 mask);
   }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (kernel == Kernel::kAvx2) {
-    const __m256 mm = _mm256_set1_ps(m);
-    for (; t + 8 <= count; t += 8) {
-      _mm256_storeu_ps(w + t, detail::fast_exp8(_mm256_sub_ps(
-                                  _mm256_loadu_ps(logits + t), mm)));
-    }
-  }
-#endif
-  (void)kernel;
-  for (; t < count; ++t) w[t] = fast_exp(logits[t] - m);
 }
 
 /// acc_h[j] = fma(w[h * kBlock + t], v_t[j], acc_h[j]) for t = 0..count-1
-/// in order, for every group head h (acc_h = acc + h * ld). The block's
-/// V rows come from memory once for the whole group; the heads after
-/// the first re-read them from L1.
+/// in order, for every group head h (acc_h = acc + h * ld): four
+/// registers of each head's accumulator per pass over the tokens, then a
+/// masked register at a time. The block's V rows come from memory once
+/// for the whole group; the heads after the first re-read them from L1.
+template <class Vec>
 void block_axpy(const float* w, const float* const* v, index_t count,
-                float* acc, index_t group, index_t ld, index_t n,
-                Kernel kernel) {
-#if defined(__AVX512F__)
-  if (kernel == Kernel::kAvx512) {
-    for (index_t h = 0; h < group; ++h) {
-      const float* wh = w + h * kBlock;
-      float* ah = acc + h * ld;
-      index_t j = 0;
-      for (; j + 64 <= n; j += 64) {  // four registers per pass
-        __m512 a0 = _mm512_loadu_ps(ah + j);
-        __m512 a1 = _mm512_loadu_ps(ah + j + 16);
-        __m512 a2 = _mm512_loadu_ps(ah + j + 32);
-        __m512 a3 = _mm512_loadu_ps(ah + j + 48);
-        for (index_t t = 0; t < count; ++t) {
-          const __m512 wt = _mm512_set1_ps(wh[t]);
-          const float* vt = v[t] + j;
-          a0 = _mm512_fmadd_ps(wt, _mm512_loadu_ps(vt), a0);
-          a1 = _mm512_fmadd_ps(wt, _mm512_loadu_ps(vt + 16), a1);
-          a2 = _mm512_fmadd_ps(wt, _mm512_loadu_ps(vt + 32), a2);
-          a3 = _mm512_fmadd_ps(wt, _mm512_loadu_ps(vt + 48), a3);
+                float* acc, index_t group, index_t ld, index_t n) {
+  constexpr int kW = Vec::kWidth;
+  for (index_t h = 0; h < group; ++h) {
+    const float* wh = w + h * kBlock;
+    float* ah = acc + h * ld;
+    index_t j = 0;
+    for (; j + 4 * kW <= n; j += 4 * kW) {
+      typename Vec::V a[4];
+#pragma GCC unroll 4
+      for (int u = 0; u < 4; ++u) a[u] = Vec::load(ah + j + u * kW);
+      for (index_t t = 0; t < count; ++t) {
+        const typename Vec::V wt = Vec::set1(wh[t]);
+        const float* vt = v[t] + j;
+#pragma GCC unroll 4
+        for (int u = 0; u < 4; ++u) {
+          a[u] = Vec::fma(wt, Vec::load(vt + u * kW), a[u]);
         }
-        _mm512_storeu_ps(ah + j, a0);
-        _mm512_storeu_ps(ah + j + 16, a1);
-        _mm512_storeu_ps(ah + j + 32, a2);
-        _mm512_storeu_ps(ah + j + 48, a3);
       }
-      for (; j < n; j += 16) {
-        const __mmask16 mask = tail_mask16(std::min<index_t>(16, n - j));
-        __m512 a = _mm512_maskz_loadu_ps(mask, ah + j);
-        for (index_t t = 0; t < count; ++t) {
-          a = _mm512_fmadd_ps(_mm512_set1_ps(wh[t]),
-                              _mm512_maskz_loadu_ps(mask, v[t] + j), a);
-        }
-        _mm512_mask_storeu_ps(ah + j, mask, a);
-      }
+#pragma GCC unroll 4
+      for (int u = 0; u < 4; ++u) Vec::store(ah + j + u * kW, a[u]);
     }
-    return;
-  }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (kernel == Kernel::kAvx2) {
-    for (index_t h = 0; h < group; ++h) {
-      const float* wh = w + h * kBlock;
-      float* ah = acc + h * ld;
-      index_t j = 0;
-      for (; j + 32 <= n; j += 32) {
-        __m256 a0 = _mm256_loadu_ps(ah + j);
-        __m256 a1 = _mm256_loadu_ps(ah + j + 8);
-        __m256 a2 = _mm256_loadu_ps(ah + j + 16);
-        __m256 a3 = _mm256_loadu_ps(ah + j + 24);
-        for (index_t t = 0; t < count; ++t) {
-          const __m256 wt = _mm256_set1_ps(wh[t]);
-          const float* vt = v[t] + j;
-          a0 = _mm256_fmadd_ps(wt, _mm256_loadu_ps(vt), a0);
-          a1 = _mm256_fmadd_ps(wt, _mm256_loadu_ps(vt + 8), a1);
-          a2 = _mm256_fmadd_ps(wt, _mm256_loadu_ps(vt + 16), a2);
-          a3 = _mm256_fmadd_ps(wt, _mm256_loadu_ps(vt + 24), a3);
-        }
-        _mm256_storeu_ps(ah + j, a0);
-        _mm256_storeu_ps(ah + j + 8, a1);
-        _mm256_storeu_ps(ah + j + 16, a2);
-        _mm256_storeu_ps(ah + j + 24, a3);
+    for (; j < n; j += kW) {
+      const typename Vec::Mask mask = Vec::lanes(static_cast<int>(n - j));
+      typename Vec::V a = Vec::load_n(ah + j, mask);
+      for (index_t t = 0; t < count; ++t) {
+        a = Vec::fma(Vec::set1(wh[t]), Vec::load_n(v[t] + j, mask), a);
       }
-      for (; j + 8 <= n; j += 8) {
-        __m256 a = _mm256_loadu_ps(ah + j);
-        for (index_t t = 0; t < count; ++t) {
-          a = _mm256_fmadd_ps(_mm256_set1_ps(wh[t]),
-                              _mm256_loadu_ps(v[t] + j), a);
-        }
-        _mm256_storeu_ps(ah + j, a);
-      }
-      for (; j < n; ++j) {
-        for (index_t t = 0; t < count; ++t) {
-          ah[j] = std::fma(wh[t], v[t][j], ah[j]);
-        }
-      }
-    }
-    return;
-  }
-#endif
-  (void)kernel;
-  for (index_t t = 0; t < count; ++t) {
-    for (index_t h = 0; h < group; ++h) {
-      simd::axpy(w[h * kBlock + t], v[t], acc + h * ld, n, Kernel::kScalar);
+      Vec::store_n(ah + j, a, mask);
     }
   }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 /// Prefetch the cache lines of @p n floats at @p p into L1.
 inline void prefetch_row(const float* p, index_t n) {
-#if defined(__SSE__)
   const char* bytes = reinterpret_cast<const char*>(p);
   for (std::size_t b = 0; b < static_cast<std::size_t>(n) * sizeof(float);
        b += 64) {
-    _mm_prefetch(bytes + b, _MM_HINT_T0);
+    __builtin_prefetch(bytes + b, 0, 3);
   }
-#else
-  (void)p;
-  (void)n;
-#endif
 }
 
 Status non_finite(std::uint64_t seq_id, index_t kv_head, const char* what) {
@@ -335,14 +143,14 @@ Status non_finite(std::uint64_t seq_id, index_t kv_head, const char* what) {
 
 }  // namespace
 
+template <class Vec>
 bool OnlineSoftmax::fold(const float* logits, index_t count, float* w,
-                         float* acc, index_t n, Kernel kernel) {
+                         float* acc, index_t n) {
   float bmax = logits[0];
   for (index_t t = 0; t < count; ++t) {
     if (!std::isfinite(logits[t])) return false;
     bmax = std::max(bmax, logits[t]);
   }
-  const Kernel k = simd::resolve(kernel);
   if (bmax > m) {
     // New max: rescale the running sum and accumulator into the new
     // frame, once for the whole block. On the first fold m is -inf, so
@@ -350,27 +158,28 @@ bool OnlineSoftmax::fold(const float* logits, index_t count, float* w,
     // against the zeroed s and acc.
     const float r = fast_exp(m - bmax);
     s *= r;
-    simd::scale(acc, r, n, k);
+    simd::scale<Vec>(acc, r, n);
     m = bmax;
   }
-  block_exp(logits, m, count, w, k);  // arguments <= 0: never overflow
+  block_exp<Vec>(logits, m, count, w);  // arguments <= 0: never overflow
   for (index_t t = 0; t < count; ++t) s += w[t];
   return true;
 }
 
-bool OnlineSoftmax::add(float logit, const float* v, float* acc, index_t n,
-                        Kernel kernel) {
+template <class Vec>
+bool OnlineSoftmax::add(float logit, const float* v, float* acc, index_t n) {
   // A new max weighs fast_exp(0) == 1.0f exactly, so the one-logit fold
   // is the classic per-token online softmax bit for bit.
   float w = 0.0f;
-  if (!fold(&logit, 1, &w, acc, n, kernel)) return false;
-  simd::axpy(w, v, acc, n, kernel);
+  if (!fold<Vec>(&logit, 1, &w, acc, n)) return false;
+  simd::axpy<Vec>(w, v, acc, n);
   return true;
 }
 
-void OnlineSoftmax::finish(float* acc, index_t n, Kernel kernel) const {
+template <class Vec>
+void OnlineSoftmax::finish(float* acc, index_t n) const {
   NMSPMM_CHECK_MSG(s > 0.0f, "OnlineSoftmax::finish before any add");
-  simd::scale(acc, 1.0f / s, n, kernel);
+  simd::scale<Vec>(acc, 1.0f / s, n);
 }
 
 DecodeAttention::DecodeAttention(AttnConfig config) : config_(config) {
@@ -441,6 +250,7 @@ Status DecodeAttention::append(KvCache& cache, std::uint64_t seq_id, float* k,
   return cache.append(seq_id, k, v);
 }
 
+template <class Vec>
 Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
                                float* q, float* out) {
   if (cache.token_row() != config_.kv_dim()) {
@@ -459,7 +269,6 @@ Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
     return Status::FailedPrecondition(os.str());
   }
   rope(q, config_.n_heads, view->len - 1);
-  const Kernel kernel = simd::resolve(config_.kernel);
   const index_t hd = config_.head_dim;
   const index_t len = view->len;
   const float* k_rows[kBlock];
@@ -490,15 +299,15 @@ Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
         prefetch_row(view->k(t) + kv_off, hd);
         prefetch_row(view->v(t) + kv_off, hd);
       }
-      block_logits(q_, group_, ld_, k_rows, count, hd, logits_, kernel);
+      block_logits<Vec>(q_, group_, ld_, k_rows, count, hd, logits_);
       for (index_t h = 0; h < group_; ++h) {
-        if (!sm_[static_cast<std::size_t>(h)].fold(
+        if (!sm_[static_cast<std::size_t>(h)].fold<Vec>(
                 logits_ + h * kBlock, count, w_ + h * kBlock, acc_ + h * ld_,
-                hd, kernel)) {
+                hd)) {
           return non_finite(seq_id, g, "an attention logit");
         }
       }
-      block_axpy(w_, v_rows, count, acc_, group_, ld_, hd, kernel);
+      block_axpy<Vec>(w_, v_rows, count, acc_, group_, ld_, hd);
     }
     for (index_t h = 0; h < group_; ++h) {
       const OnlineSoftmax& sm = sm_[static_cast<std::size_t>(h)];
@@ -506,7 +315,7 @@ Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
         return non_finite(seq_id, g, "the softmax sum");
       }
       float* acc = acc_ + h * ld_;
-      sm.finish(acc, hd, kernel);
+      sm.finish<Vec>(acc, hd);
       std::copy_n(acc, hd, out + (g * group_ + h) * hd);
     }
   }
@@ -519,5 +328,18 @@ Status DecodeAttention::decode_step(KvCache& cache, std::uint64_t seq_id,
   NMSPMM_RETURN_IF_ERROR(append(cache, seq_id, k, v));
   return attend(cache, seq_id, q, out);
 }
+
+// The sweeps for every description this build compiles: attend runs on
+// simd::SweepVec, the tests compare the others against VecScalar.
+#define NMSPMM_INSTANTIATE_ATTN(V)                                         \
+  template bool OnlineSoftmax::fold<simd::V>(const float*, index_t,      \
+                                             float*, float*, index_t);    \
+  template bool OnlineSoftmax::add<simd::V>(float, const float*, float*,  \
+                                            index_t);                     \
+  template void OnlineSoftmax::finish<simd::V>(float*, index_t) const;    \
+  template Status DecodeAttention::attend<simd::V>(                       \
+      const KvCache&, std::uint64_t, float*, float*);
+NMSPMM_FOR_EACH_VEC(NMSPMM_INSTANTIATE_ATTN)
+#undef NMSPMM_INSTANTIATE_ATTN
 
 }  // namespace nmspmm::attn

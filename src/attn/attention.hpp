@@ -23,13 +23,15 @@
 // mid-block). A non-finite logit (inf/NaN in Q or the cached K) is a
 // typed FAILED_PRECONDITION from attend(), never a throw.
 //
-// Bit-exactness discipline: each logit is reduced through the same
-// 16-lane tree as simd::dot (core/reduce.hpp), the weights come from
-// fast_exp and its bit-exact vector mirrors (fast_exp16 / fast_exp8),
-// the sum adds the weights in token order, and the attention·V update
-// is one fma per element per token in token order. So the scalar,
-// AVX2, and AVX-512 paths produce identical bits, which the tests
-// assert with ==, exactly like the epilogue kernels.
+// Bit-exactness discipline: the block sweeps are written once over a
+// vector description (core/vec.hpp) and run on the build's widest,
+// simd::SweepVec. Each logit is reduced through the same 16-lane tree
+// as simd::dot (core/reduce.hpp), the weights come from fast_exp's op
+// sequence on every lane, the sum adds the weights in token order, and
+// the attention·V update is one fma per element per token in token
+// order. So every description produces identical bits; the tests run
+// attend and the softmax fold on each one the build compiles and assert
+// == against VecScalar, exactly like the epilogue kernels.
 //
 // GQA: query head h reads KV head h / (n_heads / n_kv_heads) — the
 // grouped-query layout (n_kv_heads < n_heads) that shrinks the cache by
@@ -48,17 +50,12 @@
 
 namespace nmspmm::attn {
 
-/// Kernel selection for the attention loops — the reduce-layer enum, so
-/// one knob pins both the dot reductions and the elementwise sweeps.
-using Kernel = simd::ReduceKernel;
-
 /// Attention geometry of one decoder layer.
 struct AttnConfig {
   index_t n_heads = 0;
   index_t n_kv_heads = 0;  ///< divides n_heads; < n_heads means GQA
   index_t head_dim = 0;    ///< even (RoPE rotates half-split pairs)
   float rope_theta = 10000.0f;
-  Kernel kernel = Kernel::kAuto;
 
   [[nodiscard]] index_t q_dim() const { return n_heads * head_dim; }
   [[nodiscard]] index_t kv_dim() const { return n_kv_heads * head_dim; }
@@ -71,7 +68,9 @@ struct AttnConfig {
 /// context order, a block at a time; the running max keeps every exp()
 /// argument <= 0 so nothing overflows no matter the logit magnitudes.
 /// Exposed (rather than buried in attend) so the numerics tests drive
-/// the same fold attend runs against the long-double oracle.
+/// the same fold attend runs against the long-double oracle. @p Vec is
+/// the vector description the sweeps run on (core/vec.hpp); the tests
+/// compare each one the build compiles (NMSPMM_FOR_EACH_VEC) with ==.
 struct OnlineSoftmax {
   float m = -std::numeric_limits<float>::infinity();  ///< running max
   float s = 0.0f;  ///< running sum of exp(logit - m)
@@ -84,14 +83,16 @@ struct OnlineSoftmax {
   /// caller completes the fold with acc[j] = fma(w[t], v_t[j], acc[j])
   /// in token order. Returns false, leaving the state untouched, when a
   /// logit is not finite.
+  template <class Vec = simd::SweepVec>
   bool fold(const float* logits, index_t count, float* w, float* acc,
-            index_t n, Kernel kernel = Kernel::kAuto);
+            index_t n);
   /// The one-logit fold: fold {logit}, then acc += w * v (fp32,
   /// acc caller-zeroed before the first add). Returns fold's result.
-  bool add(float logit, const float* v, float* acc, index_t n,
-           Kernel kernel = Kernel::kAuto);
+  template <class Vec = simd::SweepVec>
+  bool add(float logit, const float* v, float* acc, index_t n);
   /// Normalize: acc[d] *= 1/s. Requires at least one successful fold.
-  void finish(float* acc, index_t n, Kernel kernel = Kernel::kAuto) const;
+  template <class Vec = simd::SweepVec>
+  void finish(float* acc, index_t n) const;
 };
 
 /// The per-layer decode attention operator. Owns the RoPE frequency
@@ -123,7 +124,9 @@ class DecodeAttention {
   /// write streaming-softmax attention over the cached context to
   /// @p out (q_dim floats). FAILED_PRECONDITION on an empty context or
   /// on a non-finite logit or softmax sum (inf/NaN in Q or the cached
-  /// K); @p out is unspecified after an error.
+  /// K); @p out is unspecified after an error. @p Vec as for
+  /// OnlineSoftmax.
+  template <class Vec = simd::SweepVec>
   [[nodiscard]] Status attend(const KvCache& cache, std::uint64_t seq_id,
                               float* q, float* out);
 

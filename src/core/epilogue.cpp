@@ -1,5 +1,8 @@
 #include "core/epilogue.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "core/reduce.hpp"

@@ -28,17 +28,11 @@
 // run the same scalar ops on the same accumulated values.
 #pragma once
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 
+#include "core/vec.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
-
-#if defined(__SSE__) || defined(__AVX__)
-#include <immintrin.h>
-#endif
 
 namespace nmspmm {
 
@@ -51,15 +45,47 @@ const char* to_string(Activation act);
 // GCC's default fp-contract=fast may otherwise fuse a caller-side
 // mul/add pair across the inlined boundary (e.g. the final p*scale of
 // fast_exp with silu's 1.0f + ...), producing values a ulp away from
-// the explicit-intrinsic vector paths. A call boundary pins the scalar
-// sequence to exactly the ops the vector lanes execute, keeping every
-// path bit-identical. Scalar calls only happen on ragged tails and in
-// the unfused reference, so the cost is irrelevant.
+// the vector forms. A call boundary pins the scalar sequence to exactly
+// the ops the vector lanes execute, keeping every description
+// bit-identical. Scalar calls only happen on ragged tails, in scalar
+// builds and in the unfused reference, so the cost is irrelevant.
 #if defined(__GNUC__) || defined(__clang__)
 #define NMSPMM_NO_INLINE __attribute__((noinline))
 #else
 #define NMSPMM_NO_INLINE
 #endif
+
+namespace detail {
+
+// fast_exp / silu / gelu written once over a vector description
+// (core/vec.hpp). Every lane executes the exact scalar op sequence (same
+// min/max, same fma chain, same exponent splice), so an element produces
+// the same bits whether it goes through Vec512, Vec256 or VecScalar —
+// the epilogue and attention stay bit-exact across tile widths and ISAs
+// while running ~vector-width faster than a libm call (which would also
+// spill the kernel's live SIMD registers).
+
+/// fast_exp's op sequence on every lane of @p x.
+template <class Vec>
+inline typename Vec::V exp_lanes(typename Vec::V x) {
+  using V = typename Vec::V;
+  const V t = Vec::min(
+      Vec::max(Vec::mul(x, Vec::set1(1.4426950408889634f)),
+               Vec::set1(-126.0f)),
+      Vec::set1(126.0f));
+  const V fl = Vec::floor(t);
+  const V f = Vec::sub(t, fl);  // 2^t = 2^fl * 2^f, f in [0, 1)
+  // Degree-5 minimax polynomial for 2^f on [0, 1).
+  V p = Vec::set1(1.8775767e-3f);
+  p = Vec::fma(p, f, Vec::set1(8.9893397e-3f));
+  p = Vec::fma(p, f, Vec::set1(5.5826318e-2f));
+  p = Vec::fma(p, f, Vec::set1(2.4015361e-1f));
+  p = Vec::fma(p, f, Vec::set1(6.9315308e-1f));
+  p = Vec::fma(p, f, Vec::set1(1.0f));
+  return Vec::mul(p, Vec::exp2i(fl));
+}
+
+}  // namespace detail
 
 /// Branch-free exp(x) (relative error < 4e-6 over the float range,
 /// saturating at the overflow/underflow ends). The epilogue runs inside
@@ -70,36 +96,56 @@ const char* to_string(Activation act);
 /// scalar and vectorized compilations bit-identical per element, which
 /// the fused-vs-unfused bit-exactness tests rely on.
 inline NMSPMM_NO_INLINE float fast_exp(float x) {
-  constexpr float kLog2e = 1.4426950408889634f;
-  float t = std::min(std::max(x * kLog2e, -126.0f), 126.0f);
-  const float fl = std::floor(t);
-  const float f = t - fl;  // 2^t = 2^fl * 2^f, f in [0, 1)
-  // Degree-5 minimax polynomial for 2^f on [0, 1).
-  float p = 1.8775767e-3f;
-  p = std::fma(p, f, 8.9893397e-3f);
-  p = std::fma(p, f, 5.5826318e-2f);
-  p = std::fma(p, f, 2.4015361e-1f);
-  p = std::fma(p, f, 6.9315308e-1f);
-  p = std::fma(p, f, 1.0f);
-  const auto e = static_cast<std::int32_t>(fl);
-  return p * std::bit_cast<float>((e + 127) << 23);
+  return detail::exp_lanes<simd::VecScalar>(x);
 }
+
+namespace detail {
+
+/// fast_exp on every lane of @p x: the scalar form through its
+/// out-of-line function (see NMSPMM_NO_INLINE), the vector forms inline.
+template <class Vec>
+inline typename Vec::V exp_of(typename Vec::V x) {
+  if constexpr (Vec::kWidth == 1) {
+    return fast_exp(x);
+  } else {
+    return exp_lanes<Vec>(x);
+  }
+}
+
+/// silu's op sequence on every lane of @p x.
+template <class Vec>
+inline typename Vec::V silu_lanes(typename Vec::V x) {
+  return Vec::div(x, Vec::add(Vec::set1(1.0f), exp_of<Vec>(Vec::neg(x))));
+}
+
+/// gelu's op sequence on every lane of @p x.
+template <class Vec>
+inline typename Vec::V gelu_lanes(typename Vec::V x) {
+  using V = typename Vec::V;
+  const V inner =
+      Vec::fma(Vec::mul(Vec::set1(0.044715f), x), Vec::mul(x, x), x);
+  const V y = Vec::mul(Vec::set1(0.7978845608028654f), inner);
+  const V e2 = exp_of<Vec>(Vec::mul(Vec::set1(2.0f), y));
+  const V one = Vec::set1(1.0f);
+  const V tanh_y = Vec::div(Vec::sub(e2, one), Vec::add(e2, one));
+  return Vec::mul(Vec::mul(Vec::set1(0.5f), x), Vec::add(one, tanh_y));
+}
+
+}  // namespace detail
 
 /// silu(x) = x * sigmoid(x) — the canonical definition shared by the
 /// fused epilogue and the unfused reference, so both are bit-exact.
 /// Built on fast_exp: ~4e-6 relative deviation from the libm form,
 /// negligible next to the pruning approximation itself.
-inline NMSPMM_NO_INLINE float silu(float x) { return x / (1.0f + fast_exp(-x)); }
+inline NMSPMM_NO_INLINE float silu(float x) {
+  return detail::silu_lanes<simd::VecScalar>(x);
+}
 
 /// gelu(x), tanh approximation (the form LLM FFNs actually deploy),
 /// with tanh expressed through fast_exp (saturates correctly at both
 /// ends thanks to fast_exp's clamped range).
 inline NMSPMM_NO_INLINE float gelu(float x) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  const float y = kSqrt2OverPi * std::fma(0.044715f * x, x * x, x);
-  const float e2 = fast_exp(2.0f * y);
-  const float tanh_y = (e2 - 1.0f) / (e2 + 1.0f);
-  return 0.5f * x * (1.0f + tanh_y);
+  return detail::gelu_lanes<simd::VecScalar>(x);
 }
 
 inline float apply_activation(Activation act, float x) {
@@ -206,107 +252,6 @@ void rmsnorm_rows(ConstViewF x, const float* gain, float eps, ViewF out);
 
 namespace detail {
 
-// Vector mirrors of fast_exp / silu / gelu. Every lane executes the
-// exact scalar op sequence (same min/max, same fma chain, same exponent
-// splice), so an element produces the same bits whether it goes through
-// the 16-lane, 8-lane, or scalar path — the epilogue stays bit-exact
-// across tile widths and ISAs while running ~vector-width faster than a
-// libm call (which would also spill the kernel's live SIMD registers).
-
-// GCC 12 leaks a bogus -Wmaybe-uninitialized out of the unmasked AVX-512
-// intrinsics' _mm512_undefined_* merge sources when they inline here
-// (GCC PR105593); silence it for these helpers only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-#if defined(__AVX512F__)
-inline __m512 fast_exp16(__m512 x) {
-  __m512 t = _mm512_mul_ps(x, _mm512_set1_ps(1.4426950408889634f));
-  t = _mm512_min_ps(_mm512_max_ps(t, _mm512_set1_ps(-126.0f)),
-                    _mm512_set1_ps(126.0f));
-  const __m512 fl = _mm512_roundscale_ps(
-      t, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-  const __m512 f = _mm512_sub_ps(t, fl);
-  __m512 p = _mm512_set1_ps(1.8775767e-3f);
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(8.9893397e-3f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(5.5826318e-2f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(2.4015361e-1f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(6.9315308e-1f));
-  p = _mm512_fmadd_ps(p, f, _mm512_set1_ps(1.0f));
-  const __m512i e = _mm512_cvttps_epi32(fl);
-  const __m512 scale = _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_add_epi32(e, _mm512_set1_epi32(127)), 23));
-  return _mm512_mul_ps(p, scale);
-}
-
-inline __m512 silu16(__m512 x) {
-  const __m512 nx = _mm512_castsi512_ps(_mm512_xor_si512(
-      _mm512_castps_si512(x), _mm512_set1_epi32(INT32_C(0x80000000))));
-  return _mm512_div_ps(
-      x, _mm512_add_ps(_mm512_set1_ps(1.0f), fast_exp16(nx)));
-}
-
-inline __m512 gelu16(__m512 x) {
-  const __m512 x2 = _mm512_mul_ps(x, x);
-  const __m512 inner =
-      _mm512_fmadd_ps(_mm512_mul_ps(_mm512_set1_ps(0.044715f), x), x2, x);
-  const __m512 y = _mm512_mul_ps(_mm512_set1_ps(0.7978845608028654f), inner);
-  const __m512 e2 = fast_exp16(_mm512_mul_ps(_mm512_set1_ps(2.0f), y));
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 tanh_y =
-      _mm512_div_ps(_mm512_sub_ps(e2, one), _mm512_add_ps(e2, one));
-  return _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5f), x),
-                       _mm512_add_ps(one, tanh_y));
-}
-#endif  // __AVX512F__
-
-#if defined(__AVX2__) && defined(__FMA__)
-inline __m256 fast_exp8(__m256 x) {
-  __m256 t = _mm256_mul_ps(x, _mm256_set1_ps(1.4426950408889634f));
-  t = _mm256_min_ps(_mm256_max_ps(t, _mm256_set1_ps(-126.0f)),
-                    _mm256_set1_ps(126.0f));
-  const __m256 fl =
-      _mm256_round_ps(t, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-  const __m256 f = _mm256_sub_ps(t, fl);
-  __m256 p = _mm256_set1_ps(1.8775767e-3f);
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(8.9893397e-3f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(5.5826318e-2f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(2.4015361e-1f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(6.9315308e-1f));
-  p = _mm256_fmadd_ps(p, f, _mm256_set1_ps(1.0f));
-  const __m256i e = _mm256_cvttps_epi32(fl);
-  const __m256 scale = _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_add_epi32(e, _mm256_set1_epi32(127)), 23));
-  return _mm256_mul_ps(p, scale);
-}
-
-inline __m256 silu8(__m256 x) {
-  const __m256 nx = _mm256_castsi256_ps(_mm256_xor_si256(
-      _mm256_castps_si256(x), _mm256_set1_epi32(INT32_C(0x80000000))));
-  return _mm256_div_ps(
-      x, _mm256_add_ps(_mm256_set1_ps(1.0f), fast_exp8(nx)));
-}
-
-inline __m256 gelu8(__m256 x) {
-  const __m256 x2 = _mm256_mul_ps(x, x);
-  const __m256 inner =
-      _mm256_fmadd_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), x), x2, x);
-  const __m256 y = _mm256_mul_ps(_mm256_set1_ps(0.7978845608028654f), inner);
-  const __m256 e2 = fast_exp8(_mm256_mul_ps(_mm256_set1_ps(2.0f), y));
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 tanh_y =
-      _mm256_div_ps(_mm256_sub_ps(e2, one), _mm256_add_ps(e2, one));
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
-                       _mm256_add_ps(one, tanh_y));
-}
-#endif  // __AVX2__ && __FMA__
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 /// No-op epilogue: the default template argument of micro_kernel. With
 /// kActive false the tile hook compiles away entirely.
 struct EpilogueNone {
@@ -334,42 +279,54 @@ struct EpilogueApply {
   const float* residual = nullptr;  ///< tile-origin element, or null
   index_t residual_ld = 0;
 
-#if defined(__AVX512F__)
-  __m512 finalize16(__m512 v, int j, const float* orow,
-                    const float* rrow) const {
-    if (bias != nullptr) v = _mm512_add_ps(v, _mm512_loadu_ps(bias + j));
-    if (act_on_other) {
-      __m512 o = _mm512_loadu_ps(orow + j);
-      if (act == Activation::kSilu) o = silu16(o);
-      if (act == Activation::kGelu) o = gelu16(o);
-      v = _mm512_mul_ps(v, o);
+  /// @p act of every lane of @p x: the scalar form through
+  /// apply_activation's out-of-line calls, the vector forms inline.
+  template <class Vec>
+  static typename Vec::V activate(Activation act, typename Vec::V x) {
+    if constexpr (Vec::kWidth == 1) {
+      return apply_activation(act, x);
     } else {
-      if (act == Activation::kSilu) v = silu16(v);
-      if (act == Activation::kGelu) v = gelu16(v);
-      if (orow != nullptr) v = _mm512_mul_ps(v, _mm512_loadu_ps(orow + j));
+      if (act == Activation::kSilu) x = silu_lanes<Vec>(x);
+      if (act == Activation::kGelu) x = gelu_lanes<Vec>(x);
+      return x;
     }
-    if (rrow != nullptr) v = _mm512_add_ps(v, _mm512_loadu_ps(rrow + j));
+  }
+
+  /// The epilogue recipe on the kWidth columns from @p j of one row
+  /// (@p orow / @p rrow that row of other / residual, or null).
+  template <class Vec>
+  typename Vec::V finalize(typename Vec::V v, int j, const float* orow,
+                           const float* rrow) const {
+    if (bias != nullptr) v = Vec::add(v, Vec::load(bias + j));
+    if (act_on_other) {
+      v = Vec::mul(v, activate<Vec>(act, Vec::load(orow + j)));
+    } else {
+      v = activate<Vec>(act, v);
+      if (orow != nullptr) v = Vec::mul(v, Vec::load(orow + j));
+    }
+    if (rrow != nullptr) v = Vec::add(v, Vec::load(rrow + j));
     return v;
   }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  __m256 finalize8(__m256 v, int j, const float* orow,
-                   const float* rrow) const {
-    if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j));
-    if (act_on_other) {
-      __m256 o = _mm256_loadu_ps(orow + j);
-      if (act == Activation::kSilu) o = silu8(o);
-      if (act == Activation::kGelu) o = gelu8(o);
-      v = _mm256_mul_ps(v, o);
-    } else {
-      if (act == Activation::kSilu) v = silu8(v);
-      if (act == Activation::kGelu) v = gelu8(v);
-      if (orow != nullptr) v = _mm256_mul_ps(v, _mm256_loadu_ps(orow + j));
+
+  /// Finalize columns [j, width) of the tile: whole @p Vec registers,
+  /// then the rest on the next narrower description, down to VecScalar.
+  template <class Vec>
+  NMSPMM_ALWAYS_INLINE void apply_cols(index_t rows, float* c, index_t ldc, int j,
+                  int width) const {
+    for (; j + Vec::kWidth <= width; j += Vec::kWidth) {
+      for (index_t i = 0; i < rows; ++i) {
+        float* cij = c + i * ldc + j;
+        const float* orow =
+            other != nullptr ? other + i * other_ld : nullptr;
+        const float* rrow =
+            residual != nullptr ? residual + i * residual_ld : nullptr;
+        Vec::store(cij, finalize<Vec>(Vec::load(cij), j, orow, rrow));
+      }
     }
-    if (rrow != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(rrow + j));
-    return v;
+    if constexpr (Vec::kWidth > 1) {
+      apply_cols<typename Vec::Half>(rows, c, ldc, j, width);
+    }
   }
-#endif
 
   /// Finalize a freshly stored rows x width tile in place (it is still
   /// L1-hot: the accumulator stores happened a few cycles ago). The row
@@ -385,48 +342,7 @@ struct EpilogueApply {
   /// once per tile, amortized over rows x width elements.
   NMSPMM_NO_INLINE void apply_tile(index_t rows, float* c, index_t ldc,
                                    int width) const {
-    int j = 0;
-#if defined(__AVX512F__)
-    for (; j + 16 <= width; j += 16) {
-      for (index_t i = 0; i < rows; ++i) {
-        float* cij = c + i * ldc + j;
-        const float* orow =
-            other != nullptr ? other + i * other_ld : nullptr;
-        const float* rrow =
-            residual != nullptr ? residual + i * residual_ld : nullptr;
-        _mm512_storeu_ps(cij,
-                         finalize16(_mm512_loadu_ps(cij), j, orow, rrow));
-      }
-    }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-    for (; j + 8 <= width; j += 8) {
-      for (index_t i = 0; i < rows; ++i) {
-        float* cij = c + i * ldc + j;
-        const float* orow =
-            other != nullptr ? other + i * other_ld : nullptr;
-        const float* rrow =
-            residual != nullptr ? residual + i * residual_ld : nullptr;
-        _mm256_storeu_ps(cij, finalize8(_mm256_loadu_ps(cij), j, orow, rrow));
-      }
-    }
-#endif
-    for (; j < width; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        const float* orow =
-            other != nullptr ? other + i * other_ld : nullptr;
-        float v = c[i * ldc + j];
-        if (bias != nullptr) v += bias[j];
-        if (act_on_other) {
-          v *= apply_activation(act, orow[j]);
-        } else {
-          v = apply_activation(act, v);
-          if (orow != nullptr) v *= orow[j];
-        }
-        if (residual != nullptr) v += residual[i * residual_ld + j];
-        c[i * ldc + j] = v;
-      }
-    }
+    apply_cols<simd::SweepVec>(rows, c, ldc, 0, width);
   }
 
   /// Issue prefetches for the tile's slice of the second operand. The
@@ -436,26 +352,20 @@ struct EpilogueApply {
   /// pays a DRAM latency per tile row instead of riding the kernel's
   /// compute shadow.
   void prefetch(int rows, int width) const {
-#if defined(__SSE__) || defined(__AVX__)
     for (int i = 0; i < rows; ++i) {
       // An unaligned strip can straddle a line boundary; touching the
       // last element's line too costs nothing when it is the same line.
       if (other != nullptr) {
-        const char* row = reinterpret_cast<const char*>(other + i * other_ld);
-        _mm_prefetch(row, _MM_HINT_T0);
-        _mm_prefetch(row + (width - 1) * sizeof(float), _MM_HINT_T0);
+        const float* row = other + i * other_ld;
+        __builtin_prefetch(row, 0, 3);
+        __builtin_prefetch(row + (width - 1), 0, 3);
       }
       if (residual != nullptr) {
-        const char* row =
-            reinterpret_cast<const char*>(residual + i * residual_ld);
-        _mm_prefetch(row, _MM_HINT_T0);
-        _mm_prefetch(row + (width - 1) * sizeof(float), _MM_HINT_T0);
+        const float* row = residual + i * residual_ld;
+        __builtin_prefetch(row, 0, 3);
+        __builtin_prefetch(row + (width - 1), 0, 3);
       }
     }
-#else
-    (void)rows;
-    (void)width;
-#endif
   }
 
   /// Sweep-prefetch the whole (rows x cols) block of the second operand
@@ -465,27 +375,22 @@ struct EpilogueApply {
   /// per-tile reads land in cache instead of paying a DRAM latency per
   /// 64-byte strip.
   void prefetch_block(index_t rows, index_t cols) const {
-#if defined(__SSE__) || defined(__AVX__)
     if (other == nullptr && residual == nullptr) return;
     constexpr index_t kFloatsPerLine = 64 / sizeof(float);
     for (index_t i = 0; i < rows; ++i) {
       if (other != nullptr) {
         const float* row = other + i * other_ld;
         for (index_t j = 0; j < cols; j += kFloatsPerLine) {
-          _mm_prefetch(reinterpret_cast<const char*>(row + j), _MM_HINT_T1);
+          __builtin_prefetch(row + j, 0, 2);
         }
       }
       if (residual != nullptr) {
         const float* row = residual + i * residual_ld;
         for (index_t j = 0; j < cols; j += kFloatsPerLine) {
-          _mm_prefetch(reinterpret_cast<const char*>(row + j), _MM_HINT_T1);
+          __builtin_prefetch(row + j, 0, 2);
         }
       }
     }
-#else
-    (void)rows;
-    (void)cols;
-#endif
   }
 
   /// The epilogue aligned to a sub-tile @p di rows down, @p dj columns

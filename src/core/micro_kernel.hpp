@@ -15,15 +15,13 @@
 // difference between V1/V2/V3 is how that index is produced.
 //
 // Both kernels, micro_kernel and the row walk, are written once, over a
-// per-ISA vector description: a register type, its width in floats, the
-// number of such registers, and the handful of operations the kernels
-// use (load, masked load/store, broadcast, FMA, add, zero). The build's
-// feature macros fix the descriptions — Vec512 (AVX-512), Vec256 (AVX2 +
-// FMA) and VecBase (a generic four-float vector: __m128 on x86-64,
-// scalar code elsewhere) — and the register tile follows from the
-// description's register count (rows_per_pass, the paper's Eq. 6 on a
-// CPU register file), so every ISA runs the same loops and no option
-// sizes the tile.
+// per-ISA vector description (core/vec.hpp): a register type, its width
+// in floats, the number of such registers, and the operations the
+// kernels use (load, masked load/store, broadcast, FMA, add, zero). Each
+// tile runs on VecFor<NT> — Vec512, Vec256 or the generic four-float
+// VecBase — and the register tile follows from the description's
+// register count (rows_per_pass, the paper's Eq. 6 on a CPU register
+// file), so every ISA runs the same loops and no option sizes the tile.
 //
 // Every loop over the accumulators carries `#pragma GCC unroll 16` (the
 // most a pass holds: AVX-512's 2 x 8): fully unrolled, the accumulator
@@ -32,19 +30,14 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 #include <utility>
 
 #include "core/epilogue.hpp"
 #include "core/pack.hpp"
+#include "core/vec.hpp"
 #include "util/matrix.hpp"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 #define NMSPMM_RESTRICT __restrict__
 
@@ -55,111 +48,6 @@ namespace nmspmm::detail {
 /// L = 16 pruning unit.
 inline constexpr int kMicroM = 8;
 inline constexpr int kMicroN = 16;
-
-#if defined(__AVX512F__)
-/// AVX-512: 32 registers of 16 floats.
-struct Vec512 {
-  using V = __m512;
-  static constexpr int kWidth = 16;
-  static constexpr int kRegs = 32;
-  static V zero() { return _mm512_setzero_ps(); }
-  static V set1(float x) { return _mm512_set1_ps(x); }
-  static V load(const float* p) { return _mm512_loadu_ps(p); }
-  static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
-  static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
-  static V add(V a, V b) { return _mm512_add_ps(a, b); }
-  using Mask = __mmask16;
-  /// The first @p n lanes: none for n <= 0, all for n >= kWidth.
-  static Mask lanes(int n) {
-    return n >= 16 ? Mask{0xFFFF}
-                   : static_cast<Mask>((1u << std::max(n, 0)) - 1u);
-  }
-  static V load_n(const float* p, Mask m) {
-    return _mm512_maskz_loadu_ps(m, p);
-  }
-  static void store_n(float* p, V v, Mask m) {
-    _mm512_mask_storeu_ps(p, m, v);
-  }
-};
-#endif
-
-#if defined(__AVX2__) && defined(__FMA__)
-/// AVX2 + FMA: 16 registers of 8 floats.
-struct Vec256 {
-  using V = __m256;
-  static constexpr int kWidth = 8;
-  static constexpr int kRegs = 16;
-  static V zero() { return _mm256_setzero_ps(); }
-  static V set1(float x) { return _mm256_set1_ps(x); }
-  static V load(const float* p) { return _mm256_loadu_ps(p); }
-  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
-  static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
-  static V add(V a, V b) { return _mm256_add_ps(a, b); }
-  using Mask = __m256i;
-  static Mask lanes(int n) {
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  }
-  static V load_n(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
-  static void store_n(float* p, V v, Mask m) {
-    _mm256_maskstore_ps(p, m, v);
-  }
-};
-#endif
-
-/// The baseline: four floats as a generic compiler vector — __m128 on
-/// x86-64, plain scalar code elsewhere. a * b + c contracts to one FMA
-/// where the build has FMA and stays mul + add where it has not, exactly
-/// as the scalar tail kernel's arithmetic does.
-struct VecBase {
-  using V = float __attribute__((vector_size(16)));
-  static constexpr int kWidth = 4;
-  static constexpr int kRegs = 16;
-  static V zero() { return V{}; }
-  static V set1(float x) { return V{x, x, x, x}; }
-  static V load(const float* p) { return load_n(p, kWidth); }
-  static void store(float* p, V v) { store_n(p, v, kWidth); }
-  static V fma(V a, V b, V c) { return a * b + c; }
-  static V add(V a, V b) { return a + b; }
-  using Mask = int;  ///< lanes to touch, 0..4
-  static Mask lanes(int n) { return std::clamp(n, 0, kWidth); }
-  static V load_n(const float* p, Mask m) {
-    V v{};
-    std::memcpy(&v, p, static_cast<std::size_t>(m) * sizeof(float));
-    return v;
-  }
-  static void store_n(float* p, V v, Mask m) {
-    std::memcpy(p, &v, static_cast<std::size_t>(m) * sizeof(float));
-  }
-};
-
-/// The widest description of this build whose width divides @p NT.
-#if defined(__AVX512F__)
-template <int NT>
-using VecFor = std::conditional_t<NT % 16 == 0, Vec512,
-                                  std::conditional_t<NT % 8 == 0, Vec256,
-                                                     VecBase>>;
-#elif defined(__AVX2__) && defined(__FMA__)
-template <int NT>
-using VecFor = std::conditional_t<NT % 8 == 0, Vec256, VecBase>;
-#else
-template <int NT>
-using VecFor = VecBase;
-#endif
-
-/// Rows per pass of a register tile @p vecs vectors wide in @p Vec's
-/// registers (Eq. 6 on a CPU register file): rows x vecs accumulators
-/// plus vecs B vectors plus one broadcast A value must fit. Rounded down
-/// to a power of two, at most kMicroM and at least one, so the passes
-/// over an 8-row tile are of equal height: AVX2 at 16 columns fits 6
-/// rows, but a 6 + 2 split leaves the 2-row pass's four FMA chains short
-/// of hiding the FMA latency (V1 at m = 256 ran ~34 against ~42 GFLOP/s
-/// with 4 + 4, -mavx2 -mfma on a 4-vCPU AVX-512 Xeon).
-template <class Vec>
-constexpr int rows_per_pass(int vecs) {
-  return static_cast<int>(std::bit_floor(static_cast<unsigned>(
-      std::clamp((Vec::kRegs - 1) / vecs - 1, 1, kMicroM))));
-}
 
 /// Addressing descriptor for the A operand of the inner kernel.
 struct APanel {
@@ -238,8 +126,8 @@ inline void micro_kernel(index_t ws, APanel a,
   // Fetch the epilogue's strided second-operand slice under the FMA
   // loop's compute shadow (see EpilogueApply::prefetch).
   if constexpr (Epi::kActive) epi.prefetch(MT, NT);
-  using Vec = VecFor<NT>;
-  constexpr int kRows = rows_per_pass<Vec>(NT / Vec::kWidth);
+  using Vec = simd::VecFor<NT>;
+  constexpr int kRows = simd::rows_per_pass<Vec>(NT / Vec::kWidth, kMicroM);
   [&]<int... Q>(std::integer_sequence<int, Q...>) {
     (micro_pass<Vec, std::min(kRows, MT - Q * kRows), NT, Prefetch,
                 Accumulate>(ws, a.shifted_rows(Q * kRows), bpack, ldb,
@@ -306,12 +194,13 @@ inline constexpr index_t kRowWalkALeadBytes = 3072;
 /// fit the registers (AVX-512: 2 x 8 accumulators, one pass per strip),
 /// else one group per step (AVX2: 4 rows x 2 ymm); and kWalkRows rows of
 /// the staged strip per pass.
-using WalkVec = VecFor<kMicroN>;
+using WalkVec = simd::VecFor<kMicroN>;
 inline constexpr int kWalkGroupVecs = kMicroN / WalkVec::kWidth;
 inline constexpr int kWalkGroups =
-    rows_per_pass<WalkVec>(2 * kWalkGroupVecs) == kMicroM ? 2 : 1;
+    simd::rows_per_pass<WalkVec>(2 * kWalkGroupVecs, kMicroM) == kMicroM ? 2
+                                                                       : 1;
 inline constexpr int kWalkRows =
-    rows_per_pass<WalkVec>(kWalkGroups * kWalkGroupVecs);
+    simd::rows_per_pass<WalkVec>(kWalkGroups * kWalkGroupVecs, kMicroM);
 
 static_assert(kAStripRows == kMicroM,
               "a staged A strip is at most one micro tile high");

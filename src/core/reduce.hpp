@@ -6,105 +6,89 @@
 // bit-exactness discipline (every kernel path must produce identical
 // bits so tests can compare paths with == instead of tolerances). The
 // helpers here fix the reduction *shape* instead of the instruction set:
-// every path accumulates into the same 16 virtual lanes (element j lands
-// in lane j % 16 via fma) and collapses them through the same binary
-// tree. IEEE adds/fmas are deterministic per (inputs, order), so the
-// scalar, AVX2 (two 8-lane registers), and AVX-512 (one 16-lane
-// register) implementations return identical bits by construction.
+// every description (core/vec.hpp) accumulates into the same 16 virtual
+// lanes (element j lands in lane j % 16 via fma) and collapses them
+// through the same binary tree. IEEE adds/fmas are deterministic per
+// (inputs, order), so VecScalar (sixteen floats), Vec256 (two 8-lane
+// registers) and Vec512 (one 16-lane register) return identical bits by
+// construction.
 //
 // The elementwise helpers (axpy, scale) are trivially order-free — each
-// output element is one fma or mul — but live here so callers pick the
-// kernel once and every hot loop in the attention core goes through the
-// same selection.
+// output element is one fma or mul — but live here so every hot loop in
+// the attention core runs on the same description.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
+#include "core/vec.hpp"
 #include "util/matrix.hpp"
-
-#if defined(__SSE__) || defined(__AVX__)
-#include <immintrin.h>
-#endif
 
 namespace nmspmm::simd {
 
-/// Kernel selection for the reduction helpers. kAuto resolves to the
-/// widest path this translation unit was compiled with; the explicit
-/// members exist so tests can pin paths and compare them bit-for-bit in
-/// one binary.
-enum class ReduceKernel : std::uint8_t { kAuto, kScalar, kAvx2, kAvx512 };
-
-inline const char* to_string(ReduceKernel k) {
-  switch (k) {
-    case ReduceKernel::kAuto: return "auto";
-    case ReduceKernel::kScalar: return "scalar";
-    case ReduceKernel::kAvx2: return "avx2";
-    case ReduceKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-/// True when this build carries the requested path (compile-time feature
-/// macros; the project never runtime-dispatches past what it was built
-/// for).
-inline constexpr bool kernel_compiled(ReduceKernel k) {
-  switch (k) {
-    case ReduceKernel::kAuto:
-    case ReduceKernel::kScalar:
-      return true;
-    case ReduceKernel::kAvx2:
-#if defined(__AVX2__) && defined(__FMA__)
-      return true;
-#else
-      return false;
-#endif
-    case ReduceKernel::kAvx512:
-#if defined(__AVX512F__)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-/// Resolve kAuto to the widest compiled path.
-inline ReduceKernel resolve(ReduceKernel k) {
-  if (k != ReduceKernel::kAuto) return k;
-#if defined(__AVX512F__)
-  return ReduceKernel::kAvx512;
-#elif defined(__AVX2__) && defined(__FMA__)
-  return ReduceKernel::kAvx2;
-#else
-  return ReduceKernel::kScalar;
-#endif
-}
-
-/// Number of virtual accumulator lanes every reduction path shares.
+/// Number of virtual accumulator lanes every reduction shares.
 inline constexpr int kReduceLanes = 16;
 
 namespace detail {
 
-/// Collapse 16 lane accumulators through a fixed binary tree
-/// (stride 8, 4, 2, 1). All paths spill their registers into the lane
-/// array and reduce here, so the final add order never depends on ISA.
-inline float lane_tree(const float* lanes) {
-  float t[kReduceLanes];
-  for (int i = 0; i < kReduceLanes; ++i) t[i] = lanes[i];
-  for (int stride = kReduceLanes / 2; stride >= 1; stride /= 2) {
-    for (int i = 0; i < stride; ++i) t[i] += t[i + stride];
+/// Accumulators of one 16-lane reduction on @p Vec: lane l of the
+/// virtual 16 is lane l % kWidth of register l / kWidth.
+template <class Vec>
+inline constexpr int kReduceRegs = kReduceLanes / Vec::kWidth;
+
+/// The 16-lane dots of @p a with each of @p b[0..T) over @p n elements:
+/// acc[t * kReduceRegs + r] holds lanes r * kWidth.. of dot(a, b[t]).
+/// A ragged tail fmas into its lanes only; the others keep their value.
+template <class Vec, int T>
+NMSPMM_ALWAYS_INLINE void dot_lanes(const float* a, const float* const* b, index_t n,
+                      typename Vec::V* acc) {
+  constexpr int kR = kReduceRegs<Vec>;
+  constexpr int kW = Vec::kWidth;
+  const index_t n16 = n - n % kReduceLanes;
+#pragma GCC unroll 16
+  for (int e = 0; e < T * kR; ++e) acc[e] = Vec::zero();
+  for (index_t j = 0; j < n16; j += kReduceLanes) {
+    typename Vec::V av[kR];
+#pragma GCC unroll 16
+    for (int r = 0; r < kR; ++r) av[r] = Vec::load(a + j + r * kW);
+#pragma GCC unroll 16
+    for (int e = 0; e < T * kR; ++e) {
+      acc[e] = Vec::fma(av[e % kR], Vec::load(b[e / kR] + j + e % kR * kW),
+                        acc[e]);
+    }
   }
-  return t[0];
+  if (n16 == n) return;
+  typename Vec::Mask tail[kR];
+  typename Vec::V av[kR];
+#pragma GCC unroll 16
+  for (int r = 0; r < kR; ++r) {
+    tail[r] = Vec::lanes(static_cast<int>(n - n16) - r * kW);
+    av[r] = Vec::load_n(a + n16 + r * kW, tail[r]);
+  }
+#pragma GCC unroll 16
+  for (int e = 0; e < T * kR; ++e) {
+    const int r = e % kR;
+    acc[e] = Vec::fma_n(av[r], Vec::load_n(b[e / kR] + n16 + r * kW, tail[r]),
+                        acc[e], tail[r]);
+  }
 }
 
-/// Scalar tail shared by every path: element j of the ragged tail joins
-/// lane j - n16 (== j % 16, since n16 is a multiple of 16).
-inline void dot_tail(const float* a, const float* b, index_t n16, index_t n,
-                     float* lanes) {
-  for (index_t j = n16; j < n; ++j) {
-    lanes[j - n16] = std::fma(a[j], b[j], lanes[j - n16]);
+/// Collapse one 16-lane accumulator (kReduceRegs registers, consumed)
+/// through the fixed binary tree: stride 8, 4, 2, 1. The strides of
+/// kWidth and up are register adds, the rest run on the stored lanes, so
+/// the add order never depends on the description.
+template <class Vec>
+NMSPMM_ALWAYS_INLINE float lane_tree(typename Vec::V* acc) {
+#pragma GCC unroll 4
+  for (int s = kReduceRegs<Vec> / 2; s >= 1; s /= 2) {
+#pragma GCC unroll 8
+    for (int i = 0; i < s; ++i) acc[i] = Vec::add(acc[i], acc[i + s]);
   }
+  alignas(64) float t[Vec::kWidth];
+  Vec::store(t, acc[0]);
+  for (int s = Vec::kWidth / 2; s >= 1; s /= 2) {
+    for (int i = 0; i < s; ++i) t[i] += t[i + s];
+  }
+  return t[0];
 }
 
 }  // namespace detail
@@ -112,106 +96,39 @@ inline void dot_tail(const float* a, const float* b, index_t n16, index_t n,
 /// Deterministic dot product: sum_j a[j] * b[j] with the 16-lane fma
 /// accumulation described in the header comment. Pass b == a for a sum
 /// of squares.
-inline float dot(const float* a, const float* b, index_t n,
-                 ReduceKernel kernel = ReduceKernel::kAuto) {
-  const ReduceKernel k = resolve(kernel);
-  const index_t n16 = n - (n % kReduceLanes);
-  alignas(64) float lanes[kReduceLanes] = {};
-#if defined(__AVX512F__)
-  if (k == ReduceKernel::kAvx512) {
-    __m512 acc = _mm512_setzero_ps();
-    for (index_t j = 0; j < n16; j += 16) {
-      acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + j), _mm512_loadu_ps(b + j),
-                            acc);
-    }
-    _mm512_store_ps(lanes, acc);
-    detail::dot_tail(a, b, n16, n, lanes);
-    return detail::lane_tree(lanes);
-  }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (k == ReduceKernel::kAvx2) {
-    __m256 lo = _mm256_setzero_ps();  // lanes 0..7
-    __m256 hi = _mm256_setzero_ps();  // lanes 8..15
-    for (index_t j = 0; j < n16; j += 16) {
-      lo = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j), lo);
-      hi = _mm256_fmadd_ps(_mm256_loadu_ps(a + j + 8),
-                           _mm256_loadu_ps(b + j + 8), hi);
-    }
-    _mm256_store_ps(lanes, lo);
-    _mm256_store_ps(lanes + 8, hi);
-    detail::dot_tail(a, b, n16, n, lanes);
-    return detail::lane_tree(lanes);
-  }
-#endif
-  (void)k;
-  for (index_t j = 0; j < n16; j += kReduceLanes) {
-    for (int l = 0; l < kReduceLanes; ++l) {
-      lanes[l] = std::fma(a[j + l], b[j + l], lanes[l]);
-    }
-  }
-  detail::dot_tail(a, b, n16, n, lanes);
-  return detail::lane_tree(lanes);
+template <class Vec = SweepVec>
+inline float dot(const float* a, const float* b, index_t n) {
+  typename Vec::V acc[detail::kReduceRegs<Vec>];
+  detail::dot_lanes<Vec, 1>(a, &b, n, acc);
+  return detail::lane_tree<Vec>(acc);
 }
 
 /// Deterministic sum of squares (dot of a with itself).
-inline float sumsq(const float* a, index_t n,
-                   ReduceKernel kernel = ReduceKernel::kAuto) {
-  return dot(a, a, n, kernel);
+template <class Vec = SweepVec>
+inline float sumsq(const float* a, index_t n) {
+  return dot<Vec>(a, a, n);
 }
 
-/// y[j] = fma(w, x[j], y[j]). Elementwise — bit-exact across paths
-/// because every element is a single fma regardless of lane width.
-inline void axpy(float w, const float* x, float* y, index_t n,
-                 ReduceKernel kernel = ReduceKernel::kAuto) {
-  const ReduceKernel k = resolve(kernel);
+/// y[j] = fma(w, x[j], y[j]). Elementwise — bit-exact across
+/// descriptions because every element is a single fma.
+template <class Vec = SweepVec>
+inline void axpy(float w, const float* x, float* y, index_t n) {
+  const typename Vec::V ww = Vec::set1(w);
   index_t j = 0;
-#if defined(__AVX512F__)
-  if (k == ReduceKernel::kAvx512) {
-    const __m512 ww = _mm512_set1_ps(w);
-    for (; j + 16 <= n; j += 16) {
-      _mm512_storeu_ps(
-          y + j, _mm512_fmadd_ps(ww, _mm512_loadu_ps(x + j),
-                                 _mm512_loadu_ps(y + j)));
-    }
+  for (; j + Vec::kWidth <= n; j += Vec::kWidth) {
+    Vec::store(y + j, Vec::fma(ww, Vec::load(x + j), Vec::load(y + j)));
   }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (k == ReduceKernel::kAvx2) {
-    const __m256 ww = _mm256_set1_ps(w);
-    for (; j + 8 <= n; j += 8) {
-      _mm256_storeu_ps(
-          y + j, _mm256_fmadd_ps(ww, _mm256_loadu_ps(x + j),
-                                 _mm256_loadu_ps(y + j)));
-    }
-  }
-#endif
-  (void)k;
   for (; j < n; ++j) y[j] = std::fma(w, x[j], y[j]);
 }
 
-/// y[j] *= s. Elementwise multiply — bit-exact across paths.
-inline void scale(float* y, float s, index_t n,
-                  ReduceKernel kernel = ReduceKernel::kAuto) {
-  const ReduceKernel k = resolve(kernel);
+/// y[j] *= s. Elementwise multiply — bit-exact across descriptions.
+template <class Vec = SweepVec>
+inline void scale(float* y, float s, index_t n) {
+  const typename Vec::V ss = Vec::set1(s);
   index_t j = 0;
-#if defined(__AVX512F__)
-  if (k == ReduceKernel::kAvx512) {
-    const __m512 ss = _mm512_set1_ps(s);
-    for (; j + 16 <= n; j += 16) {
-      _mm512_storeu_ps(y + j, _mm512_mul_ps(_mm512_loadu_ps(y + j), ss));
-    }
+  for (; j + Vec::kWidth <= n; j += Vec::kWidth) {
+    Vec::store(y + j, Vec::mul(Vec::load(y + j), ss));
   }
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-  if (k == ReduceKernel::kAvx2) {
-    const __m256 ss = _mm256_set1_ps(s);
-    for (; j + 8 <= n; j += 8) {
-      _mm256_storeu_ps(y + j, _mm256_mul_ps(_mm256_loadu_ps(y + j), ss));
-    }
-  }
-#endif
-  (void)k;
   for (; j < n; ++j) y[j] *= s;
 }
 

@@ -121,18 +121,20 @@ void TraceRecorder::record(const TraceSpan& span) {
   Shard& sh = shard();
   const std::uint64_t ticket = sh.head.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = sh.slots[ticket & (capacity_ - 1)];
-  // Seqlock writer: mark the slot in-progress, fence, publish the
-  // payload with relaxed stores, then release-store the completion
-  // value (even, encodes the ticket so readers can tell generations
-  // apart after wraparound).
+  // Seqlock writer: mark the slot in-progress, publish the payload with
+  // release stores (each one carries the odd mark with it: a reader that
+  // sees any new word also sees the mark and rejects the slot), then
+  // release-store the completion value (even, encodes the ticket so
+  // readers can tell generations apart after wraparound). No fence, so
+  // the thread sanitizer models every ordering; on x86 all of these are
+  // plain stores.
   slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.words[0].store(span.trace_id, std::memory_order_relaxed);
-  slot.words[1].store(span.ts_us, std::memory_order_relaxed);
-  slot.words[2].store(span.dur_us, std::memory_order_relaxed);
-  slot.words[3].store(span.target, std::memory_order_relaxed);
-  slot.words[4].store(span.detail, std::memory_order_relaxed);
-  slot.words[5].store(pack_attrs(span), std::memory_order_relaxed);
+  slot.words[0].store(span.trace_id, std::memory_order_release);
+  slot.words[1].store(span.ts_us, std::memory_order_release);
+  slot.words[2].store(span.dur_us, std::memory_order_release);
+  slot.words[3].store(span.target, std::memory_order_release);
+  slot.words[4].store(span.detail, std::memory_order_release);
+  slot.words[5].store(pack_attrs(span), std::memory_order_release);
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
 
@@ -172,14 +174,16 @@ void TraceRecorder::snapshot_shard(const Shard& shard,
   for (std::uint64_t ticket = begin; ticket < head; ++ticket) {
     const Slot& slot = shard.slots[ticket & (capacity_ - 1)];
     // Seqlock reader: accept the slot only if the completion value for
-    // exactly this ticket is stable across the payload reads.
+    // exactly this ticket is stable across the payload reads. The
+    // acquire loads keep the re-check after them, and a word from a
+    // later writer synchronizes with that writer's odd mark, so the
+    // re-check then fails.
     const std::uint64_t want = 2 * ticket + 2;
     if (slot.seq.load(std::memory_order_acquire) != want) continue;
     std::uint64_t words[kWords];
     for (int w = 0; w < kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
+      words[w] = slot.words[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != want) continue;
     TraceSpan span;
     span.trace_id = words[0];

@@ -24,13 +24,13 @@
 //
 // Slot protocol: spans are published through a per-slot seqlock (odd =
 // write in progress, even = ticket complete) with the payload held in
-// relaxed atomics, so a snapshot racing a wrapping writer skips the
-// torn slot instead of reading garbage. With one shard per recording
+// release/acquire atomics, so a snapshot racing a wrapping writer skips
+// the torn slot instead of reading garbage. With one shard per recording
 // thread each slot effectively has a single writer; the seqlock guards
 // the reader-vs-writer race that remains.
 //
 // Sampling: the Server traces 1 request in trace_sample_n. The record
-// cost is a handful of relaxed stores per span, so 1-in-1024 sampling
+// cost is a handful of atomic stores per span (plain stores on x86), so 1-in-1024 sampling
 // is ≈0 overhead on the submit path (gated by the committed
 // trace_overhead bench block).
 #pragma once
@@ -142,7 +142,7 @@ class TraceRecorder {
   [[nodiscard]] Status dump_chrome_json(const std::string& path) const;
 
  private:
-  // Payload packed into 6 relaxed-atomic words plus the seqlock word.
+  // Payload packed into 6 atomic words plus the seqlock word.
   static constexpr int kWords = 6;
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  ///< 0 empty; odd writing;

@@ -1,6 +1,6 @@
 // Decode attention + KV cache: the deterministic 16-lane reductions and
-// the GQA-grouped, token-blocked attend loop must be bit-identical across
-// scalar/AVX2/AVX-512, the streaming softmax (per logit and per block)
+// the GQA-grouped, token-blocked attend loop must be bit-identical on
+// every vector description the build compiles, the streaming softmax (per logit and per block)
 // and attend must match a long-double two-pass oracle on adversarial
 // logits, non-finite logits must be typed errors, RoPE must be
 // an isometry with position 0 the identity, and the paged KvCache must
@@ -28,18 +28,7 @@ using attn::DecodeAttention;
 using attn::KvCache;
 using attn::KvCacheOptions;
 using attn::OnlineSoftmax;
-using simd::ReduceKernel;
-
-std::vector<ReduceKernel> compiled_kernels() {
-  std::vector<ReduceKernel> kernels = {ReduceKernel::kScalar};
-  if (simd::kernel_compiled(ReduceKernel::kAvx2)) {
-    kernels.push_back(ReduceKernel::kAvx2);
-  }
-  if (simd::kernel_compiled(ReduceKernel::kAvx512)) {
-    kernels.push_back(ReduceKernel::kAvx512);
-  }
-  return kernels;
-}
+using simd::VecScalar;
 
 // ----------------------------------------------------------- reductions
 
@@ -48,14 +37,14 @@ TEST(Reduce, DotBitExactAcrossKernels) {
   // 77 exercises full 16-lane blocks plus a ragged 13-element tail.
   const MatrixF a = random_matrix(1, 77, rng, -2.0f, 2.0f);
   const MatrixF b = random_matrix(1, 77, rng, -2.0f, 2.0f);
-  const float want = simd::dot(a.row(0), b.row(0), 77, ReduceKernel::kScalar);
-  for (ReduceKernel k : compiled_kernels()) {
-    EXPECT_EQ(want, simd::dot(a.row(0), b.row(0), 77, k))
-        << simd::to_string(k);
-    EXPECT_EQ(simd::sumsq(a.row(0), 77, ReduceKernel::kScalar),
-              simd::sumsq(a.row(0), 77, k))
-        << simd::to_string(k);
-  }
+  const float want = simd::dot<VecScalar>(a.row(0), b.row(0), 77);
+  for_each_vec([&]<class Vec>() {
+    EXPECT_EQ(want, simd::dot<Vec>(a.row(0), b.row(0), 77))
+        << "width " << Vec::kWidth;
+    EXPECT_EQ(simd::sumsq<VecScalar>(a.row(0), 77),
+              simd::sumsq<Vec>(a.row(0), 77))
+        << "width " << Vec::kWidth;
+  });
 }
 
 TEST(Reduce, ElementwiseBitExactAcrossKernels) {
@@ -63,14 +52,14 @@ TEST(Reduce, ElementwiseBitExactAcrossKernels) {
   const MatrixF x = random_matrix(1, 45, rng, -3.0f, 3.0f);
   const MatrixF y0 = random_matrix(1, 45, rng, -3.0f, 3.0f);
   std::vector<float> want(y0.row(0), y0.row(0) + 45);
-  simd::axpy(0.37f, x.row(0), want.data(), 45, ReduceKernel::kScalar);
-  simd::scale(want.data(), 1.61f, 45, ReduceKernel::kScalar);
-  for (ReduceKernel k : compiled_kernels()) {
+  simd::axpy<VecScalar>(0.37f, x.row(0), want.data(), 45);
+  simd::scale<VecScalar>(want.data(), 1.61f, 45);
+  for_each_vec([&]<class Vec>() {
     std::vector<float> got(y0.row(0), y0.row(0) + 45);
-    simd::axpy(0.37f, x.row(0), got.data(), 45, k);
-    simd::scale(got.data(), 1.61f, 45, k);
-    EXPECT_EQ(want, got) << simd::to_string(k);
-  }
+    simd::axpy<Vec>(0.37f, x.row(0), got.data(), 45);
+    simd::scale<Vec>(got.data(), 1.61f, 45);
+    EXPECT_EQ(want, got) << "width " << Vec::kWidth;
+  });
 }
 
 TEST(Reduce, DotMatchesLongDoubleReference) {
@@ -212,26 +201,26 @@ TEST(OnlineSoftmax, BlockFoldBitExactAcrossKernels) {
   Rng rng(15);
   const MatrixF l = random_matrix(1, 37, rng, -30.0f, 30.0f);
   const MatrixF v = random_matrix(37, 19, rng, -1.0f, 1.0f);
-  auto run = [&](ReduceKernel kernel) {
+  auto run = [&]<class Vec>() {
     std::vector<float> acc(19, 0.0f), w(16);
     OnlineSoftmax sm;
     for (index_t t0 = 0; t0 < 37; t0 += 16) {
       const index_t count = std::min<index_t>(16, 37 - t0);
       EXPECT_TRUE(
-          sm.fold(l.row(0) + t0, count, w.data(), acc.data(), 19, kernel));
+          sm.fold<Vec>(l.row(0) + t0, count, w.data(), acc.data(), 19));
       for (index_t t = 0; t < count; ++t) {
-        simd::axpy(w[static_cast<std::size_t>(t)], v.row(t0 + t), acc.data(),
-                   19, kernel);
+        simd::axpy<Vec>(w[static_cast<std::size_t>(t)], v.row(t0 + t),
+                        acc.data(), 19);
       }
     }
     acc.push_back(sm.s);
     acc.push_back(sm.m);
     return acc;
   };
-  const std::vector<float> want = run(ReduceKernel::kScalar);
-  for (ReduceKernel k : compiled_kernels()) {
-    EXPECT_EQ(want, run(k)) << simd::to_string(k);
-  }
+  const std::vector<float> want = run.template operator()<VecScalar>();
+  for_each_vec([&]<class Vec>() {
+    EXPECT_EQ(want, run.template operator()<Vec>()) << "width " << Vec::kWidth;
+  });
 }
 
 TEST(OnlineSoftmax, NonFiniteLogitIsRejectedWithoutStateChange) {
@@ -423,8 +412,9 @@ TEST(KvCache, StatsAccountBytes) {
 
 TEST(DecodeAttention, GqaBitExactAcrossKernels) {
   // 8 query heads over 2 KV heads (group of 4); head_dim 24 leaves a
-  // ragged 8-lane tail in every 16-lane dot. Each compiled kernel path
-  // decodes the same stream; outputs must match the scalar path with ==.
+  // ragged 8-lane tail in every 16-lane dot. attend on each compiled
+  // description decodes the same stream; outputs must match VecScalar's
+  // with ==.
   AttnConfig base;
   base.n_heads = 8;
   base.n_kv_heads = 2;
@@ -442,34 +432,35 @@ TEST(DecodeAttention, GqaBitExactAcrossKernels) {
   const MatrixF ks = random_matrix(steps, base.kv_dim(), rng);
   const MatrixF vs = random_matrix(steps, base.kv_dim(), rng);
 
-  auto run = [&](ReduceKernel kernel) {
-    AttnConfig cfg = base;
-    cfg.kernel = kernel;
-    DecodeAttention op(cfg);
+  auto run = [&]<class Vec>() {
+    DecodeAttention op(base);
     KvCache cache(kv_opt);
     NMSPMM_CHECK_OK(cache.begin_sequence(1));
     std::vector<float> out(
-        static_cast<std::size_t>(steps) * cfg.q_dim());
-    std::vector<float> q(static_cast<std::size_t>(cfg.q_dim()));
-    std::vector<float> k(static_cast<std::size_t>(cfg.kv_dim()));
+        static_cast<std::size_t>(steps) * base.q_dim());
+    std::vector<float> q(static_cast<std::size_t>(base.q_dim()));
+    std::vector<float> k(static_cast<std::size_t>(base.kv_dim()));
     for (int t = 0; t < steps; ++t) {
-      std::copy_n(qs.row(t), cfg.q_dim(), q.data());
-      std::copy_n(ks.row(t), cfg.kv_dim(), k.data());
-      NMSPMM_CHECK_OK(op.decode_step(
-          cache, 1, q.data(), k.data(), vs.row(t),
-          out.data() + static_cast<std::size_t>(t) * cfg.q_dim()));
+      std::copy_n(qs.row(t), base.q_dim(), q.data());
+      std::copy_n(ks.row(t), base.kv_dim(), k.data());
+      NMSPMM_CHECK_OK(op.append(cache, 1, k.data(), vs.row(t)));
+      NMSPMM_CHECK_OK(op.attend<Vec>(
+          cache, 1, q.data(),
+          out.data() + static_cast<std::size_t>(t) * base.q_dim()));
     }
     return out;
   };
 
-  const std::vector<float> want = run(ReduceKernel::kScalar);
-  for (ReduceKernel kernel : compiled_kernels()) {
-    EXPECT_EQ(want, run(kernel)) << simd::to_string(kernel);
-  }
+  const std::vector<float> want = run.template operator()<VecScalar>();
+  for_each_vec([&]<class Vec>() {
+    EXPECT_EQ(want, run.template operator()<Vec>()) << "width " << Vec::kWidth;
+  });
 }
 
-/// Decode @p steps tokens of seeded Q/K/V through a fresh cache and
-/// return every step's attention output, concatenated.
+/// Decode @p steps tokens of seeded Q/K/V through a fresh cache, with
+/// attend on @p Vec, and return every step's attention output,
+/// concatenated.
+template <class Vec>
 std::vector<float> decode_outputs(AttnConfig cfg, index_t page_tokens,
                                   int steps, std::uint64_t seed) {
   KvCacheOptions kv_opt;
@@ -490,8 +481,9 @@ std::vector<float> decode_outputs(AttnConfig cfg, index_t page_tokens,
   for (int t = 0; t < steps; ++t) {
     std::copy_n(qs.row(t), cfg.q_dim(), q.data());
     std::copy_n(ks.row(t), cfg.kv_dim(), k.data());
-    NMSPMM_CHECK_OK(op.decode_step(
-        cache, 1, q.data(), k.data(), vs.row(t),
+    NMSPMM_CHECK_OK(op.append(cache, 1, k.data(), vs.row(t)));
+    NMSPMM_CHECK_OK(op.attend<Vec>(
+        cache, 1, q.data(),
         out.data() + static_cast<std::size_t>(t) * cfg.q_dim()));
   }
   return out;
@@ -509,15 +501,14 @@ TEST(DecodeAttention, BlockedLoopBitExactAcrossKernelsGrid) {
         cfg.n_kv_heads = 2;
         cfg.n_heads = 2 * group;
         cfg.head_dim = head_dim;
-        cfg.kernel = ReduceKernel::kScalar;
-        const std::vector<float> want = decode_outputs(cfg, page_tokens, 70,
-                                                       101 + group);
-        for (ReduceKernel kernel : compiled_kernels()) {
-          cfg.kernel = kernel;
-          EXPECT_EQ(want, decode_outputs(cfg, page_tokens, 70, 101 + group))
-              << simd::to_string(kernel) << " group " << group
+        const std::vector<float> want =
+            decode_outputs<VecScalar>(cfg, page_tokens, 70, 101 + group);
+        for_each_vec([&]<class Vec>() {
+          EXPECT_EQ(want,
+                    decode_outputs<Vec>(cfg, page_tokens, 70, 101 + group))
+              << "width " << Vec::kWidth << " group " << group
               << " head_dim " << head_dim << " page_tokens " << page_tokens;
-        }
+        });
       }
     }
   }

@@ -5,7 +5,9 @@
 // both the plan and the kernel entry points.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -170,6 +172,37 @@ TEST(Epilogue, ApplyEpilogueMatchesHandRolled) {
         << " mul=" << spec.mul << " act_on_other=" << spec.act_on_other
         << " add=" << spec.add;
   }
+}
+
+TEST(Epilogue, ActivationsOnEveryDescriptionMatchScalarBitForBit) {
+  // fast_exp / silu / gelu on each vector description against the
+  // scalar functions, bit for bit: both clamp ends of fast_exp (|x| past
+  // 126 / log2(e) ~ 87.3), signed zeros, denormals, the float range's
+  // ends, and a dense sweep through the polynomial's working range.
+  std::vector<float> xs = {200.0f,   -200.0f,  0.0f,     -0.0f,
+                           1e-40f,   -1e-40f,  1.4e-45f, -1.4e-45f,
+                           87.3f,    -87.3f,   88.8f,    -88.8f,
+                           3.4e38f,  -3.4e38f, 1e-30f,   -1e-30f};
+  for (int i = -3000; i < 3000; ++i) xs.push_back(0.0317f * i);
+  const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+  for_each_vec([&]<class Vec>() {
+    float out[3][Vec::kWidth];
+    for (std::size_t i = 0; i < xs.size(); i += Vec::kWidth) {
+      const typename Vec::V x = Vec::load(xs.data() + i);
+      Vec::store(out[0], detail::exp_of<Vec>(x));
+      Vec::store(out[1], detail::silu_lanes<Vec>(x));
+      Vec::store(out[2], detail::gelu_lanes<Vec>(x));
+      for (int l = 0; l < Vec::kWidth; ++l) {
+        const float xl = xs[i + static_cast<std::size_t>(l)];
+        ASSERT_EQ(bits(fast_exp(xl)), bits(out[0][l]))
+            << "fast_exp(" << xl << ") width " << Vec::kWidth;
+        ASSERT_EQ(bits(silu(xl)), bits(out[1][l]))
+            << "silu(" << xl << ") width " << Vec::kWidth;
+        ASSERT_EQ(bits(gelu(xl)), bits(out[2][l]))
+            << "gelu(" << xl << ") width " << Vec::kWidth;
+      }
+    }
+  });
 }
 
 TEST(Epilogue, FusedMatchesUnfusedAcrossVariantsThreadsAndShapes) {
