@@ -1,5 +1,5 @@
-// Ablations of the design choices DESIGN.md calls out, measured with the
-// real CPU kernels:
+// Ablations of the paper's design choices, measured with the real CPU
+// kernels:
 //   1. packing vs non-packing across sparsity (the §III-C1 choice);
 //   2. index hoisting + prefetch (V3) vs inline index reads (V1);
 //   3. vector length L sweep (accuracy/performance trade-off, §III-A);
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::cout << "(On GPU packing wins in the memory-bound regime; on CPU the\n"
                "cache hierarchy already skips unused lines, so explicit\n"
                "packing pays its gather cost without a traffic saving —\n"
-               "documented substrate difference, see EXPERIMENTS.md.)\n\n";
+               "a substrate difference.)\n\n";
 
   std::cout << "=== Ablation 2: index hoisting + prefetch (V1 vs V3 "
                "non-packed) ===\n";

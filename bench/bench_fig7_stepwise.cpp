@@ -79,7 +79,8 @@ void run_measured(index_t size) {
   std::cout << "Note: on CPU the cache hierarchy implicitly provides what\n"
                "packing provides explicitly on GPU, so V2/V3-packed trail\n"
                "the non-packed path here; the simulated tables above carry\n"
-               "the paper's GPU-side packing benefit (see EXPERIMENTS.md).\n";
+               "the paper's GPU-side packing benefit (bench_ablation,\n"
+               "ablation 1, measures the CPU gap per sparsity).\n";
   print_table(table);
 }
 

@@ -17,7 +17,6 @@
 #include "bench/artifact.hpp"
 #include "bench/bench_common.hpp"
 #include "model/ffn.hpp"
-#include "obs/perf_counters.hpp"
 
 using namespace nmspmm;
 using namespace nmspmm::bench;
@@ -139,13 +138,6 @@ int main(int argc, char** argv) {
   }, 1, 3, 0.2).median;
   const double ffn_per_s = static_cast<double>(requests) / stream_s;
 
-  // Hardware attribution of the three projections: a separate profiled
-  // phase AFTER the timed loops, so the per-projection counter ioctls
-  // never perturb the fused-vs-unfused comparison the gate watches.
-  plan.set_profiling(true);
-  for (int it = 0; it < 3; ++it) run_fused();
-  plan.set_profiling(false);
-
   const double speedup = unfused_s / fused_s;
   const model::ModelPlan::Stats stats = plan.stats();
   ResultTable table({"pipeline", "ms", "speedup"});
@@ -176,17 +168,6 @@ int main(int argc, char** argv) {
             << ResultTable::fmt(stage_ms(model::Stage::kGate), 2) << ", up "
             << ResultTable::fmt(stage_ms(model::Stage::kUp), 2) << ", down "
             << ResultTable::fmt(stage_ms(model::Stage::kDown), 2) << "\n";
-  const model::StageProfile::Snapshot& profiled = stats.stages;
-  if (profiled.supported) {
-    std::cout << "projection IPC (profiled, " << profiled.profiled_runs
-              << " runs): gate "
-              << ResultTable::fmt(profiled[model::Stage::kGate].perf.ipc(), 2)
-              << ", up "
-              << ResultTable::fmt(profiled[model::Stage::kUp].perf.ipc(), 2)
-              << ", down "
-              << ResultTable::fmt(profiled[model::Stage::kDown].perf.ipc(), 2)
-              << "\n";
-  }
 
   std::ostringstream model_json;
   model_json << "{\"hidden\": " << hidden << ", \"ffn\": " << ffn
@@ -203,22 +184,8 @@ int main(int argc, char** argv) {
              << ", \"stage_ms\": {\"gate\": "
              << fmt4(stage_ms(model::Stage::kGate))
              << ", \"up\": " << fmt4(stage_ms(model::Stage::kUp))
-             << ", \"down\": " << fmt4(stage_ms(model::Stage::kDown)) << "}"
-             << ", \"perf\": {\"supported\": "
-             << (profiled.supported ? "true" : "false")
-             << ", \"runs\": " << profiled.profiled_runs;
-  if (profiled.supported) {
-    for (const model::Stage stage :
-         {model::Stage::kGate, model::Stage::kUp, model::Stage::kDown}) {
-      const obs::PerfCounts& p = profiled[stage].perf;
-      model_json << ", \"" << model::to_string(stage)
-                 << "\": {\"cycles\": " << p.cycles
-                 << ", \"instructions\": " << p.instructions
-                 << ", \"cache_misses\": " << p.cache_misses
-                 << ", \"ipc\": " << fmt4(p.ipc()) << "}";
-    }
-  }
-  model_json << "}}";
+             << ", \"down\": " << fmt4(stage_ms(model::Stage::kDown))
+             << "}}";
 
   const std::string merge = cli.get_string("merge");
   const std::string out_path = cli.get_string("out");

@@ -5,7 +5,8 @@
 // trajectory across PRs) has numbers to diff instead of eyeballing
 // tables. The JSON also records the steady-state pack_b_block counters,
 // which must stay at zero: any re-introduction of per-call weight
-// staging shows up as a nonzero "staged_calls" in the artifact.
+// staging shows up as a nonzero "staged_calls" in the artifact. Every
+// timing is wall time.
 //
 // Defaults are laptop/CI-friendly; pass --m/--n/--k for real sweeps.
 #include <cmath>
@@ -16,7 +17,6 @@
 
 #include "bench/bench_common.hpp"
 #include "core/pack.hpp"
-#include "obs/perf_counters.hpp"
 #include "util/numa_alloc.hpp"
 
 using namespace nmspmm;
@@ -29,8 +29,6 @@ struct VariantResult {
   double seconds = 0.0;
   double gflops = 0.0;
   double packing_ratio = 1.0;
-  obs::PerfCounts perf;  ///< totals over perf_reps executes (if supported)
-  int perf_reps = 0;
 };
 
 /// Resident-footprint numbers for one residency mode of the same FFN
@@ -94,23 +92,6 @@ std::string json_escape_free(double v) {
   return buf;
 }
 
-/// One hardware-counter block for the JSON artifact. Emits
-/// supported=false (and nothing else meaningful) where perf_event_open
-/// is unavailable — sandboxes and cross-platform artifacts stay valid.
-void emit_perf_json(std::ofstream& os, const obs::PerfCounts& p, int reps) {
-  os << "{\"supported\": " << (p.supported ? "true" : "false")
-     << ", \"reps\": " << reps;
-  if (p.supported) {
-    os << ", \"cycles\": " << p.cycles
-       << ", \"instructions\": " << p.instructions
-       << ", \"cache_misses\": " << p.cache_misses
-       << ", \"stalled_backend\": " << p.stalled_backend
-       << ", \"ipc\": " << json_escape_free(p.ipc())
-       << ", \"llc_mpki\": " << json_escape_free(p.misses_per_kilo_instr());
-  }
-  os << "}";
-}
-
 /// CPU model string (Linux), so the perf-trend gate knows whether two
 /// artifacts came from comparable hardware: absolute GFLOP/s only gate
 /// hard against a baseline from the same CPU class.
@@ -165,18 +146,6 @@ int main(int argc, char** argv) {
     r.seconds = measure_plan(plan, prob.a.view(), prob.c.view());
     r.gflops = prob.flops / r.seconds * 1e-9;
     r.packing_ratio = plan.packing_ratio();
-    // Hardware attribution outside the timed loop: a few extra executes
-    // under one counter group answer *why* the GFLOP/s number moved
-    // (IPC collapse vs LLC-miss growth look identical in wall time).
-    obs::PerfCounterSet perf;
-    if (perf.supported()) {
-      r.perf_reps = 3;
-      perf.start();
-      for (int it = 0; it < r.perf_reps; ++it) {
-        NMSPMM_CHECK_OK(plan.execute(prob.a.view(), prob.c.view()));
-      }
-      r.perf = perf.stop();
-    }
     results.push_back(r);
   }
 
@@ -236,16 +205,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(res_packed.packed_bytes)
           : 0.0;
 
-  ResultTable table({"variant", "ms", "GFLOP/s", "packing ratio", "IPC",
-                     "LLC MPKI"});
+  ResultTable table({"variant", "ms", "GFLOP/s", "packing ratio"});
   for (const VariantResult& r : results) {
     table.add_row({r.name, ResultTable::fmt(r.seconds * 1e3, 2),
                    ResultTable::fmt(r.gflops, 2),
-                   ResultTable::fmt(r.packing_ratio, 2),
-                   r.perf.supported ? ResultTable::fmt(r.perf.ipc(), 2) : "-",
-                   r.perf.supported
-                       ? ResultTable::fmt(r.perf.misses_per_kilo_instr(), 2)
-                       : "-"});
+                   ResultTable::fmt(r.packing_ratio, 2)});
   }
   print_table(table);
   std::cout << "serving: " << ResultTable::fmt(requests_per_s, 0)
@@ -270,7 +234,7 @@ int main(int argc, char** argv) {
   }
   os << "{\n"
      << "  \"bench\": \"bench_resident\",\n"
-     << "  \"schema_version\": 4,\n"
+     << "  \"schema_version\": 5,\n"
      << "  \"cpu\": \"" << cpu_model() << "\",\n"
      << "  \"shape\": {\"m\": " << m << ", \"n\": " << n << ", \"k\": " << k
      << ", \"sparsity\": " << cfg.sparsity()
@@ -282,9 +246,8 @@ int main(int argc, char** argv) {
     os << "    {\"variant\": \"" << r.name << "\", \"gflops\": "
        << json_escape_free(r.gflops) << ", \"ms\": "
        << json_escape_free(r.seconds * 1e3) << ", \"packing_ratio\": "
-       << json_escape_free(r.packing_ratio) << ", \"perf\": ";
-    emit_perf_json(os, r.perf, r.perf_reps);
-    os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+       << json_escape_free(r.packing_ratio) << "}"
+       << (i + 1 < results.size() ? "," : "") << "\n";
   }
   const auto emit_residency = [&os](const char* name,
                                     const ResidencyResult& r) {

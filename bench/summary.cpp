@@ -14,8 +14,7 @@ int main() {
       "bench_ablation        §IV-B     packing / hoisting / L / patterns\n"
       "bench_micro_kernels   —         google-benchmark building blocks\n"
       "\n"
-      "Paper-vs-measured record: EXPERIMENTS.md. Substitutions and the\n"
-      "per-experiment module map: DESIGN.md. CPU sections accept --full\n"
+      "Module map: README.md, \"Layout\". CPU sections accept --full\n"
       "for the paper's exact sizes.");
   return 0;
 }

@@ -41,7 +41,7 @@ namespace nmspmm {
 ///  - kAuto: platform-calibrated sparsity-aware choice. On CPU the cache
 ///    hierarchy already skips unused lines, so explicit packing never
 ///    recovers its gather cost and kAuto selects the non-packed path
-///    (see EXPERIMENTS.md, substrate differences).
+///    (bench_ablation, ablation 1).
 ///  - kPaperRule: the paper's GPU rule — pack above the 70% threshold.
 ///  - kAlways / kNever: force a path (ablations, testing).
 enum class PackingMode { kAuto, kPaperRule, kAlways, kNever };

@@ -231,11 +231,6 @@ DecoderPlan::Stats DecoderPlan::stats() const {
   return stats;
 }
 
-void DecoderPlan::set_profiling(bool enabled) {
-  profile_.set_profiling(enabled);
-  if (ffn_plan_ != nullptr) ffn_plan_->set_profiling(enabled);
-}
-
 }  // namespace model
 
 StatusOr<std::shared_ptr<model::DecoderPlan>> Engine::plan_decoder(

@@ -20,9 +20,9 @@
 //
 // Every stage runs through one StageProfile (model/stage_profile.hpp),
 // the runner ModelPlan uses too: stats().stages holds the wall time of
-// qkv / kv_append / attend / attn_out (plus hardware counters while
-// profiling), stats().ffn.stages the tail's gate / up / down. stats()
-// takes no lock, so a metrics scrape never waits behind a decode step.
+// qkv / kv_append / attend / attn_out, stats().ffn.stages the tail's
+// gate / up / down. stats() takes no lock, so a metrics scrape never
+// waits behind a decode step.
 //
 //   auto plan = engine.plan_decoder(max_batch, layer, kv_options);
 //   NMSPMM_CHECK_OK((*plan)->begin_sequence(7));
@@ -125,9 +125,9 @@ class DecoderPlan {
     std::size_t scratch_bytes = 0;  ///< qkv / attention / x1 buffers
     attn::KvCache::Stats kv;        ///< paged K/V residency + lifecycle
     ModelPlan::Stats ffn;           ///< the nested FFN tail
-    /// Per-stage attribution of every decode() (qkv / kv_append /
-    /// attend / attn_out; ModelPlan::Stats::stages semantics). The FFN
-    /// tail reports its gate / up / down under ffn.stages.
+    /// Per-stage wall time and call counts of every decode() (qkv /
+    /// kv_append / attend / attn_out). The FFN tail reports its gate /
+    /// up / down under ffn.stages.
     StageProfile::Snapshot stages;
     [[nodiscard]] std::size_t resident_bytes() const {
       return weight_bytes + packed_bytes + scratch_bytes +
@@ -135,12 +135,6 @@ class DecoderPlan {
     }
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Toggle hardware-counter profiling of subsequent decode() calls
-  /// (Stats::stages); forwards to the nested FFN plan so ffn.stages
-  /// fills in too. Same semantics as ModelPlan::set_profiling.
-  void set_profiling(bool enabled);
-  [[nodiscard]] bool profiling() const { return profile_.profiling(); }
 
  private:
   friend class nmspmm::Engine;

@@ -22,7 +22,7 @@
 //     steady-state run() calls perform zero heap allocation;
 //   - each projection runs as a gate / up / down stage of a
 //     StageProfile (model/stage_profile.hpp), so stats().stages says
-//     where the time went without a lock or perf_event_open.
+//     where the time went, in wall time, without a lock.
 //
 //   nmspmm::Engine engine;
 //   auto plan = engine.plan_model(max_tokens, {block});   // StatusOr
@@ -133,23 +133,14 @@ class ModelPlan {
     int packed_numa_node = -1;
     /// Counters of the WeightStore owning the packed forms.
     mem::WeightStore::Stats store;
-    /// Per-stage attribution of every run() (gate / up / down, summed
-    /// over the blocks): wall time always, hardware counters while
-    /// set_profiling(true) is on and perf_event_open works (see
-    /// model/stage_profile.hpp).
+    /// Per-stage wall time and call counts of every run() (gate / up /
+    /// down, summed over the blocks; see model/stage_profile.hpp).
     StageProfile::Snapshot stages;
     [[nodiscard]] std::size_t resident_bytes() const {
       return weight_bytes + packed_bytes + scratch_bytes;
     }
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Toggle hardware-counter profiling of subsequent run() calls (see
-  /// Stats::stages). When off, run() keeps only the wall-clock times.
-  /// Safe to call from any thread; accumulated counts persist across
-  /// toggles.
-  void set_profiling(bool enabled) { profile_.set_profiling(enabled); }
-  [[nodiscard]] bool profiling() const { return profile_.profiling(); }
 
  private:
   friend class nmspmm::Engine;

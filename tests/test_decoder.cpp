@@ -522,13 +522,11 @@ TEST(DecoderPlan, StagesTimeEveryStepWithoutCounters) {
 
   const model::DecoderPlan::Stats stats = p.plan->stats();
   EXPECT_EQ(stats.stages.runs, static_cast<std::uint64_t>(kSteps));
-  EXPECT_EQ(stats.stages.profiled_runs, 0u);
   std::uint64_t total_ns = 0;
   for (const model::Stage stage : kAttnStages) {
     EXPECT_EQ(stats.stages[stage].calls, static_cast<std::uint64_t>(kSteps))
         << model::to_string(stage);
     EXPECT_GT(stats.stages[stage].ns, 0u) << model::to_string(stage);
-    EXPECT_FALSE(stats.stages[stage].perf.supported);
     total_ns += stats.stages[stage].ns;
   }
   // The FFN tail attributes its own projections under ffn.stages.
@@ -542,51 +540,6 @@ TEST(DecoderPlan, StagesTimeEveryStepWithoutCounters) {
   }
   // Every stage runs inside the caller's decode() window, one at a time.
   EXPECT_LE(total_ns, static_cast<std::uint64_t>(wall.count()));
-}
-
-TEST(DecoderPlan, ProfilingForwardsToTheFfnTailAndKeepsItsCounts) {
-  Rng rng(52);
-  Engine engine;
-  StagePlan p = stage_plan(engine, 2, 32, rng);
-  decode_steps(p, 1);  // unprofiled
-
-  p.plan->set_profiling(true);
-  EXPECT_TRUE(p.plan->profiling());
-  decode_steps(p, 2);
-  const model::DecoderPlan::Stats on = p.plan->stats();
-  EXPECT_TRUE(on.stages.enabled);
-  EXPECT_TRUE(on.ffn.stages.enabled);
-  EXPECT_EQ(on.stages.runs, 3u);
-  EXPECT_EQ(on.stages.profiled_runs, 2u);
-  EXPECT_EQ(on.ffn.stages.profiled_runs, 2u);
-  EXPECT_EQ(on.ffn.stages.supported, on.stages.supported);
-  for (const model::Stage stage : kAttnStages) {
-    const obs::PerfCounts& perf = on.stages[stage].perf;
-    EXPECT_EQ(perf.supported, on.stages.supported) << model::to_string(stage);
-    if (on.stages.supported) {
-      EXPECT_GT(perf.instructions, 0u) << model::to_string(stage);
-    } else {
-      EXPECT_EQ(perf.cycles, 0u) << model::to_string(stage);
-    }
-  }
-  for (const model::Stage stage : kFfnStages) {
-    EXPECT_EQ(on.ffn.stages[stage].perf.supported, on.ffn.stages.supported)
-        << model::to_string(stage);
-  }
-
-  // Disabling stops counting (in both plans) and keeps what was counted.
-  p.plan->set_profiling(false);
-  decode_steps(p, 1);
-  const model::DecoderPlan::Stats off = p.plan->stats();
-  EXPECT_FALSE(off.stages.enabled);
-  EXPECT_FALSE(off.ffn.stages.enabled);
-  EXPECT_EQ(off.stages.runs, 4u);
-  EXPECT_EQ(off.stages.profiled_runs, 2u);
-  EXPECT_EQ(off.ffn.stages.profiled_runs, 2u);
-  EXPECT_EQ(off.stages[model::Stage::kQkv].perf.instructions,
-            on.stages[model::Stage::kQkv].perf.instructions);
-  EXPECT_EQ(off.ffn.stages[model::Stage::kGate].perf.instructions,
-            on.ffn.stages[model::Stage::kGate].perf.instructions);
 }
 
 TEST(DecoderPlan, StatsRunsConcurrentlyWithDecode) {

@@ -1,16 +1,22 @@
 // model::FfnBlock / model::ModelPlan: the fused FFN pipeline must match
 // the unfused three-call pipeline bit-for-bit (same plans, epilogue
 // applied by hand), and stay within accumulation tolerance of the pure
-// reference; plus validation, chained blocks, resident-memory stats, and
-// Server::submit_ffn batched serving.
+// reference; plus validation, chained blocks, resident-memory stats, the
+// per-stage wall times of model::StageProfile, and Server::submit_ffn
+// batched serving.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/nmspmm.hpp"
+#include "model/stage_profile.hpp"
 #include "serve/server.hpp"
 #include "tests/testing.hpp"
 #include "workloads/generators.hpp"
@@ -348,6 +354,110 @@ TEST(ModelPlan, StatsReportResidentFootprint) {
   const model::ModelPlan::Stats tied_stats = (*tied)->stats();
   EXPECT_EQ(tied_stats.weight_bytes, stats.weight_bytes);
   EXPECT_EQ(tied_stats.packed_bytes, stats.packed_bytes);
+}
+
+std::shared_ptr<model::ModelPlan> small_ffn_plan(Engine& engine, Rng& rng) {
+  auto plan = engine.plan_model(8, {make_block(64, 112, {2, 4, 16}, rng,
+                                               /*with_bias=*/false)});
+  NMSPMM_CHECK_OK(plan.status());
+  return *plan;
+}
+
+TEST(ModelPlanProfiling, WallTimesCoverEveryStageWithoutCounters) {
+  Rng rng(78);
+  Engine engine;
+  auto plan = small_ffn_plan(engine, rng);
+  const MatrixF a = random_int_matrix(8, 64, rng);
+  MatrixF out(8, 64);
+
+  constexpr std::uint64_t kRuns = 4;
+  std::chrono::nanoseconds wall{0};
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    NMSPMM_ASSERT_OK(plan->run(a.view(), out.view()));
+    wall += std::chrono::steady_clock::now() - t0;
+  }
+  const model::StageProfile::Snapshot stages = plan->stats().stages;
+  EXPECT_EQ(stages.runs, kRuns);
+  std::uint64_t total_ns = 0;
+  for (const model::Stage stage :
+       {model::Stage::kGate, model::Stage::kUp, model::Stage::kDown}) {
+    EXPECT_EQ(stages[stage].calls, kRuns) << model::to_string(stage);
+    EXPECT_GT(stages[stage].ns, 0u) << model::to_string(stage);
+    total_ns += stages[stage].ns;
+  }
+  // The stages run inside the caller's window, one after another.
+  EXPECT_LE(total_ns, static_cast<std::uint64_t>(wall.count()));
+  // The decoder's stages are not the FFN's.
+  for (const model::Stage stage : {model::Stage::kQkv,
+                                   model::Stage::kKvAppend,
+                                   model::Stage::kAttend,
+                                   model::Stage::kAttnOut}) {
+    EXPECT_EQ(stages[stage].calls, 0u) << model::to_string(stage);
+  }
+}
+
+TEST(ModelPlanProfiling, SnapshotRunsConcurrentlyWithRuns) {
+  Rng rng(79);
+  Engine engine;
+  auto plan = small_ffn_plan(engine, rng);
+  const MatrixF a = random_int_matrix(8, 64, rng);
+  constexpr std::uint64_t kRuns = 16;
+
+  // The snapshot is lock-free: a scraper reads while runs go on. TSan
+  // checks the race-freedom; every total only grows.
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    MatrixF out(8, 64);
+    for (std::uint64_t i = 0; i < kRuns; ++i) {
+      EXPECT_TRUE(plan->run(a.view(), out.view()).ok());
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t last_runs = 0, last_ns = 0;
+  bool monotone = true;
+  while (!done.load(std::memory_order_acquire)) {
+    const model::StageProfile::Snapshot s = plan->stats().stages;
+    const std::uint64_t ns = s[model::Stage::kDown].ns;
+    monotone = monotone && s.runs >= last_runs && ns >= last_ns;
+    last_runs = s.runs;
+    last_ns = ns;
+  }
+  runner.join();
+  EXPECT_TRUE(monotone);
+  const model::StageProfile::Snapshot s = plan->stats().stages;
+  EXPECT_EQ(s.runs, kRuns);
+  EXPECT_EQ(s[model::Stage::kDown].calls, kRuns);
+}
+
+TEST(StageProfile, FailingStageReturnsItsStatusAndIsStillTimed) {
+  model::StageProfile profile;
+  profile.begin_run();
+  const model::StageProfile::Snapshot before = profile.snapshot();
+  std::uint64_t elapsed_ns = 0;
+  const Status status = profile.run(
+      model::Stage::kUp,
+      [] {
+        // Spin until the clock ticks, so the stage's time cannot be 0.
+        const auto t0 = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() == t0) {
+        }
+        return Status::Internal("stage failed");
+      },
+      &elapsed_ns);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "stage failed");
+
+  const model::StageProfile::Snapshot after = profile.snapshot();
+  EXPECT_EQ(after.runs, 1u);
+  EXPECT_EQ(after[model::Stage::kUp].calls,
+            before[model::Stage::kUp].calls + 1);
+  EXPECT_GT(after[model::Stage::kUp].ns, 0u);
+  EXPECT_EQ(elapsed_ns,
+            after[model::Stage::kUp].ns - before[model::Stage::kUp].ns);
+  // No other stage is charged.
+  EXPECT_EQ(after[model::Stage::kGate].calls, 0u);
+  EXPECT_EQ(after[model::Stage::kDown].calls, 0u);
 }
 
 TEST(ServerFfn, SubmitFfnCoalescesAndMatchesDirectRuns) {
