@@ -155,84 +155,64 @@ def main(argv=None):
               f"model_decode ctx {ctx}: {was:.0f} -> {now:.0f} tokens/s "
               f"({delta:+.1%})")
 
-    # Open-loop tail latency: the serving_open gate block carries the
-    # mid-load per-class p99 plus the offered rate it was measured at.
-    # p99 at a *different* offered load is a different quantity, so the
-    # gate only compares when the two artifacts measured loads within
-    # 25% of each other (capacity-relative loads drift with the machine).
-    bo = base.get("serving_open", {}).get("gate", {})
-    fo = fresh.get("serving_open", {}).get("gate", {})
-    if bo.get("offered_rps") and fo.get("offered_rps"):
-        was_rps, now_rps = bo["offered_rps"], fo["offered_rps"]
+    # Open-loop tail latency (serving_open blocks): p99 at a *different*
+    # offered load is a different quantity, so a block only compares when
+    # the two artifacts measured loads within 25% of each other
+    # (capacity-relative loads drift with the machine). Lower is better.
+    # pairs(base_block, fresh_block) yields (label, was, now) lazily, so
+    # a skipped block prints none of its per-item warnings.
+    def gate_p99(block, load, what, pairs):
+        b = base.get("serving_open", {}).get(block, {})
+        f = fresh.get("serving_open", {}).get(block, {})
+        if not (b.get("offered_rps") and f.get("offered_rps")):
+            return
+        was_rps, now_rps = b["offered_rps"], f["offered_rps"]
         if abs(now_rps - was_rps) > 0.25 * was_rps:
-            print(f"WARN: serving_open offered load moved {was_rps:.0f} -> "
-                  f"{now_rps:.0f} rps (>25%); p99 gate skipped — "
+            print(f"WARN: serving_open {load} moved {was_rps:.0f} -> "
+                  f"{now_rps:.0f} rps (>25%); {what} skipped — "
                   "regenerate and commit the baseline artifact.")
-        else:
-            for cls in ("decode", "prefill"):
-                was = bo.get(f"{cls}_p99_us")
-                now = fo.get(f"{cls}_p99_us")
-                if not was or now is None:
-                    continue
-                delta = (now - was) / was  # lower is better for us: negate
-                judge(-delta,
-                      f"serving_open {cls} p99: {was} -> {now} us "
-                      f"({delta:+.1%})")
+            return
+        for label, was, now in pairs(b, f):
+            delta = (now - was) / was
+            judge(-delta,
+                  f"serving_open {label} p99: {was} -> {now} us "
+                  f"({delta:+.1%})")
 
-    # Bursty tail: MMPP-2 arrivals at the mid load. Same quantity caveat
-    # as the gate block — p99 under a different offered load is a
-    # different number, so skip when the loads moved more than 25%.
-    bb = base.get("serving_open", {}).get("bursty", {})
-    fb = fresh.get("serving_open", {}).get("bursty", {})
-    if bb.get("offered_rps") and fb.get("offered_rps"):
-        was_rps, now_rps = bb["offered_rps"], fb["offered_rps"]
-        if abs(now_rps - was_rps) > 0.25 * was_rps:
-            print(f"WARN: serving_open bursty load moved {was_rps:.0f} -> "
-                  f"{now_rps:.0f} rps (>25%); bursty p99 gate skipped — "
-                  "regenerate and commit the baseline artifact.")
-        else:
+    def class_p99s(prefix):
+        def pairs(b, f):
             for cls in ("decode", "prefill"):
-                was = bb.get(f"{cls}_p99_us")
-                now = fb.get(f"{cls}_p99_us")
-                if not was or now is None:
-                    continue
-                delta = (now - was) / was  # lower is better for us: negate
-                judge(-delta,
-                      f"serving_open bursty {cls} p99: {was} -> {now} us "
-                      f"({delta:+.1%})")
+                was = b.get(f"{cls}_p99_us")
+                now = f.get(f"{cls}_p99_us")
+                if was and now is not None:
+                    yield f"{prefix}{cls}", was, now
+        return pairs
 
     # Overload response: decode p99 at ~1.5x capacity under the shedding
     # admission policies. kBlock is skipped by design — its p99 inherits
     # the whole backlog and is unbounded at any overload factor, so it
-    # would only gate on noise. Same load-move caveat as the other
-    # offered-load sections (the overload rate is capacity-relative and
-    # drifts with the machine).
-    bov = base.get("serving_open", {}).get("overload", {})
-    fov = fresh.get("serving_open", {}).get("overload", {})
-    if bov.get("offered_rps") and fov.get("offered_rps"):
-        was_rps, now_rps = bov["offered_rps"], fov["offered_rps"]
-        if abs(now_rps - was_rps) > 0.25 * was_rps:
-            print(f"WARN: serving_open overload load moved {was_rps:.0f} -> "
-                  f"{now_rps:.0f} rps (>25%); overload p99 gate skipped — "
-                  "regenerate and commit the baseline artifact.")
-        else:
-            base_policies = {p.get("policy"): p
-                             for p in bov.get("policies", [])}
-            for p in fov.get("policies", []):
-                name = p.get("policy")
-                if name == "block":
-                    continue
-                was = base_policies.get(name, {}).get("decode_p99_us")
-                now = p.get("decode_p99_us")
-                if not was or now is None:
-                    if name is not None:
-                        print(f"WARN: overload policy {name} has no "
-                              "baseline; skipping")
-                    continue
-                delta = (now - was) / was  # lower is better for us: negate
-                judge(-delta,
-                      f"serving_open overload {name} decode p99: "
-                      f"{was} -> {now} us ({delta:+.1%})")
+    # would only gate on noise.
+    def overload_p99s(b, f):
+        base_policies = {p.get("policy"): p for p in b.get("policies", [])}
+        for p in f.get("policies", []):
+            name = p.get("policy")
+            if name == "block":
+                continue
+            was = base_policies.get(name, {}).get("decode_p99_us")
+            now = p.get("decode_p99_us")
+            if not was or now is None:
+                if name is not None:
+                    print(f"WARN: overload policy {name} has no "
+                          "baseline; skipping")
+                continue
+            yield f"overload {name} decode", was, now
+
+    # The gate block is the mid-load per-class p99; bursty is the same
+    # under MMPP-2 arrivals.
+    gate_p99("gate", "offered load", "p99 gate", class_p99s(""))
+    gate_p99("bursty", "bursty load", "bursty p99 gate",
+             class_p99s("bursty "))
+    gate_p99("overload", "overload load", "overload p99 gate",
+             overload_p99s)
 
     # Contended-submit scaling: achieved rps per submitter-thread count.
     # A point regressing means the lock-free submit path (or a shard

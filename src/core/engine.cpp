@@ -8,6 +8,9 @@
 
 namespace nmspmm {
 
+/// Smallest planned batch: requests with m below this share one plan.
+constexpr index_t kMinBatchBucket = 16;
+
 std::size_t Engine::KeyHash::operator()(const Key& k) const noexcept {
   std::size_t h = std::hash<const void*>{}(k.weights);
   hash_combine(h, static_cast<std::size_t>(k.bucket_m));
@@ -17,7 +20,6 @@ std::size_t Engine::KeyHash::operator()(const Key& k) const noexcept {
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.plan_cache_capacity == 0) options_.plan_cache_capacity = 1;
-  if (options_.min_batch_bucket < 1) options_.min_batch_bucket = 1;
   // Aliases the process-global pool for the default thread count, so a
   // process mixing engines and standalone plans runs one worker set.
   pool_ = ThreadPool::shared(options_.num_threads);
@@ -25,15 +27,14 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
                                             : mem::WeightStore::global();
 }
 
-index_t Engine::bucket_batch(index_t m, index_t min_bucket) {
-  if (min_bucket < 1) min_bucket = 1;
-  if (m <= min_bucket) return min_bucket;
+index_t Engine::bucket_batch(index_t m) {
+  if (m <= kMinBatchBucket) return kMinBatchBucket;
   // 2^62 is the largest power of two an int64 index_t can hold. Doubling
   // past it would signed-overflow (UB that manifested as an infinite
   // loop); batches beyond it get an exact, unbucketed plan instead.
   constexpr index_t kMaxBucket = index_t{1} << 62;
   if (m > kMaxBucket) return m;
-  index_t bucket = min_bucket;
+  index_t bucket = kMinBatchBucket;
   while (bucket < m) bucket *= 2;
   return bucket;
 }
@@ -65,7 +66,7 @@ StatusOr<std::shared_ptr<const SpmmPlan>> Engine::plan_for(
         "packed-only residency releases the B' values after packing; the "
         "reference (unpacked) variant cannot serve such a plan");
   }
-  Key key{B.get(), bucket_batch(m, options_.min_batch_bucket), options};
+  Key key{B.get(), bucket_batch(m), options};
 
   {
     std::lock_guard lock(mutex_);

@@ -54,8 +54,6 @@ struct EngineOptions {
   /// holds its pre-processing artifacts (col_info / resolved indices), so
   /// the cap bounds memory on servers hosting many weight matrices.
   std::size_t plan_cache_capacity = 64;
-  /// Smallest planned batch: requests with m below this share one plan.
-  index_t min_batch_bucket = 16;
   /// Weight residency of every plan this engine builds
   /// (mem/weight_store.hpp). kPackedOnly releases the original B' value
   /// buffer after pre-packing: steady-state resident weight bytes drop
@@ -152,11 +150,11 @@ class Engine {
     return options_.num_threads == 1 ? 1u : 0u;
   }
 
-  /// Round a batch size up to its plan bucket: min_bucket for small
-  /// batches, the next power of two beyond that. Batches beyond the
-  /// largest representable power of two (2^62 for int64 index_t) get an
-  /// exact bucket of m itself instead of overflowing.
-  static index_t bucket_batch(index_t m, index_t min_bucket);
+  /// Round a batch size up to its plan bucket: 16 for small batches (they
+  /// share one plan), the next power of two beyond that. Batches beyond
+  /// the largest representable power of two (2^62 for int64 index_t) get
+  /// an exact bucket of m itself instead of overflowing.
+  static index_t bucket_batch(index_t m);
 
  private:
   struct Key {

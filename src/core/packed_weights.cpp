@@ -31,7 +31,7 @@ std::uint64_t PackedWeights::build_count() {
 PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
                                    index_t ns, IndexKind kind,
                                    const ColInfo* col_info,
-                                   const Placement* placement) {
+                                   ThreadPool* first_touch_pool) {
   const NMConfig& cfg = B.config;
   cfg.validate();
   NMSPMM_CHECK_MSG(B.has_values(),
@@ -100,35 +100,22 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
   pw.value_count_ = static_cast<std::size_t>(pw.num_nblocks_) * nblock_floats;
   pw.values_ = AlignedBuffer(pw.value_count_ * sizeof(float));
   float* const values = pw.values_.as<float>();
-  {
-    // An explicit node bind must precede the zero-fill: set while the
-    // pages are still unfaulted, the policy governs every fault below
-    // (no migration needed; MPOL_MF_MOVE in bind_to_node covers stray
-    // pre-faulted pages). First-touch placement is then moot.
-    const bool bound =
-        placement != nullptr && placement->bind_node >= 0 &&
-        numa::bind_to_node(values, pw.value_count_ * sizeof(float),
-                           placement->bind_node);
-    ThreadPool* pool =
-        !bound && placement != nullptr && placement->numa_first_touch
-            ? placement->pool
-            : nullptr;
-    // Partition by n-block, mirroring spmm_blocked's nc partitioning:
-    // tiles are nb-major, so each worker touches one contiguous range.
-    parallel_for(pool, 0, pw.num_nblocks_, [&](index_t nb_lo, index_t nb_hi) {
-      numa::first_touch_zero(
-          values + static_cast<std::size_t>(nb_lo) * nblock_floats,
-          static_cast<std::size_t>(nb_hi - nb_lo) * nblock_floats *
-              sizeof(float));
-    });
-    // Record the resolved placement: one node when the whole buffer
-    // agrees, -1 when mixed (per-worker first touch across sockets) or
-    // undeterminable.
-    if (pw.value_count_ > 0) {
-      const int first = numa::node_of(values);
-      const int last = numa::node_of(values + pw.value_count_ - 1);
-      pw.numa_node_ = first == last ? first : -1;
-    }
+  // Partition by n-block, mirroring spmm_blocked's nc partitioning:
+  // tiles are nb-major, so each worker touches one contiguous range.
+  parallel_for(first_touch_pool, 0, pw.num_nblocks_,
+               [&](index_t nb_lo, index_t nb_hi) {
+    numa::first_touch_zero(
+        values + static_cast<std::size_t>(nb_lo) * nblock_floats,
+        static_cast<std::size_t>(nb_hi - nb_lo) * nblock_floats *
+            sizeof(float));
+  });
+  // Record the resolved placement: one node when the whole buffer
+  // agrees, -1 when mixed (per-worker first touch across sockets) or
+  // undeterminable.
+  if (pw.value_count_ > 0) {
+    const int first = numa::node_of(values);
+    const int last = numa::node_of(values + pw.value_count_ - 1);
+    pw.numa_node_ = first == last ? first : -1;
   }
   for (index_t nb = 0; nb < pw.num_nblocks_; ++nb) {
     const index_t j0 = nb * ns;

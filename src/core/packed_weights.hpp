@@ -59,31 +59,22 @@ class PackedWeights {
   ///    not supplied).
   enum class IndexKind { kDirect, kRemapped };
 
-  /// NUMA placement request for the resident value tiles. The value
-  /// pages are zero-filled (first-touched) by @p pool's workers, each
-  /// touching the contiguous n-block partition it will stream at
-  /// execute time, so on a multi-socket host the tiles live on the node
-  /// of the worker that reads them. @p bind_node >= 0 additionally
-  /// mbinds the whole buffer to one node (explicit placement for
-  /// sharded serving). Both degrade to plain zero-fill on single-node
-  /// or non-Linux hosts.
-  struct Placement {
-    ThreadPool* pool = nullptr;
-    bool numa_first_touch = true;
-    int bind_node = -1;
-  };
-
   /// Pre-pack @p B for chunk depth @p ks and block width @p ns. For
   /// kRemapped a caller-provided @p col_info (built with the same ks/ns)
   /// is reused; pass nullptr to build it internally. Throws CheckError
   /// on invalid blocking — including ks > kMaxKs, which would wrap the
   /// uint16 streams (the same guard validate_params enforces) — and on
   /// values-stripped @p B (packed-only residency keeps no source to
-  /// pack from).
+  /// pack from). The value pages are zero-filled (first-touched) by
+  /// @p first_touch_pool's workers, each touching the contiguous n-block
+  /// partition it will stream at execute time, so on a multi-socket host
+  /// the tiles live on the node of the worker that reads them; null
+  /// zero-fills from the calling thread. Plain zero-fill either way on
+  /// single-node or non-Linux hosts.
   static PackedWeights build(const CompressedNM& B, index_t ks, index_t ns,
                              IndexKind kind,
                              const ColInfo* col_info = nullptr,
-                             const Placement* placement = nullptr);
+                             ThreadPool* first_touch_pool = nullptr);
 
   /// Process-wide count of build() completions — the pack-counter used
   /// by tests asserting "re-plan re-packs exactly once" and by the

@@ -75,12 +75,8 @@ std::shared_ptr<const PackedWeights> WeightStore::build_payload(
   if (NMSPMM_FAULT_FIRE(kRepackAlloc)) {
     throw ResourceExhaustedError("injected repack allocation failure");
   }
-  PackedWeights::Placement placement;
-  placement.pool = pool;
-  placement.numa_first_touch = options_.numa_first_touch;
-  placement.bind_node = options_.bind_node;
   return std::make_shared<const PackedWeights>(PackedWeights::build(
-      B, lease.key_.ks, lease.key_.ns, lease.kind_, nullptr, &placement));
+      B, lease.key_.ks, lease.key_.ns, lease.kind_, nullptr, pool));
 }
 
 std::shared_ptr<const PackedWeights> WeightStore::make_pin_locked(
@@ -246,12 +242,8 @@ std::shared_ptr<WeightLease> WeightStore::acquire(
 
   // First contact: build outside the lock — packing is O(weights) and
   // must not stall concurrent plan builds for other matrices.
-  PackedWeights::Placement placement;
-  placement.pool = pool.get();
-  placement.numa_first_touch = options_.numa_first_touch;
-  placement.bind_node = options_.bind_node;
   auto payload = std::make_shared<const PackedWeights>(
-      PackedWeights::build(*B, ks, ns, kind, nullptr, &placement));
+      PackedWeights::build(*B, ks, ns, kind, nullptr, pool.get()));
 
   std::lock_guard lock(mutex_);
   if (auto it = leases_.find(key); it != leases_.end()) {

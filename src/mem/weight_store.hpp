@@ -72,12 +72,6 @@ struct WeightStoreOptions {
   /// packed-only bytes count against the budget but are never evicted,
   /// so the store can sit above the budget when everything is hot.
   std::size_t max_resident_bytes = 0;
-  /// Route the packed value zero-fill through the executing pool so
-  /// first-touch places each n-block partition on its worker's node.
-  bool numa_first_touch = true;
-  /// Explicitly mbind packed values to this node (>= 0); -1 leaves
-  /// placement to first-touch.
-  int bind_node = -1;
 };
 
 class WeightStore;

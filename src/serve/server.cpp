@@ -402,7 +402,7 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
   // Admission control. A request is sheddable when the policy says so
   // for its class; a sheddable request is refused with RESOURCE_EXHAUSTED
   // instead of ever blocking (ring full, or admitting it would push the
-  // shard's pending work past a high-water mark). kShedByClass protects
+  // shard's pending rows past the high-water mark). kShedByClass protects
   // the 1-row decode stream: decode follows the kBlock path.
   const auto rows = static_cast<std::uint64_t>(A.rows());
   const std::size_t bytes = staging_bytes(A.rows(), A.cols(), C.cols());
@@ -413,22 +413,12 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
     shard.shed_requests.fetch_add(1, std::memory_order_relaxed);
     shard.shed_bytes.fetch_add(bytes, std::memory_order_relaxed);
   };
-  if (sheddable) {
-    const bool over_rows =
-        options_.shed_pending_rows != 0 &&
-        shard.pending_rows.load(std::memory_order_relaxed) + rows >
-            options_.shed_pending_rows;
-    const bool over_bytes =
-        options_.shed_pending_bytes != 0 &&
-        shard.pending_bytes.load(std::memory_order_relaxed) + bytes >
-            options_.shed_pending_bytes;
-    if (over_rows || over_bytes) {
-      count_shed();
-      return ready(Status::ResourceExhausted(
-          over_rows ? "request shed: shard pending rows over high-water mark"
-                    : "request shed: shard pending bytes over high-water "
-                      "mark"));
-    }
+  if (sheddable && options_.shed_pending_rows != 0 &&
+      shard.pending_rows.load(std::memory_order_relaxed) + rows >
+          options_.shed_pending_rows) {
+    count_shed();
+    return ready(Status::ResourceExhausted(
+        "request shed: shard pending rows over high-water mark"));
   }
 
   // Lock-free publish path. The entrants counter brackets the whole
@@ -443,12 +433,11 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
     shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
     return ready(Status::Unavailable("server is shut down"));
   }
-  // inflight (and the admission pending gauges) must rise before the
+  // inflight (and the admission pending gauge) must rise before the
   // publish so the bypass's idle test cannot miss a request that is
   // already on its way to the ring.
   shard.inflight.fetch_add(1, std::memory_order_seq_cst);
   shard.pending_rows.fetch_add(rows, std::memory_order_relaxed);
-  shard.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
   std::promise<Status> done;
   std::future<Status> result = done.get_future();
   SubmitMsg msg;
@@ -461,7 +450,6 @@ std::future<Status> Server::enqueue(Target target, SpmmOptions options,
   // never reaches the ring, so nothing downstream will release them).
   auto release = [&] {
     shard.pending_rows.fetch_sub(rows, std::memory_order_relaxed);
-    shard.pending_bytes.fetch_sub(bytes, std::memory_order_relaxed);
     shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
     shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
   };
@@ -693,9 +681,6 @@ void Server::release_request(Shard& shard, Group& g, const BatchRequest& r,
   count_outcome(shard, g, serve::classify_rows(r.a.rows()), failed, violated);
   shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
                                std::memory_order_relaxed);
-  shard.pending_bytes.fetch_sub(staging_bytes(r.a.rows(), r.a.cols(),
-                                              r.c.cols()),
-                                std::memory_order_relaxed);
   shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
 }
 

@@ -79,9 +79,9 @@
 //    bounded spin — bounded by the request's own deadline_us, so a
 //    submitter never stalls past its SLO (DEADLINE_EXCEEDED instead).
 //  - kShed: fail fast with RESOURCE_EXHAUSTED when the ring is full or
-//    the shard's pending work exceeds the shed_pending_rows /
-//    shed_pending_bytes high-water marks. Shed requests never entered
-//    the queue; the caller may retry (serve::RetryPolicy).
+//    the shard's pending rows exceed the shed_pending_rows high-water
+//    mark. Shed requests never entered the queue; the caller may retry
+//    (serve::RetryPolicy).
 //  - kShedByClass: shed prefill (multi-row) like kShed, but let 1-row
 //    decode requests ride the kBlock path — under overload the server
 //    keeps the latency-critical decode stream alive and sheds the
@@ -121,7 +121,7 @@
 namespace nmspmm {
 
 /// What submit() does when a shard cannot take the request right now
-/// (ring full, or pending work past a high-water mark). See the header
+/// (ring full, or pending rows past the high-water mark). See the header
 /// comment's "Overload behavior".
 enum class AdmissionPolicy : std::uint8_t {
   kBlock,        ///< spin (bounded by the request's deadline_us)
@@ -156,15 +156,11 @@ struct ServerOptions {
   std::size_t max_staging_bytes = 0;
   /// Overload behavior of submit() — see AdmissionPolicy.
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Shedding high-water marks, per shard (0 = that mark is off; both
-  /// ignored under kBlock). A sheddable request is refused with
-  /// RESOURCE_EXHAUSTED when admitting it would push the shard's
-  /// pending (admitted, unresolved) rows / staged bytes past the mark.
-  /// Bytes are the request's gather+scatter staging footprint,
-  /// rows*(k+n)*sizeof(float) — the same quantity max_staging_bytes
-  /// caps per batch, here bounded across everything in flight.
+  /// Shedding high-water mark, per shard (0 = off; ignored under
+  /// kBlock). A sheddable request is refused with RESOURCE_EXHAUSTED
+  /// when admitting it would push the shard's pending (admitted,
+  /// unresolved) rows past the mark.
   std::size_t shed_pending_rows = 0;
-  std::size_t shed_pending_bytes = 0;
   /// Flush a group early when a pending request's SLO deadline (the
   /// deadline_us argument of submit / submit_ffn) is within slo_margin_us
   /// of now, instead of waiting out max_wait_us. Off, deadlines are still
@@ -500,13 +496,12 @@ class Server {
     GroupCounters totals;
     std::atomic<std::uint64_t> ring_stalls{0};
     std::atomic<std::uint64_t> groups_seen{0};
-    /// Admission accounting. pending_rows / pending_bytes track the
-    /// admitted-but-unresolved ring-path work the high-water marks bound
+    /// Admission accounting. pending_rows tracks the
+    /// admitted-but-unresolved ring-path rows the high-water mark bounds
     /// (incremented at publish, decremented at resolution — bypassed
     /// requests never enter). shed_* / submit_deadline_fails mirror the
     /// Stats fields of the same names.
     std::atomic<std::uint64_t> pending_rows{0};
-    std::atomic<std::uint64_t> pending_bytes{0};
     std::atomic<std::uint64_t> shed_requests{0};
     std::atomic<std::uint64_t> shed_bytes{0};
     std::atomic<std::uint64_t> submit_deadline_fails{0};
@@ -595,8 +590,8 @@ class Server {
   static void count_outcome(Shard& shard, Group& g, serve::RequestClass cls,
                             bool failed, bool violated);
   /// Settle one ring-path request before its promise is fulfilled:
-  /// count_outcome, then give back its admission gauges
-  /// (pending_rows / pending_bytes) and its inflight slot.
+  /// count_outcome, then give back its admission gauge (pending_rows)
+  /// and its inflight slot.
   static void release_request(Shard& shard, Group& g, const BatchRequest& r,
                               bool failed, bool violated);
   /// Record the batched stages of one executed request, release it, and

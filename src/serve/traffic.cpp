@@ -31,25 +31,36 @@ std::size_t pick_weighted(Rng& rng, const std::vector<double>& cumulative) {
                                cumulative.size() - 1);
 }
 
+/// MMPP-2 shape: the burst state arrives at kBurstRateFactor x the mean
+/// rate and holds ~kBurstTimeFraction of the time, with a mean sojourn
+/// of kMeanBurstS; the calm rate is derived so the long-run mean stays
+/// the offered rate.
+constexpr double kBurstRateFactor = 4.0;
+constexpr double kBurstTimeFraction = 0.1;
+constexpr double kMeanBurstS = 0.02;
+constexpr double kMeanCalmS =
+    kMeanBurstS * (1.0 - kBurstTimeFraction) / kBurstTimeFraction;
+static_assert(kBurstTimeFraction > 0.0 && kBurstTimeFraction < 1.0);
+static_assert(kBurstTimeFraction * kBurstRateFactor < 1.0,
+              "the calm-state rate must stay positive");
+
 /// Arrival schedule of one source thread: Poisson, or MMPP-2 where the
 /// process alternates between a calm and a burst rate with exponential
 /// sojourns. Memorylessness lets us resample the inter-arrival clock at
 /// each state switch, so no thinning is needed.
 class ArrivalSampler {
  public:
-  ArrivalSampler(const TrafficOptions& options, double rate, Rng& rng)
-      : rng_(rng), bursty_(options.arrivals == ArrivalProcess::kBursty) {
+  ArrivalSampler(bool bursty, double rate, Rng& rng)
+      : rng_(rng), bursty_(bursty) {
     if (!bursty_) {
       calm_rate_ = burst_rate_ = rate;
       return;
     }
-    const double f = options.burst_time_fraction;
-    burst_rate_ = rate * options.burst_rate_factor;
+    const double f = kBurstTimeFraction;
+    burst_rate_ = rate * kBurstRateFactor;
     // Long-run mean stays `rate`: f * burst + (1-f) * calm = rate.
-    calm_rate_ = rate * (1.0 - f * options.burst_rate_factor) / (1.0 - f);
-    mean_burst_s_ = options.mean_burst_s;
-    mean_calm_s_ = options.mean_burst_s * (1.0 - f) / f;
-    state_end_s_ = sample_exp(rng_, 1.0 / mean_calm_s_);
+    calm_rate_ = rate * (1.0 - f * kBurstRateFactor) / (1.0 - f);
+    state_end_s_ = sample_exp(rng_, 1.0 / kMeanCalmS);
   }
 
   /// Absolute time (seconds from the schedule origin) of the next
@@ -63,8 +74,7 @@ class ArrivalSampler {
       t = state_end_s_;
       in_burst_ = !in_burst_;
       state_end_s_ =
-          t + sample_exp(rng_, 1.0 / (in_burst_ ? mean_burst_s_
-                                                : mean_calm_s_));
+          t + sample_exp(rng_, 1.0 / (in_burst_ ? kMeanBurstS : kMeanCalmS));
     }
   }
 
@@ -74,16 +84,19 @@ class ArrivalSampler {
   bool in_burst_ = false;
   double calm_rate_ = 0.0;
   double burst_rate_ = 0.0;
-  double mean_burst_s_ = 0.0;
-  double mean_calm_s_ = 0.0;
   double state_end_s_ = 0.0;
 };
 
+/// In-flight request buffers per source thread; all busy = the thread
+/// stalls.
+constexpr std::size_t kSlotsPerThread = 64;
+
 /// One pre-allocated in-flight request buffer. The Server requires A and
 /// C alive until the future resolves, so open-loop submission without
-/// per-request allocation needs a bounded ring of these. The request's
-/// identity (class, target, rows, deadline, attempt count, first-submit
-/// time) rides along so a retryable failure can be re-sent verbatim.
+/// per-request allocation needs a bounded ring of kSlotsPerThread. The
+/// request's identity (class, target, rows, deadline, attempt count,
+/// first-submit time) rides along so a retryable failure can be re-sent
+/// verbatim.
 struct Slot {
   MatrixF a;
   MatrixF c;
@@ -108,15 +121,16 @@ struct ThreadTally {
   std::vector<std::uint64_t> deadline;  // per class, final DEADLINE_EXCEEDED
 };
 
+/// Retry-budget tokens one success earns.
+constexpr double kBudgetPerSuccess = 0.1;
+
 /// Shared token-bucket retry budget in milli-tokens: retries spend 1000,
-/// successes earn budget_per_success * 1000 up to the cap. Lock-free CAS
+/// successes earn kBudgetPerSuccess * 1000 up to the cap. Lock-free CAS
 /// loops — source threads touch it once per settle.
 class RetryBudget {
  public:
   explicit RetryBudget(const RetryPolicy& policy)
       : cap_millis_(static_cast<std::int64_t>(policy.budget_cap * 1000.0)),
-        credit_millis_(
-            static_cast<std::int64_t>(policy.budget_per_success * 1000.0)),
         tokens_(cap_millis_) {}
 
   bool try_spend() {
@@ -131,27 +145,32 @@ class RetryBudget {
   }
 
   void credit() {
-    if (credit_millis_ == 0) return;
     std::int64_t cur = tokens_.load(std::memory_order_relaxed);
     while (cur < cap_millis_ &&
            !tokens_.compare_exchange_weak(
-               cur, std::min(cap_millis_, cur + credit_millis_),
+               cur, std::min(cap_millis_, cur + kCreditMillis),
                std::memory_order_relaxed)) {
     }
   }
 
  private:
+  static constexpr auto kCreditMillis =
+      static_cast<std::int64_t>(kBudgetPerSuccess * 1000.0);
   const std::int64_t cap_millis_;
-  const std::int64_t credit_millis_;
   std::atomic<std::int64_t> tokens_;
 };
+
+/// Backoff growth per retry, and its jitter: each backoff is scaled by a
+/// uniform draw from [1 - kBackoffJitter/2, 1 + kBackoffJitter/2).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
 
 /// Exponential backoff with seeded jitter for retry attempt @p attempts
 /// (count already made, so the first retry gets the initial backoff).
 std::uint64_t backoff_us(const RetryPolicy& policy, int attempts, Rng& rng) {
   double us = static_cast<double>(policy.initial_backoff_us);
-  for (int i = 1; i < attempts; ++i) us *= policy.backoff_multiplier;
-  us *= 1.0 - policy.jitter / 2.0 + policy.jitter * rng.next_double();
+  for (int i = 1; i < attempts; ++i) us *= kBackoffMultiplier;
+  us *= 1.0 - kBackoffJitter / 2.0 + kBackoffJitter * rng.next_double();
   us = std::min(us, static_cast<double>(policy.max_backoff_us));
   return static_cast<std::uint64_t>(std::max(us, 0.0));
 }
@@ -167,9 +186,6 @@ Status validate(const std::vector<TrafficTarget>& targets,
   }
   if (options.submit_threads < 1) {
     return Status::InvalidArgument("submit_threads must be >= 1");
-  }
-  if (options.slots_per_thread < 1) {
-    return Status::InvalidArgument("slots_per_thread must be >= 1");
   }
   if (targets.empty()) {
     return Status::InvalidArgument("traffic needs at least one target");
@@ -217,33 +233,8 @@ Status validate(const std::vector<TrafficTarget>& targets,
   if (retry.max_attempts < 1) {
     return Status::InvalidArgument("retry.max_attempts must be >= 1");
   }
-  if (retry.enabled()) {
-    if (!(retry.backoff_multiplier >= 1.0)) {
-      return Status::InvalidArgument(
-          "retry.backoff_multiplier must be >= 1");
-    }
-    if (retry.jitter < 0.0 || retry.jitter > 1.0) {
-      return Status::InvalidArgument("retry.jitter must be in [0, 1]");
-    }
-    if (retry.budget_per_success < 0.0 || retry.budget_cap < 0.0) {
-      return Status::InvalidArgument("retry budget terms must be >= 0");
-    }
-  }
-  if (options.arrivals == ArrivalProcess::kBursty) {
-    const double f = options.burst_time_fraction;
-    if (!(f > 0.0) || !(f < 1.0)) {
-      return Status::InvalidArgument(
-          "burst_time_fraction must be in (0, 1)");
-    }
-    if (!(options.burst_rate_factor > 0.0) ||
-        f * options.burst_rate_factor >= 1.0) {
-      return Status::InvalidArgument(
-          "bursty arrivals need burst_time_fraction * burst_rate_factor "
-          "< 1 (the calm-state rate must stay positive)");
-    }
-    if (!(options.mean_burst_s > 0.0)) {
-      return Status::InvalidArgument("mean_burst_s must be positive");
-    }
+  if (retry.enabled() && retry.budget_cap < 0.0) {
+    return Status::InvalidArgument("retry.budget_cap must be >= 0");
   }
   return Status::Ok();
 }
@@ -318,7 +309,7 @@ StatusOr<TrafficReport> run_open_loop(
       // (seed, thread id) pair fixes this thread's entire schedule.
       Rng rng(options.seed + 0x9E3779B97F4A7C15ULL *
                                  static_cast<std::uint64_t>(tid + 1));
-      std::vector<Slot> slots(options.slots_per_thread);
+      std::vector<Slot> slots(kSlotsPerThread);
       for (Slot& s : slots) {
         s.a = MatrixF(max_rows, max_k);
         s.c = MatrixF(max_rows, max_n);
@@ -396,7 +387,8 @@ StatusOr<TrafficReport> run_open_loop(
         s.cls = -1;
       };
 
-      ArrivalSampler sampler(options, rate_per_thread, rng);
+      ArrivalSampler sampler(options.arrivals == ArrivalProcess::kBursty,
+                             rate_per_thread, rng);
       double t_s = sampler.next_arrival(0.0);
       std::size_t next_slot = 0;
       while (t_s < options.duration_s) {

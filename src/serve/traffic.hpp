@@ -19,10 +19,11 @@
 //     pair replays the same schedule bit-for-bit.
 //
 // Submission is fire-and-forget into pre-allocated per-thread slot
-// buffers (the Server requires A and C alive until the future resolves);
-// when every slot of a thread is still in flight the thread must wait
-// for one — counted as a `stall`, the honest signal that the offered
-// rate exceeded what an open-loop harness with finite memory can offer.
+// buffers (64 per thread; the Server requires A and C alive until the
+// future resolves); when every slot of a thread is still in flight the
+// thread must wait for one — counted as a `stall`, the honest signal
+// that the offered rate exceeded what an open-loop harness with finite
+// memory can offer.
 //
 // The report's latency snapshot is the difference of Server::stats()
 // telemetry taken after and before the run, so a shared server can host
@@ -61,7 +62,10 @@ struct TrafficTarget {
 
 enum class ArrivalProcess {
   kPoisson,  ///< exponential inter-arrival at the offered rate
-  kBursty,   ///< MMPP-2: calm/burst rates, exponential state sojourns
+  /// MMPP-2: the burst state runs at 4x the mean rate for ~10% of the
+  /// time (mean sojourn 20 ms), the calm rate keeps the long-run mean at
+  /// offered_rps; exponential state sojourns.
+  kBursty,
 };
 
 /// Client-side retry for retryable Status codes (RESOURCE_EXHAUSTED,
@@ -75,20 +79,17 @@ enum class ArrivalProcess {
 ///    the deadline (measured from the FIRST submission) is never sent,
 ///    and a resubmission carries only the remaining budget;
 ///  - a token-bucket retry budget shared by all source threads: each
-///    success earns budget_per_success tokens (capped at budget_cap),
-///    each retry spends one — so when most requests are failing, the
-///    bucket drains and retries stop amplifying the overload.
-/// Backoff is exponential (initial_backoff_us, backoff_multiplier,
-/// capped at max_backoff_us) with seeded jitter from the source
-/// thread's xoshiro stream: schedules stay replayable, and concurrent
-/// retriers de-synchronize instead of re-colliding.
+///    success earns 0.1 tokens (capped at budget_cap), each retry spends
+///    one — so when most requests are failing, the bucket drains and
+///    retries stop amplifying the overload.
+/// Backoff starts at initial_backoff_us and doubles per retry, capped at
+/// max_backoff_us, scaled by a seeded jitter in [0.75, 1.25) from the
+/// source thread's xoshiro stream: schedules stay replayable, and
+/// concurrent retriers de-synchronize instead of re-colliding.
 struct RetryPolicy {
   int max_attempts = 1;
   std::uint64_t initial_backoff_us = 200;
-  double backoff_multiplier = 2.0;
   std::uint64_t max_backoff_us = 10000;
-  double jitter = 0.5;  ///< backoff scaled by uniform [1-j/2, 1+j/2)
-  double budget_per_success = 0.1;
   double budget_cap = 64.0;
 
   [[nodiscard]] bool enabled() const { return max_attempts > 1; }
@@ -98,17 +99,8 @@ struct TrafficOptions {
   double offered_rps = 1000.0;  ///< aggregate arrival rate, requests/s
   double duration_s = 1.0;      ///< submission window (drain excluded)
   ArrivalProcess arrivals = ArrivalProcess::kPoisson;
-  /// MMPP-2 shape (kBursty only): the burst state arrives at
-  /// burst_rate_factor x the mean rate and holds ~burst_time_fraction of
-  /// the time; the calm rate is derived so the long-run mean stays
-  /// offered_rps. Requires burst_time_fraction * burst_rate_factor < 1.
-  double burst_rate_factor = 4.0;
-  double burst_time_fraction = 0.1;
-  double mean_burst_s = 0.02;  ///< mean sojourn in the burst state
-  int submit_threads = 2;      ///< open-loop sources, splitting offered_rps
-  std::uint64_t seed = 42;     ///< replays the exact schedule
-  /// In-flight request buffers per thread; all busy = the thread stalls.
-  int slots_per_thread = 64;
+  int submit_threads = 2;   ///< open-loop sources, splitting offered_rps
+  std::uint64_t seed = 42;  ///< replays the exact schedule
   /// Client-side retry of retryable failures (off by default).
   RetryPolicy retry;
   std::vector<TrafficClass> classes;  ///< default: 1-row, no deadline

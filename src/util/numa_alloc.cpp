@@ -6,7 +6,6 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <cstdint>
 #include <cstdio>
 #endif
 
@@ -18,10 +17,8 @@ namespace {
 
 // Policy constants from <linux/mempolicy.h>, declared locally so the
 // build does not depend on kernel headers being installed.
-constexpr int kMpolBind = 2;
 constexpr unsigned kMpolFNode = 1u << 0;
 constexpr unsigned kMpolFAddr = 1u << 1;
-constexpr unsigned kMpolMfMove = 1u << 1;  ///< migrate already-faulted pages
 
 int parse_possible_nodes() {
   // /sys/devices/system/node/possible reads like "0" or "0-3": the
@@ -51,15 +48,6 @@ int num_nodes() {
   return nodes;
 }
 
-bool available() { return num_nodes() > 1; }
-
-int current_node() {
-  unsigned cpu = 0;
-  unsigned node = 0;
-  if (syscall(SYS_getcpu, &cpu, &node, nullptr) != 0) return -1;
-  return static_cast<int>(node);
-}
-
 int node_of(const void* p) {
   if (p == nullptr) return -1;
   int node = -1;
@@ -70,32 +58,10 @@ int node_of(const void* p) {
   return node;
 }
 
-bool bind_to_node(void* p, std::size_t bytes, int node) {
-  if (p == nullptr || node < 0 || node >= num_nodes()) return false;
-  const long page = sysconf(_SC_PAGESIZE);
-  if (page <= 0) return false;
-  const auto ps = static_cast<std::uintptr_t>(page);
-  // mbind wants a page-aligned range; shrink to the full pages inside.
-  const std::uintptr_t begin =
-      (reinterpret_cast<std::uintptr_t>(p) + ps - 1) & ~(ps - 1);
-  const std::uintptr_t end =
-      (reinterpret_cast<std::uintptr_t>(p) + bytes) & ~(ps - 1);
-  if (end <= begin) return false;
-  const unsigned long mask = 1ul << node;
-  // MPOL_MF_MOVE: the policy must also migrate pages the caller already
-  // faulted (first-touch zero-fill may run before binding) — without it
-  // mbind on a populated range succeeds but moves nothing.
-  return syscall(SYS_mbind, begin, end - begin, kMpolBind, &mask,
-                 sizeof(mask) * 8, kMpolMfMove) == 0;
-}
-
 #else  // !__linux__
 
 int num_nodes() { return 1; }
-bool available() { return false; }
-int current_node() { return -1; }
 int node_of(const void*) { return -1; }
-bool bind_to_node(void*, std::size_t, int) { return false; }
 
 #endif
 

@@ -6,35 +6,22 @@
 // first touches it, so the WeightStore zero-fills each n-block
 // partition's tiles from the pool worker that will execute that
 // partition — the tiles then stream from local memory without any
-// explicit policy. These helpers wrap the raw syscalls (no libnuma
-// dependency: the container may not ship it) and degrade to no-ops on
-// single-node hosts and non-Linux platforms, so callers never need a
-// build-time switch.
+// explicit policy. These helpers read the node count and a page's node
+// through sysfs and the raw get_mempolicy syscall (no libnuma
+// dependency) and degrade to single-node answers on non-Linux
+// platforms, so callers never need a build-time switch.
 #pragma once
 
 #include <cstddef>
 
 namespace nmspmm::numa {
 
-/// True when the host exposes more than one NUMA node (Linux only).
-bool available();
-
 /// Number of possible NUMA nodes (1 on single-node or unsupported hosts).
 int num_nodes();
-
-/// The node the calling thread is currently executing on, or -1 when it
-/// cannot be determined (non-Linux, restricted container).
-int current_node();
 
 /// The node backing the page at @p p, or -1 when unknown (page not yet
 /// touched, single-node host, or unsupported platform).
 int node_of(const void* p);
-
-/// Best-effort bind of the whole-page span inside [p, p+bytes) to
-/// @p node via the mbind syscall (MPOL_BIND). Returns false (and leaves
-/// placement to first-touch) when the range holds no full page, the
-/// syscall is unavailable, or the kernel refuses the policy.
-bool bind_to_node(void* p, std::size_t bytes, int node);
 
 /// Fault the range in from the calling thread by zero-filling it — the
 /// first-touch placement primitive. Also serves as the zero-fill the

@@ -615,9 +615,14 @@ TEST(ServerDecode, CoalescedBatchesIsolatePerSequenceFailures) {
   Rng rng(49);
   const NMConfig cfg{2, 4, 16};
   ServerOptions opt;
+  opt.num_shards = 1;
   opt.max_batch_rows = 4;
   opt.max_wait_us = 200000;        // only full batches flush early
   opt.bypass_single_rows = false;  // force the batched path
+  // Exactly the four decode rows fit under the shed mark; the failed row
+  // must give its row back like the others (checked at the end).
+  opt.admission = AdmissionPolicy::kShed;
+  opt.shed_pending_rows = 4;
   Server server(opt);
   auto plan_or = server.engine().plan_decoder(4, make_layer(rng, cfg),
                                               cache_for(64));
@@ -658,6 +663,13 @@ TEST(ServerDecode, CoalescedBatchesIsolatePerSequenceFailures) {
   for (std::uint64_t id = 1; id <= 3; ++id) {
     EXPECT_EQ(*plan->seq_len(id), 1);
   }
+  // Every row, the failed one included, released its pending row: a
+  // fresh 4-row request passes admission instead of being shed.
+  const auto weights = weights_for(hidden, hidden, cfg, rng);
+  const MatrixF a = random_matrix(4, hidden, rng);
+  MatrixF c(4, hidden);
+  NMSPMM_EXPECT_OK(server.submit(a.cview(), weights, c.view()).get());
+  EXPECT_EQ(server.stats().shed_requests, 0u);
 }
 
 TEST(ServerDecode, MixedTargetKindsShareOneShard) {

@@ -53,23 +53,23 @@ TEST(EnginePool, Resolution) {
 }
 
 TEST(EngineCache, BucketsBatchSizes) {
-  EXPECT_EQ(Engine::bucket_batch(1, 16), 16);
-  EXPECT_EQ(Engine::bucket_batch(16, 16), 16);
-  EXPECT_EQ(Engine::bucket_batch(17, 16), 32);
-  EXPECT_EQ(Engine::bucket_batch(33, 16), 64);
-  EXPECT_EQ(Engine::bucket_batch(1000, 16), 1024);
+  EXPECT_EQ(Engine::bucket_batch(1), 16);
+  EXPECT_EQ(Engine::bucket_batch(16), 16);
+  EXPECT_EQ(Engine::bucket_batch(17), 32);
+  EXPECT_EQ(Engine::bucket_batch(33), 64);
+  EXPECT_EQ(Engine::bucket_batch(1000), 1024);
 }
 
 TEST(EngineCache, BucketClampsInsteadOfOverflowing) {
   // Pre-fix, doubling past 2^62 signed-overflowed (UB manifesting as an
   // infinite loop). Huge batches now get an exact, unbucketed plan size.
   constexpr index_t kMaxBucket = index_t{1} << 62;
-  EXPECT_EQ(Engine::bucket_batch(kMaxBucket, 16), kMaxBucket);
-  EXPECT_EQ(Engine::bucket_batch(kMaxBucket + 1, 16), kMaxBucket + 1);
-  EXPECT_EQ(Engine::bucket_batch(std::numeric_limits<index_t>::max(), 16),
+  EXPECT_EQ(Engine::bucket_batch(kMaxBucket), kMaxBucket);
+  EXPECT_EQ(Engine::bucket_batch(kMaxBucket + 1), kMaxBucket + 1);
+  EXPECT_EQ(Engine::bucket_batch(std::numeric_limits<index_t>::max()),
             std::numeric_limits<index_t>::max());
   // The largest in-range power of two still buckets normally.
-  EXPECT_EQ(Engine::bucket_batch((index_t{1} << 40) + 1, 16),
+  EXPECT_EQ(Engine::bucket_batch((index_t{1} << 40) + 1),
             index_t{1} << 41);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <future>
 #include <map>
@@ -1137,6 +1138,58 @@ TEST(ServerOverload, ShedByClassProtectsSingleRowDecode) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.shed_requests, 1u);
   EXPECT_EQ(stats.totals.requests, 1u);
+}
+
+// Every resolution path must give back the rows it added to the shard's
+// pending-rows gauge. With shed_pending_rows = R, a leak of even one row
+// sheds the next R-row request, so after each path resolves a fresh
+// R-row request must pass admission. (The shutdown drain's expiry path
+// releases through the same release_request, but after shutdown every
+// submit is refused before admission, so the gauge is unobservable and
+// a leak there could not shed anything.)
+TEST(ServerOverload, ShedMarkIsReleasedOnEveryResolutionPath) {
+  Rng rng(935);
+  const index_t k = 64, n = 64;
+  auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
+
+  // Coalesced: two R/2-row requests gathered into one batch. Split: two
+  // prefill-sized requests on a 2-worker engine run as concurrent serial
+  // SpMMs, each resolved from its own lane.
+  struct Path {
+    const char* name;
+    index_t mark;
+    unsigned threads;
+    std::uint64_t split_batches;
+  };
+  for (const Path& path :
+       {Path{"coalesced", 4, 1, 0}, Path{"split", 32, 2, 1}}) {
+    SCOPED_TRACE(path.name);
+    ServerOptions opt;
+    opt.num_shards = 1;
+    opt.admission = AdmissionPolicy::kShed;
+    opt.shed_pending_rows = static_cast<std::size_t>(path.mark);
+    opt.bypass_single_rows = false;
+    opt.max_batch_rows = path.mark;      // R pending rows flush as one batch
+    opt.max_wait_us = 60 * 1000 * 1000;  // nothing else flushes
+    opt.engine.num_threads = path.threads;
+    Server server(opt);
+    // Holds each request's A and C (stable addresses) past its future.
+    std::deque<MatrixF> keep;
+    auto submit = [&](index_t rows) {
+      keep.push_back(random_int_matrix(rows, k, rng));
+      const ConstViewF a = keep.back().cview();
+      keep.emplace_back(rows, n);
+      return server.submit(a, B, keep.back().view());
+    };
+    auto first = submit(path.mark / 2);
+    auto second = submit(path.mark / 2);
+    NMSPMM_ASSERT_OK(first.get());
+    NMSPMM_ASSERT_OK(second.get());
+    EXPECT_EQ(server.weights_stats(B.get()).split_batches,
+              path.split_batches);
+    NMSPMM_EXPECT_OK(submit(path.mark).get());
+    EXPECT_EQ(server.stats().shed_requests, 0u);
+  }
 }
 
 TEST(ServerOverload, BlockedSubmitFailsAtItsOwnDeadline) {
