@@ -6,14 +6,20 @@
 // Attention cost grows linearly with context while the projections stay
 // fixed, so the bench reports tokens/s at several context depths: decode
 // proceeds autoregressively and a timing window opens each time the
-// context reaches the next depth. Emits a "model_decode" section merged
+// context reaches the next depth. Each depth also prints where the
+// window's steps went by the plan's own stage attribution (stats().stages:
+// attend; stats().ffn.stages: gate, up and down), and the run ends with
+// the process's AnonHugePages (how much of the weights and KV cache sits
+// on 2 MiB pages). Emits a "model_decode" section merged
 // into BENCH_spmm.json (--merge, the CI mode) or a standalone JSON
 // (--out); scripts/check_perf_trend.py gates each depth's tokens/s like
 // a kernel variant on a same-CPU baseline.
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/artifact.hpp"
@@ -22,6 +28,34 @@
 
 using namespace nmspmm;
 using namespace nmspmm::bench;
+
+namespace {
+
+/// Wall time of the plan's attend stage and of its FFN tail's gate, up
+/// and down stages so far, in ms.
+std::pair<double, double> attend_ffn_ms(const model::DecoderPlan& plan) {
+  using model::Stage;
+  const model::DecoderPlan::Stats s = plan.stats();
+  const auto& ffn = s.ffn.stages;
+  return {static_cast<double>(s.stages[Stage::kAttend].ns) / 1e6,
+          static_cast<double>(ffn[Stage::kGate].ns + ffn[Stage::kUp].ns +
+                              ffn[Stage::kDown].ns) /
+              1e6};
+}
+
+/// The process's AnonHugePages in kB (/proc/self/smaps_rollup); -1 where
+/// it cannot be read.
+long anon_huge_pages_kb() {
+  std::ifstream rollup("/proc/self/smaps_rollup");
+  std::string line;
+  long kb = -1;
+  while (std::getline(rollup, line)) {
+    if (std::sscanf(line.c_str(), "AnonHugePages: %ld", &kb) == 1) break;
+  }
+  return kb;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("bench_decode",
@@ -117,6 +151,8 @@ int main(int argc, char** argv) {
   struct Point {
     index_t context;
     double tokens_per_s;
+    double attend_ms;  ///< per step
+    double ffn_ms;     ///< per step
   };
   std::vector<Point> points;
   index_t context = 1;
@@ -126,22 +162,28 @@ int main(int argc, char** argv) {
       step();
       ++context;
     }
+    const auto before = attend_ffn_ms(plan);
     const auto t0 = clock::now();
     for (int i = 0; i < window; ++i) step();
     const double secs = std::chrono::duration<double>(clock::now() - t0)
                             .count();
+    const auto after = attend_ffn_ms(plan);
     context += window;
-    points.push_back(
-        {depth, static_cast<double>(seqs) * window / secs});
+    points.push_back({depth, static_cast<double>(seqs) * window / secs,
+                      (after.first - before.first) / window,
+                      (after.second - before.second) / window});
   }
 
   const model::DecoderPlan::Stats stats = plan.stats();
-  ResultTable table({"context", "tokens/s"});
+  ResultTable table({"context", "tokens/s", "attend ms/step", "ffn ms/step"});
   for (const Point& p : points) {
     table.add_row({std::to_string(p.context),
-                   ResultTable::fmt(p.tokens_per_s, 0)});
+                   ResultTable::fmt(p.tokens_per_s, 0),
+                   ResultTable::fmt(p.attend_ms, 3),
+                   ResultTable::fmt(p.ffn_ms, 3)});
   }
   print_table(table);
+  std::cout << "AnonHugePages: " << anon_huge_pages_kb() << " kB\n";
   const auto per_token =
       static_cast<std::uint64_t>(2 * layer.attn.kv_dim()) * sizeof(float);
   std::cout << "KV cache: "

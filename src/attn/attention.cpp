@@ -1,6 +1,7 @@
 #include "attn/attention.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -35,40 +36,130 @@ namespace {
 
 /// Context tokens per block: each head's running sum and accumulator
 /// are rescaled at most once per block. 16 matches the AVX-512 logit
-/// reduction, which reduces one block's sixteen dots in one register.
+/// reduction, which reduces sixteen dots in one register.
 constexpr index_t kBlock = 16;
 
-// The three sweeps of a block, written once over a vector description
-// (core/vec.hpp). Every lane runs the scalar op sequence: the logits
-// reduce through simd::dot's 16-lane tree, the weights are elementwise
-// fast_exp, and the attention·V update is one fma per element per token
-// in token order.
+// The sweeps of a block, written once over a vector description
+// (core/vec.hpp). Each serves a pass of kH query heads of one KV head's
+// group from one load of the shared K or V rows, with register tiles
+// sized from kH at compile time. Every lane runs the scalar op sequence:
+// the logits reduce through simd::dot's 16-lane tree, the weights are
+// elementwise fast_exp, the sum adds them in token order, and the
+// attention·V update is one fma per element per token in token order.
 
-/// logits[h * kBlock + t] = dot(q_h, k_t) for the @p group heads of
-/// @p q (stride @p ld) and the first @p count rows of @p k, in passes of
-/// as many tokens as the description's registers hold (Eq. 6, as for the
-/// SpMM tiles): Vec512 reduces a whole block per pass. All kBlock rows
-/// of @p k must be readable (attend pads a short block with a zero row);
-/// a pass may write logits past @p count.
+/// Calls f.template operator()<H>(h) for head ranges [h, h + H) that
+/// cover [0, @p heads) in order: passes of kMost heads, then one each of
+/// the smaller powers of two the remainder needs.
+template <int kMost, class F>
+NMSPMM_ALWAYS_INLINE void for_head_passes(index_t heads, const F& f) {
+  index_t h = 0;
+  for (; h + kMost <= heads; h += kMost) f.template operator()<kMost>(h);
+  if constexpr (kMost > 1) {
+    for_head_passes<kMost / 2>(heads - h, [&]<int H>(index_t i) {
+      f.template operator()<H>(h + i);
+    });
+  }
+}
+
+/// Heads per Q·Kᵀ pass: their Q registers of one 16-lane step and at
+/// least one token's accumulators for each must fit beside a K register.
 template <class Vec>
-void block_logits(const float* q, index_t group, index_t ld,
-                  const float* const* k, index_t count, index_t n,
-                  float* logits) {
+constexpr int kLogitHeads = static_cast<int>(std::bit_floor(
+    static_cast<unsigned>(std::clamp(
+        (Vec::kRegs - 1) / (2 * simd::detail::kReduceRegs<Vec>), 1, 8))));
+
+/// logits[h * kBlock + t] = dot(q_h, k_t) for the kH heads
+/// q_h = q + h * ld and the @p count rows k_t = k + t * row. A pass holds
+/// the heads' Q registers of one 16-lane step and the accumulators of as
+/// many tokens as the registers fit (Eq. 6, as for the SpMM tiles), so
+/// each K register is loaded once for all kH heads. On Vec512 a pass is
+/// sixteen dots, reduced in one register.
+template <class Vec, int kH>
+void head_logits(const float* q, index_t ld, const float* k, index_t row,
+                 index_t count, index_t n, float* logits) {
+  constexpr int kW = Vec::kWidth;
   constexpr int kR = simd::detail::kReduceRegs<Vec>;
-  constexpr int kT = simd::rows_per_pass<Vec>(kR, kBlock);
+  constexpr int kT = simd::rows_per_pass<Vec>(kH * kR, kBlock / kH);
+  constexpr int kA = kH * kT;  // dots per pass; dot h * kT + t
   for (index_t t0 = 0; t0 < count; t0 += kT) {
-    for (index_t h = 0; h < group; ++h) {
-      typename Vec::V acc[kT * kR];
-      simd::detail::dot_lanes<Vec, kT>(q + h * ld, k + t0, n, acc);
-      float* out = logits + h * kBlock + t0;
-      if constexpr (kT == Vec::kWidth && requires { Vec::lane_trees(acc); }) {
-        Vec::store(out, Vec::lane_trees(acc));
-      } else {
+    const int valid = static_cast<int>(std::min<index_t>(kT, count - t0));
+    const float* kt[kT];  // a short pass re-reads its last row
 #pragma GCC unroll 16
-        for (int t = 0; t < kT; ++t) {
-          out[t] = simd::detail::lane_tree<Vec>(acc + t * kR);
+    for (int t = 0; t < kT; ++t) {
+      kt[t] = k + (t0 + std::min(t, valid - 1)) * row;
+    }
+    typename Vec::V acc[kA * kR];
+    simd::detail::dot_lanes<Vec, kH, kT>(q, ld, kt, n, acc);
+    if constexpr (kA == kW && kR == 1 &&
+                  requires { Vec::lane_trees(acc); }) {
+      alignas(64) float dots[kW];
+      Vec::store(dots, Vec::lane_trees(acc));
+      for (int h = 0; h < kH; ++h) {
+        float* out = logits + h * kBlock + t0;
+        if (valid == kT) {  // a constant count: no byte-wise copy loop
+          std::copy_n(dots + h * kT, kT, out);
+        } else {
+          std::copy_n(dots + h * kT, valid, out);
         }
       }
+    } else {
+      for (int h = 0; h < kH; ++h) {
+        for (int t = 0; t < valid; ++t) {
+          logits[h * kBlock + t0 + t] =
+              simd::detail::lane_tree<Vec>(acc + (h * kT + t) * kR);
+        }
+      }
+    }
+  }
+}
+
+/// Registers of each head's accumulator per attention·V pass over the
+/// tokens, and the heads that fit beside them: kH x kAxpyVecs
+/// accumulators, the kAxpyVecs V registers and one broadcast weight.
+constexpr int kAxpyVecs = 4;
+template <class Vec>
+constexpr int kAxpyHeads = simd::rows_per_pass<Vec>(kAxpyVecs, 8);
+
+/// acc_h[j] = fma(w[h * kBlock + t], v_t[j], acc_h[j]) for t = 0..count-1
+/// in order, for the kH heads acc_h = acc + h * ld and the rows
+/// v_t = v + t * row: kAxpyVecs (masked) registers of every head's
+/// accumulator per pass over the tokens, each V register loaded once for
+/// the kH heads.
+template <class Vec, int kH>
+void head_axpy(const float* w, const float* v, index_t row, index_t count,
+               float* acc, index_t ld, index_t n) {
+  using V = typename Vec::V;
+  constexpr int kW = Vec::kWidth;
+  constexpr int kU = kAxpyVecs;
+  for (index_t j = 0; j < n; j += kU * kW) {
+    typename Vec::Mask mask[kU];
+    V a[kH * kU];
+#pragma GCC unroll 4
+    for (int u = 0; u < kU; ++u) {
+      mask[u] = Vec::lanes(static_cast<int>(n - j) - u * kW);
+    }
+#pragma GCC unroll 32
+    for (int e = 0; e < kH * kU; ++e) {
+      a[e] = Vec::load_n(acc + e / kU * ld + j + e % kU * kW, mask[e % kU]);
+    }
+    for (index_t t = 0; t < count; ++t) {
+      V vt[kU];
+#pragma GCC unroll 4
+      for (int u = 0; u < kU; ++u) {
+        vt[u] = Vec::load_n(v + t * row + j + u * kW, mask[u]);
+      }
+#pragma GCC unroll 8
+      for (int h = 0; h < kH; ++h) {
+        const V wt = Vec::set1(w[h * kBlock + t]);
+#pragma GCC unroll 4
+        for (int u = 0; u < kU; ++u) {
+          a[h * kU + u] = Vec::fma(wt, vt[u], a[h * kU + u]);
+        }
+      }
+    }
+#pragma GCC unroll 32
+    for (int e = 0; e < kH * kU; ++e) {
+      Vec::store_n(acc + e / kU * ld + j + e % kU * kW, a[e], mask[e % kU]);
     }
   }
 }
@@ -86,51 +177,80 @@ void block_exp(const float* logits, float m, index_t count, float* w) {
   }
 }
 
-/// acc_h[j] = fma(w[h * kBlock + t], v_t[j], acc_h[j]) for t = 0..count-1
-/// in order, for every group head h (acc_h = acc + h * ld): four
-/// registers of each head's accumulator per pass over the tokens, then a
-/// masked register at a time. The block's V rows come from memory once
-/// for the whole group; the heads after the first re-read them from L1.
-template <class Vec>
-void block_axpy(const float* w, const float* const* v, index_t count,
-                float* acc, index_t group, index_t ld, index_t n) {
+/// Running states folded per block pass: kFoldHeads interleaved sums.
+constexpr int kFoldHeads = 8;
+
+/// OnlineSoftmax::fold for the kH states sm[h], whose @p count logits,
+/// weights and accumulators sit at logits + h * stride, w + h * stride
+/// and acc + h * ld. The finiteness test and the block max are vector
+/// ops; the sums run as kH interleaved chains, each in token order.
+/// Returns the lowest head with a non-finite logit, leaving every state
+/// untouched, or kH once all are folded.
+template <class Vec, int kH>
+int fold_heads(OnlineSoftmax* sm, const float* logits, index_t stride,
+               index_t count, float* w, float* acc, index_t ld, index_t n) {
+  using V = typename Vec::V;
   constexpr int kW = Vec::kWidth;
-  for (index_t h = 0; h < group; ++h) {
-    const float* wh = w + h * kBlock;
-    float* ah = acc + h * ld;
-    index_t j = 0;
-    for (; j + 4 * kW <= n; j += 4 * kW) {
-      typename Vec::V a[4];
-#pragma GCC unroll 4
-      for (int u = 0; u < 4; ++u) a[u] = Vec::load(ah + j + u * kW);
-      for (index_t t = 0; t < count; ++t) {
-        const typename Vec::V wt = Vec::set1(wh[t]);
-        const float* vt = v[t] + j;
-#pragma GCC unroll 4
-        for (int u = 0; u < 4; ++u) {
-          a[u] = Vec::fma(wt, Vec::load(vt + u * kW), a[u]);
-        }
-      }
-#pragma GCC unroll 4
-      for (int u = 0; u < 4; ++u) Vec::store(ah + j + u * kW, a[u]);
+  float bmax[kH];
+  for (int h = 0; h < kH; ++h) {
+    const float* l = logits + h * stride;
+    V mx = Vec::set1(l[0]);
+    V nan = Vec::zero();  // x - x: NaN exactly where x is not finite
+    index_t t = 0;
+    for (; t + kW <= count; t += kW) {
+      const V x = Vec::load(l + t);
+      mx = Vec::max(mx, x);
+      nan = Vec::add(nan, Vec::sub(x, x));
     }
-    for (; j < n; j += kW) {
-      const typename Vec::Mask mask = Vec::lanes(static_cast<int>(n - j));
-      typename Vec::V a = Vec::load_n(ah + j, mask);
-      for (index_t t = 0; t < count; ++t) {
-        a = Vec::fma(Vec::set1(wh[t]), Vec::load_n(v[t] + j, mask), a);
-      }
-      Vec::store_n(ah + j, a, mask);
+    bool finite = !Vec::any_nan(nan);
+    bmax[h] = Vec::hmax(mx);
+    for (; t < count; ++t) {
+      finite = finite && std::isfinite(l[t]);
+      bmax[h] = std::max(bmax[h], l[t]);
     }
+    if (!finite) return h;
   }
+  float s[kH];
+  for (int h = 0; h < kH; ++h) {
+    OnlineSoftmax& st = sm[h];
+    if (bmax[h] > st.m) {
+      // New max: rescale the running sum and accumulator into the new
+      // frame, once for the whole block. On the first fold m is -inf,
+      // so r underflows to fast_exp's clamp floor (~2^-126) — harmless
+      // against the zeroed s and acc.
+      const float r = fast_exp(st.m - bmax[h]);
+      st.s *= r;
+      simd::scale<Vec>(acc + h * ld, r, n);
+      st.m = bmax[h];
+    }
+    // Arguments <= 0: never overflow.
+    block_exp<Vec>(logits + h * stride, st.m, count, w + h * stride);
+    s[h] = st.s;
+  }
+  for (index_t t = 0; t < count; ++t) {
+#pragma GCC unroll 8
+    for (int h = 0; h < kH; ++h) s[h] += w[h * stride + t];
+  }
+  for (int h = 0; h < kH; ++h) sm[h].s = s[h];
+  return kH;
 }
 
-/// Prefetch the cache lines of @p n floats at @p p into L1.
-inline void prefetch_row(const float* p, index_t n) {
-  const char* bytes = reinterpret_cast<const char*>(p);
-  for (std::size_t b = 0; b < static_cast<std::size_t>(n) * sizeof(float);
-       b += 64) {
-    __builtin_prefetch(bytes + b, 0, 3);
+/// Calls f(off, k, v, n) for the runs of tokens [t0, t0 + count) that
+/// share a KV page, in order: k + i * row and v + i * row (i < n) are the
+/// K and V rows of token t0 + off + i. A block within one page is one
+/// run; only a block that straddles a page boundary is split.
+template <class F>
+NMSPMM_ALWAYS_INLINE void for_page_runs(const KvCache::SeqView& view,
+                                        index_t t0, index_t count,
+                                        const F& f) {
+  for (index_t off = 0; off < count;) {
+    const index_t t = t0 + off;
+    const index_t slot = t % view.page_tokens;
+    const float* page = view.pages[t / view.page_tokens];
+    const index_t n = std::min(count - off, view.page_tokens - slot);
+    f(off, page + slot * view.row, page + (view.page_tokens + slot) * view.row,
+      n);
+    off += n;
   }
 }
 
@@ -146,24 +266,7 @@ Status non_finite(std::uint64_t seq_id, index_t kv_head, const char* what) {
 template <class Vec>
 bool OnlineSoftmax::fold(const float* logits, index_t count, float* w,
                          float* acc, index_t n) {
-  float bmax = logits[0];
-  for (index_t t = 0; t < count; ++t) {
-    if (!std::isfinite(logits[t])) return false;
-    bmax = std::max(bmax, logits[t]);
-  }
-  if (bmax > m) {
-    // New max: rescale the running sum and accumulator into the new
-    // frame, once for the whole block. On the first fold m is -inf, so
-    // r underflows to fast_exp's clamp floor (~2^-126) — harmless
-    // against the zeroed s and acc.
-    const float r = fast_exp(m - bmax);
-    s *= r;
-    simd::scale<Vec>(acc, r, n);
-    m = bmax;
-  }
-  block_exp<Vec>(logits, m, count, w);  // arguments <= 0: never overflow
-  for (index_t t = 0; t < count; ++t) s += w[t];
-  return true;
+  return fold_heads<Vec, 1>(this, logits, 0, count, w, acc, 0, n) == 1;
 }
 
 template <class Vec>
@@ -196,18 +299,15 @@ DecodeAttention::DecodeAttention(AttnConfig config) : config_(config) {
         -2.0f * static_cast<float>(i) / static_cast<float>(config_.head_dim));
   }
   rope_cs_.resize(static_cast<std::size_t>(config_.head_dim));
-  const auto heads = static_cast<std::size_t>(group_);
+  const auto heads = static_cast<std::size_t>(config_.n_heads);
   const std::size_t head_floats = heads * static_cast<std::size_t>(ld_);
   const std::size_t block_floats = heads * kBlock;
-  scratch_ = AlignedBuffer(
-      (2 * head_floats + 2 * block_floats + static_cast<std::size_t>(ld_)) *
-      sizeof(float));
+  scratch_ = AlignedBuffer((2 * head_floats + 2 * block_floats) *
+                           sizeof(float));
   q_ = scratch_.as<float>();
   acc_ = q_ + head_floats;
   logits_ = acc_ + head_floats;
   w_ = logits_ + block_floats;
-  zero_row_ = w_ + block_floats;
-  std::fill_n(zero_row_, ld_, 0.0f);
   sm_.resize(heads);
 }
 
@@ -271,53 +371,56 @@ Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
   rope(q, config_.n_heads, view->len - 1);
   const index_t hd = config_.head_dim;
   const index_t len = view->len;
-  const float* k_rows[kBlock];
-  const float* v_rows[kBlock];
-  for (index_t g = 0; g < config_.n_kv_heads; ++g) {
-    // One pass over KV head g's context serves its whole query group.
-    // Q is pre-scaled, so a logit is the tree-reduced dot as stored.
-    const float* qg = q + g * group_ * hd;
-    for (index_t h = 0; h < group_; ++h) {
-      for (index_t j = 0; j < hd; ++j) {
-        q_[h * ld_ + j] = scale_ * qg[h * hd + j];
+  const index_t row = view->row;
+  // Q is pre-scaled, so a logit is the tree-reduced dot as stored.
+  for (index_t h = 0; h < config_.n_heads; ++h) {
+    for (index_t j = 0; j < hd; ++j) q_[h * ld_ + j] = scale_ * q[h * hd + j];
+    std::fill_n(acc_ + h * ld_, hd, 0.0f);
+    sm_[static_cast<std::size_t>(h)] = OnlineSoftmax{};
+  }
+  // One pass over the context serves every head: each block's K rows,
+  // then its V rows, are read once, a page run at a time, and every KV
+  // head's group takes its slice of them.
+  for (index_t t0 = 0; t0 < len; t0 += kBlock) {
+    const index_t count = std::min(kBlock, len - t0);
+    for_page_runs(*view, t0, count,
+                  [&](index_t off, const float* k, const float*, index_t n) {
+      for (index_t g = 0; g < config_.n_kv_heads; ++g) {
+        for_head_passes<kLogitHeads<Vec>>(group_, [&]<int H>(index_t h) {
+          const index_t qh = g * group_ + h;
+          head_logits<Vec, H>(q_ + qh * ld_, ld_, k + g * hd, row, n, hd,
+                              logits_ + qh * kBlock + off);
+        });
       }
-      std::fill_n(acc_ + h * ld_, hd, 0.0f);
-      sm_[static_cast<std::size_t>(h)] = OnlineSoftmax{};
+    });
+    index_t bad = -1;  // the lowest head with a non-finite logit
+    for_head_passes<kFoldHeads>(config_.n_heads, [&]<int H>(index_t h) {
+      if (bad >= 0) return;
+      const int i = fold_heads<Vec, H>(sm_.data() + h, logits_ + h * kBlock,
+                                       kBlock, count, w_ + h * kBlock,
+                                       acc_ + h * ld_, ld_, hd);
+      if (i < H) bad = h + i;
+    });
+    if (bad >= 0) return non_finite(seq_id, bad / group_, "an attention logit");
+    for_page_runs(*view, t0, count,
+                  [&](index_t off, const float*, const float* v, index_t n) {
+      for (index_t g = 0; g < config_.n_kv_heads; ++g) {
+        for_head_passes<kAxpyHeads<Vec>>(group_, [&]<int H>(index_t h) {
+          const index_t qh = g * group_ + h;
+          head_axpy<Vec, H>(w_ + qh * kBlock + off, v + g * hd, row, n,
+                            acc_ + qh * ld_, ld_, hd);
+        });
+      }
+    });
+  }
+  for (index_t h = 0; h < config_.n_heads; ++h) {
+    const OnlineSoftmax& sm = sm_[static_cast<std::size_t>(h)];
+    if (!std::isfinite(sm.s) || !(sm.s > 0.0f)) {
+      return non_finite(seq_id, h / group_, "the softmax sum");
     }
-    const index_t kv_off = g * hd;
-    for (index_t t0 = 0; t0 < len; t0 += kBlock) {
-      const index_t count = std::min(kBlock, len - t0);
-      for (index_t t = 0; t < count; ++t) {
-        k_rows[t] = view->k(t0 + t) + kv_off;
-        v_rows[t] = view->v(t0 + t) + kv_off;
-      }
-      std::fill(k_rows + count, k_rows + kBlock, zero_row_);
-      // A head's rows sit a full token row apart, a stride the hardware
-      // prefetchers follow poorly: request the next block's lines now.
-      const index_t next_end = std::min(len, t0 + count + kBlock);
-      for (index_t t = t0 + count; t < next_end; ++t) {
-        prefetch_row(view->k(t) + kv_off, hd);
-        prefetch_row(view->v(t) + kv_off, hd);
-      }
-      block_logits<Vec>(q_, group_, ld_, k_rows, count, hd, logits_);
-      for (index_t h = 0; h < group_; ++h) {
-        if (!sm_[static_cast<std::size_t>(h)].fold<Vec>(
-                logits_ + h * kBlock, count, w_ + h * kBlock, acc_ + h * ld_,
-                hd)) {
-          return non_finite(seq_id, g, "an attention logit");
-        }
-      }
-      block_axpy<Vec>(w_, v_rows, count, acc_, group_, ld_, hd);
-    }
-    for (index_t h = 0; h < group_; ++h) {
-      const OnlineSoftmax& sm = sm_[static_cast<std::size_t>(h)];
-      if (!std::isfinite(sm.s) || !(sm.s > 0.0f)) {
-        return non_finite(seq_id, g, "the softmax sum");
-      }
-      float* acc = acc_ + h * ld_;
-      sm.finish<Vec>(acc, hd);
-      std::copy_n(acc, hd, out + (g * group_ + h) * hd);
-    }
+    float* acc = acc_ + h * ld_;
+    sm.finish<Vec>(acc, hd);
+    std::copy_n(acc, hd, out + h * hd);
   }
   return Status::Ok();
 }

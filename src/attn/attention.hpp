@@ -4,16 +4,17 @@
 // One decode step per sequence is: rotate the fresh K by its position
 // and append (K, V) to the cache; rotate Q by the same position; then
 // compute softmax(scale * Q·Kᵀ)·V over the cached context without ever
-// materializing a full logit row. attend() is GQA-grouped and
-// token-blocked: for each KV head it makes one pass over that head's
-// paged K/V serving all n_heads / n_kv_heads query heads of its group,
-// 16 context tokens at a time. Per block it computes the group's logits
-// (register-resident 16-lane reductions), takes one block max per head
-// and rescales that head's running sum and accumulator at most once,
-// turns the logits into weights with the vector exp, and FMAs each V
-// row into every group head's accumulator, while the next block's rows
-// are prefetched. Each KV byte is read from memory once per step, where
-// a per-head loop would re-read it once per query head.
+// materializing a full logit row. attend() is token-major: one pass over
+// the sequence's paged context, 16 tokens at a time, serves every query
+// head. Per block it reads the block's K rows once (one page base per
+// block; a block that straddles a page boundary is split at it) and
+// computes every head's logits, each KV head's n_heads / n_kv_heads
+// query heads sharing the loaded K registers; folds every head's
+// running state, rescaling a head's sum and accumulator at most once
+// per block; then reads the block's V rows once and FMAs each into
+// every group head's accumulator. Each KV byte is read from memory once
+// per step, a block's K rows and then its V rows as one contiguous run
+// each.
 //
 // The softmax is the numerically-safe online form — running max with
 // rescale-on-new-max, fp32 accumulation — folded a block at a time
@@ -21,17 +22,20 @@
 // oracle (tests/test_attn.cpp) including adversarial logits
 // (large-magnitude, all-equal, single-survivor, a new max arriving
 // mid-block). A non-finite logit (inf/NaN in Q or the cached K) is a
-// typed FAILED_PRECONDITION from attend(), never a throw.
+// typed FAILED_PRECONDITION from attend(), never a throw. It names one
+// KV head by a fixed rule: that of the first block holding a non-finite
+// logit, the lowest KV head in that block.
 //
 // Bit-exactness discipline: the block sweeps are written once over a
 // vector description (core/vec.hpp) and run on the build's widest,
-// simd::SweepVec. Each logit is reduced through the same 16-lane tree
-// as simd::dot (core/reduce.hpp), the weights come from fast_exp's op
-// sequence on every lane, the sum adds the weights in token order, and
-// the attention·V update is one fma per element per token in token
-// order. So every description produces identical bits; the tests run
-// attend and the softmax fold on each one the build compiles and assert
-// == against VecScalar, exactly like the epilogue kernels.
+// simd::SweepVec, with register tiles (heads and tokens per pass) sized
+// from the description at compile time. Each logit is reduced through
+// the same 16-lane tree as simd::dot (core/reduce.hpp), the weights come
+// from fast_exp's op sequence on every lane, each head's sum adds its
+// weights in token order, and the attention·V update is one fma per
+// element per token in token order. So every description produces
+// identical bits, equal to a per-head sweep of simd::dot,
+// OnlineSoftmax::fold and simd::axpy on VecScalar; the tests assert both.
 //
 // GQA: query head h reads KV head h / (n_heads / n_kv_heads) — the
 // grouped-query layout (n_kv_heads < n_heads) that shrinks the cache by
@@ -67,8 +71,9 @@ struct AttnConfig {
 /// Online (streaming) softmax accumulator for one head: fold logits in
 /// context order, a block at a time; the running max keeps every exp()
 /// argument <= 0 so nothing overflows no matter the logit magnitudes.
-/// Exposed (rather than buried in attend) so the numerics tests drive
-/// the same fold attend runs against the long-double oracle. @p Vec is
+/// attend folds its heads' states by the same rule, a pass of heads at
+/// a time; exposed so the numerics tests drive the fold against the
+/// long-double oracle and compose attend's per-head reference. @p Vec is
 /// the vector description the sweeps run on (core/vec.hpp); the tests
 /// compare each one the build compiles (NMSPMM_FOR_EACH_VEC) with ==.
 struct OnlineSoftmax {
@@ -124,7 +129,8 @@ class DecodeAttention {
   /// write streaming-softmax attention over the cached context to
   /// @p out (q_dim floats). FAILED_PRECONDITION on an empty context or
   /// on a non-finite logit or softmax sum (inf/NaN in Q or the cached
-  /// K); @p out is unspecified after an error. @p Vec as for
+  /// K), naming the KV head of the first failing 16-token block, the
+  /// lowest in it; @p out is unspecified after an error. @p Vec as for
   /// OnlineSoftmax.
   template <class Vec = simd::SweepVec>
   [[nodiscard]] Status attend(const KvCache& cache, std::uint64_t seq_id,
@@ -145,12 +151,11 @@ class DecodeAttention {
   std::vector<float> inv_freq_;  ///< head_dim/2 RoPE inverse frequencies
   std::vector<float> rope_cs_;   ///< head_dim/2 cos, then head_dim/2 sin
   AlignedBuffer scratch_;        ///< every buffer below, 64-byte aligned
-  float* q_ = nullptr;           ///< the group's Q, pre-scaled by scale_
-  float* acc_ = nullptr;         ///< the group's attention·V accumulators
-  float* logits_ = nullptr;      ///< group x 16-token logit block
-  float* w_ = nullptr;           ///< group x 16-token softmax weights
-  float* zero_row_ = nullptr;    ///< head_dim zeros: short-block padding
-  std::vector<OnlineSoftmax> sm_;  ///< one running state per group head
+  float* q_ = nullptr;           ///< every head's Q, pre-scaled by scale_
+  float* acc_ = nullptr;         ///< every head's attention·V accumulator
+  float* logits_ = nullptr;      ///< n_heads x 16-token logit block
+  float* w_ = nullptr;           ///< n_heads x 16-token softmax weights
+  std::vector<OnlineSoftmax> sm_;  ///< one running state per query head
 };
 
 }  // namespace nmspmm::attn

@@ -1,8 +1,8 @@
 #include "attn/kv_cache.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
-#include <utility>
 
 #include "util/numa_alloc.hpp"
 
@@ -61,9 +61,8 @@ Status KvCache::free_sequence(std::uint64_t seq_id) {
   // Eviction: the finished sequence's pages go to the free list intact;
   // the next allocating append recycles them without touching the
   // allocator (or the page's NUMA placement).
-  for (auto& page : it->second.pages) {
-    free_pages_.push_back(std::move(page));
-  }
+  free_pages_.insert(free_pages_.end(), it->second.pages.begin(),
+                     it->second.pages.end());
   pages_in_use_ -= static_cast<index_t>(it->second.pages.size());
   seqs_.erase(it);
   live_sequences_.store(seqs_.size(), std::memory_order_relaxed);
@@ -89,23 +88,39 @@ bool KvCache::ensure_tail_page(Sequence& seq) {
   if (seq.len < static_cast<index_t>(seq.pages.size()) * options_.page_tokens) {
     return true;  // tail page still has room
   }
-  std::unique_ptr<float[]> page;
+  float* page = nullptr;
   if (!free_pages_.empty()) {
-    page = std::move(free_pages_.back());
+    page = free_pages_.back();
     free_pages_.pop_back();
     pages_recycled_.fetch_add(1, std::memory_order_relaxed);
   } else {
     if (pages_in_use_ >= capacity_pages_) return false;
-    page.reset(new float[page_floats_]);
+    if (fresh_pages_ == 0) {
+      // A new slab: the pages that fit in 2 MiB (at least one), never
+      // past the budget. Attention streams a sequence's pages every step;
+      // on 2 MiB pages that walk costs one TLB entry per slab.
+      const std::size_t page_bytes = page_floats_ * sizeof(float);
+      fresh_pages_ = std::min<index_t>(
+          static_cast<index_t>(std::max<std::size_t>(
+              1, kHugePageBytes / page_bytes)),
+          capacity_pages_ - pages_in_use_);
+      slabs_.push_back(huge_page_buffer(
+          static_cast<std::size_t>(fresh_pages_) * page_bytes));
+      fresh_ = slabs_.back().as<float>();
+      slab_bytes_.fetch_add(slabs_.back().size_bytes(),
+                            std::memory_order_relaxed);
+    }
+    page = fresh_;
+    fresh_ += page_floats_;
+    --fresh_pages_;
     // First-touch placement: fault the page in from this (appending)
     // thread so it lands on the node that will stream it every decode
     // step. Also zeroes the K/V rows the sequence has not reached yet.
-    numa::first_touch_zero(page.get(), page_floats_ * sizeof(float));
+    numa::first_touch_zero(page, page_floats_ * sizeof(float));
     pages_allocated_.fetch_add(1, std::memory_order_relaxed);
-    numa_node_.store(numa::node_of(page.get()), std::memory_order_relaxed);
+    numa_node_.store(numa::node_of(page), std::memory_order_relaxed);
   }
-  seq.page_ptrs.push_back(page.get());
-  seq.pages.push_back(std::move(page));
+  seq.pages.push_back(page);
   ++pages_in_use_;
   return true;
 }
@@ -128,7 +143,7 @@ Status KvCache::append(std::uint64_t seq_id, const float* k, const float* v) {
   }
   const index_t row = token_row();
   const index_t slot = seq.len % options_.page_tokens;
-  float* page = seq.pages.back().get();
+  float* page = seq.pages.back();
   std::memcpy(page + slot * row, k, static_cast<std::size_t>(row) *
                                         sizeof(float));
   std::memcpy(page + (options_.page_tokens + slot) * row, v,
@@ -149,7 +164,7 @@ StatusOr<KvCache::SeqView> KvCache::view(std::uint64_t seq_id) const {
   v.len = it->second.len;
   v.page_tokens = options_.page_tokens;
   v.row = token_row();
-  v.pages = it->second.page_ptrs.data();
+  v.pages = it->second.pages.data();
   return v;
 }
 
@@ -163,8 +178,8 @@ KvCache::Stats KvCache::stats() const {
   s.live_sequences = live_sequences_.load(std::memory_order_relaxed);
   s.freed_sequences = freed_sequences_.load(std::memory_order_relaxed);
   s.numa_node = numa_node_.load(std::memory_order_relaxed);
-  // Pages are never released and every token is one K row + one V row.
-  s.resident_bytes = static_cast<std::size_t>(s.pages_allocated) * s.page_bytes;
+  // Slabs are never released and every token is one K row + one V row.
+  s.resident_bytes = slab_bytes_.load(std::memory_order_relaxed);
   s.appended_bytes = static_cast<std::size_t>(s.appended_tokens) * 2 *
                      static_cast<std::size_t>(token_row()) * sizeof(float);
   return s;

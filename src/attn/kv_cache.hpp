@@ -13,8 +13,12 @@
 //
 // Layout: one page holds page_tokens() consecutive tokens of one
 // sequence, K then V, each token a contiguous [n_kv_heads * head_dim]
-// row — exactly the strips the attention core's Q·Kᵀ and attention·V
-// loops stream. Capacity errors are typed for the serving layer:
+// row, so a block of tokens within a page is one contiguous run of K
+// rows and one of V rows — what the attention core's token-major pass
+// reads, every KV head taking its slice of each row. Pages are carved
+// from slabs of up to 2 MiB (huge_page_buffer), so where transparent
+// huge pages are enabled a slab is one 2 MiB page and one TLB entry.
+// Capacity errors are typed for the serving layer:
 // appending past the page budget is RESOURCE_EXHAUSTED (retryable —
 // the PR 8 admission/retry machinery backs off and retries once
 // sequences finish), unknown sequences are NOT_FOUND, and lifecycle
@@ -29,10 +33,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "util/aligned_buffer.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
 
@@ -98,9 +102,9 @@ class KvCache {
   [[nodiscard]] StatusOr<SeqView> view(std::uint64_t seq_id) const;
 
   /// Byte accounting and lifecycle counters, WeightStore-style: resident
-  /// covers every allocated page (live or pooled), appended is the
-  /// cumulative K+V payload written, recycled counts free-list reuses
-  /// that saved an allocation.
+  /// covers every slab mapped (pages live, pooled or not yet carved),
+  /// appended is the cumulative K+V payload written, recycled counts
+  /// free-list reuses that saved an allocation.
   struct Stats {
     std::size_t resident_bytes = 0;
     std::size_t appended_bytes = 0;
@@ -126,8 +130,7 @@ class KvCache {
  private:
   struct Sequence {
     index_t len = 0;
-    std::vector<std::unique_ptr<float[]>> pages;
-    std::vector<const float*> page_ptrs;  ///< SeqView aliases this
+    std::vector<float*> pages;  ///< SeqView aliases this
   };
 
   /// A page with room for the next token, allocating or recycling if the
@@ -138,7 +141,12 @@ class KvCache {
   std::size_t page_floats_ = 0;  ///< 2 * page_tokens * token_row
   index_t capacity_pages_ = 0;
   std::unordered_map<std::uint64_t, Sequence> seqs_;
-  std::vector<std::unique_ptr<float[]>> free_pages_;
+  /// Page storage, never released: slabs of up to 2 MiB of whole pages
+  /// (util/aligned_buffer.hpp huge_page_buffer), carved a page at a time.
+  std::vector<AlignedBuffer> slabs_;
+  float* fresh_ = nullptr;     ///< the newest slab's next uncarved page
+  index_t fresh_pages_ = 0;    ///< uncarved pages left in it
+  std::vector<float*> free_pages_;
   index_t pages_in_use_ = 0;
 
   // stats() counters (written by the one caller, read by any thread).
@@ -147,6 +155,7 @@ class KvCache {
   std::atomic<std::uint64_t> pages_recycled_{0};
   std::atomic<std::uint64_t> live_sequences_{0};
   std::atomic<std::uint64_t> freed_sequences_{0};
+  std::atomic<std::size_t> slab_bytes_{0};
   std::atomic<int> numa_node_{-1};
 };
 

@@ -98,7 +98,11 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
       static_cast<std::size_t>(pw.compressed_rows_) *
       static_cast<std::size_t>(pw.ldb_);
   pw.value_count_ = static_cast<std::size_t>(pw.num_nblocks_) * nblock_floats;
-  pw.values_ = AlignedBuffer(pw.value_count_ * sizeof(float));
+  // The values are the stream every execute reads end to end, so from
+  // 2 MiB up they sit on 2 MiB pages (huge_page_buffer): a decode step's
+  // walk over tens of MB of tiles then costs a few dozen TLB entries
+  // instead of thousands of 4 KiB-page walks.
+  pw.values_ = huge_page_buffer(pw.value_count_ * sizeof(float));
   float* const values = pw.values_.as<float>();
   // Partition by n-block, mirroring spmm_blocked's nc partitioning:
   // tiles are nb-major, so each worker touches one contiguous range.

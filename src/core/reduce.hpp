@@ -35,40 +35,58 @@ namespace detail {
 template <class Vec>
 inline constexpr int kReduceRegs = kReduceLanes / Vec::kWidth;
 
-/// The 16-lane dots of @p a with each of @p b[0..T) over @p n elements:
-/// acc[t * kReduceRegs + r] holds lanes r * kWidth.. of dot(a, b[t]).
-/// A ragged tail fmas into its lanes only; the others keep their value.
-template <class Vec, int T>
-NMSPMM_ALWAYS_INLINE void dot_lanes(const float* a, const float* const* b, index_t n,
-                      typename Vec::V* acc) {
+/// The 16-lane dots of each of the @p H vectors a_h = a + h * lda with
+/// each of @p b[0..T) over @p n elements:
+/// acc[(h * T + t) * kReduceRegs + r] holds lanes r * kWidth.. of
+/// dot(a_h, b[t]). Each a and b register is loaded once per 16-lane
+/// step for all H x T dots. A ragged tail fmas into its lanes only; the
+/// others keep their value.
+template <class Vec, int H, int T>
+NMSPMM_ALWAYS_INLINE void dot_lanes(const float* a, index_t lda,
+                                    const float* const* b, index_t n,
+                                    typename Vec::V* acc) {
+  using V = typename Vec::V;
   constexpr int kR = kReduceRegs<Vec>;
   constexpr int kW = Vec::kWidth;
   const index_t n16 = n - n % kReduceLanes;
 #pragma GCC unroll 16
-  for (int e = 0; e < T * kR; ++e) acc[e] = Vec::zero();
+  for (int e = 0; e < H * T * kR; ++e) acc[e] = Vec::zero();
   for (index_t j = 0; j < n16; j += kReduceLanes) {
-    typename Vec::V av[kR];
+    V av[H * kR];
 #pragma GCC unroll 16
-    for (int r = 0; r < kR; ++r) av[r] = Vec::load(a + j + r * kW);
+    for (int e = 0; e < H * kR; ++e) {
+      av[e] = Vec::load(a + e / kR * lda + j + e % kR * kW);
+    }
 #pragma GCC unroll 16
     for (int e = 0; e < T * kR; ++e) {
-      acc[e] = Vec::fma(av[e % kR], Vec::load(b[e / kR] + j + e % kR * kW),
-                        acc[e]);
+      const V bv = Vec::load(b[e / kR] + j + e % kR * kW);
+#pragma GCC unroll 8
+      for (int h = 0; h < H; ++h) {
+        V& d = acc[(h * T + e / kR) * kR + e % kR];
+        d = Vec::fma(av[h * kR + e % kR], bv, d);
+      }
     }
   }
   if (n16 == n) return;
   typename Vec::Mask tail[kR];
-  typename Vec::V av[kR];
+  V av[H * kR];
 #pragma GCC unroll 16
   for (int r = 0; r < kR; ++r) {
     tail[r] = Vec::lanes(static_cast<int>(n - n16) - r * kW);
-    av[r] = Vec::load_n(a + n16 + r * kW, tail[r]);
+  }
+#pragma GCC unroll 16
+  for (int e = 0; e < H * kR; ++e) {
+    av[e] = Vec::load_n(a + e / kR * lda + n16 + e % kR * kW, tail[e % kR]);
   }
 #pragma GCC unroll 16
   for (int e = 0; e < T * kR; ++e) {
     const int r = e % kR;
-    acc[e] = Vec::fma_n(av[r], Vec::load_n(b[e / kR] + n16 + r * kW, tail[r]),
-                        acc[e], tail[r]);
+    const V bv = Vec::load_n(b[e / kR] + n16 + r * kW, tail[r]);
+#pragma GCC unroll 8
+    for (int h = 0; h < H; ++h) {
+      V& d = acc[(h * T + e / kR) * kR + r];
+      d = Vec::fma_n(av[h * kR + r], bv, d, tail[r]);
+    }
   }
 }
 
@@ -99,7 +117,7 @@ NMSPMM_ALWAYS_INLINE float lane_tree(typename Vec::V* acc) {
 template <class Vec = SweepVec>
 inline float dot(const float* a, const float* b, index_t n) {
   typename Vec::V acc[detail::kReduceRegs<Vec>];
-  detail::dot_lanes<Vec, 1>(a, &b, n, acc);
+  detail::dot_lanes<Vec, 1, 1>(a, 0, &b, n, acc);
   return detail::lane_tree<Vec>(acc);
 }
 

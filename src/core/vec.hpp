@@ -69,6 +69,9 @@ struct VecScalar {
   }
   /// fma on the lanes of @p m; the others keep @p c.
   static V fma_n(V a, V b, V c, Mask m) { return m ? std::fma(a, b, c) : c; }
+  /// The largest lane (no lane NaN: max is exact in any order).
+  static float hmax(V a) { return a; }
+  static bool any_nan(V a) { return std::isnan(a); }
 };
 
 /// The baseline of the SpMM kernels: four floats as a generic compiler
@@ -98,12 +101,14 @@ struct VecBase {
   }
 };
 
-// GCC 12 leaks a bogus -Wmaybe-uninitialized out of the unmasked AVX-512
-// intrinsics' _mm512_undefined_* merge sources when they inline into the
-// sweeps (GCC PR105593); silence it for the descriptions only.
+// GCC 12 leaks a bogus -Wmaybe-uninitialized (or, for Vec512::hmax's
+// shuffles, -Wuninitialized) out of the unmasked AVX-512 intrinsics'
+// _mm512_undefined_* merge sources when they inline into the sweeps
+// (GCC PR105593); silence them for the descriptions only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -151,6 +156,15 @@ struct Vec256 {
     return _mm256_blendv_ps(c, _mm256_fmadd_ps(a, b, c),
                             _mm256_castsi256_ps(m));
   }
+  static float hmax(V a) {
+    __m128 m = _mm_max_ps(_mm256_castps256_ps128(a),
+                          _mm256_extractf128_ps(a, 1));
+    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+    return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
+  }
+  static bool any_nan(V a) {
+    return _mm256_movemask_ps(_mm256_cmp_ps(a, a, _CMP_UNORD_Q)) != 0;
+  }
 };
 #endif
 
@@ -197,6 +211,15 @@ struct Vec512 {
   }
   static V fma_n(V a, V b, V c, Mask m) {
     return _mm512_mask3_fmadd_ps(a, b, c, m);
+  }
+  static float hmax(V a) {  // halves, quarters, pairs, neighbours
+    V m = _mm512_max_ps(a, _mm512_shuffle_f32x4(a, a, 0x4E));
+    m = _mm512_max_ps(m, _mm512_shuffle_f32x4(m, m, 0xB1));
+    m = _mm512_max_ps(m, _mm512_shuffle_ps(m, m, 0x4E));
+    return _mm512_cvtss_f32(_mm512_max_ps(m, _mm512_shuffle_ps(m, m, 0xB1)));
+  }
+  static bool any_nan(V a) {
+    return _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q) != 0;
   }
   /// The 16-lane binary tree (stride 8, 4, 2, 1; simd::detail::lane_tree)
   /// of sixteen registers at once, register t's sum in lane t. Each

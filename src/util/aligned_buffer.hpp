@@ -50,10 +50,30 @@ class AlignedBuffer {
   void swap(AlignedBuffer& other) noexcept;
 
  private:
+  friend AlignedBuffer huge_page_buffer(std::size_t bytes);
+
+  void release() noexcept;
+
   void* data_ = nullptr;
   std::size_t bytes_ = 0;
   std::size_t alignment_ = kDefaultAlignment;
+  bool mapped_ = false;  ///< its own mapping (huge_page_buffer), not heap
 };
+
+/// 2 MiB: the x86-64 transparent huge page.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// A buffer for long-lived data a hot loop streams end to end every call
+/// (packed weight values, KV cache slabs). At kHugePageBytes and above it
+/// is a mapping of its own, 2 MiB-aligned and advised MADV_HUGEPAGE, so
+/// where transparent huge pages are enabled ("always" or "madvise") its
+/// first touch maps every whole 2 MiB it spans as one huge page: one TLB
+/// entry then covers 512 times the bytes of a 4 KiB page. A ragged tail
+/// stays on small pages, so nothing beyond the buffer becomes resident,
+/// and freeing it unmaps it rather than leaving huge pages in the heap.
+/// The advice is a hint, ignored where it fails or THP is off. Smaller
+/// buffers, and every buffer off Linux, are plain AlignedBuffers.
+AlignedBuffer huge_page_buffer(std::size_t bytes);
 
 /// Round @p value up to the next multiple of @p multiple (> 0).
 constexpr std::size_t round_up(std::size_t value, std::size_t multiple) {

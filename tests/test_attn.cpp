@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "attn/attention.hpp"
@@ -398,14 +401,45 @@ TEST(KvCache, StatsAccountBytes) {
                           sizeof(float);
   EXPECT_EQ(page_bytes, cache.stats().page_bytes);
   EXPECT_EQ(4, cache.stats().capacity_pages);
+  EXPECT_EQ(0u, cache.stats().resident_bytes);
   std::vector<float> kv(static_cast<std::size_t>(cache.token_row()), 1.0f);
   NMSPMM_ASSERT_OK(cache.begin_sequence(1));
   NMSPMM_ASSERT_OK(cache.append(1, kv.data(), kv.data()));
   const auto stats = cache.stats();
-  EXPECT_EQ(page_bytes, stats.resident_bytes);  // one page allocated
+  // One page in use, carved from a slab that holds the whole 4-page
+  // budget (far below 2 MiB): resident counts the slab.
+  EXPECT_EQ(1u, stats.pages_allocated);
+  EXPECT_EQ(4 * page_bytes, stats.resident_bytes);
   EXPECT_EQ(2 * static_cast<std::size_t>(cache.token_row()) * sizeof(float),
             stats.appended_bytes);
   EXPECT_EQ(1u, stats.appended_tokens);
+}
+
+TEST(KvCache, PagesAreCarvedFromTwoMebibyteSlabs) {
+  // 64 KiB pages (16 tokens x 8 KV heads x 64, K and V): 32 to a 2 MiB
+  // slab, each slab 2 MiB-aligned; the 33rd page opens a second slab.
+  KvCacheOptions opt;
+  opt.n_kv_heads = 8;
+  opt.head_dim = 64;
+  opt.page_tokens = 16;
+  opt.max_tokens = 100 * 16;
+  KvCache cache(opt);
+  ASSERT_EQ(std::size_t{64} << 10, cache.stats().page_bytes);
+  std::vector<float> kv(static_cast<std::size_t>(cache.token_row()), 1.0f);
+  NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+  for (index_t t = 0; t < 32 * 16; ++t) {
+    NMSPMM_ASSERT_OK(cache.append(1, kv.data(), kv.data()));
+  }
+  EXPECT_EQ(kHugePageBytes, cache.stats().resident_bytes);
+  const auto view = cache.view(1);
+  NMSPMM_ASSERT_OK(view.status());
+  EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(view->pages[0]) %
+                    kHugePageBytes);
+  EXPECT_EQ(view->pages[0] + 31 * 2 * 16 * cache.token_row(),
+            view->pages[31]);
+  NMSPMM_ASSERT_OK(cache.append(1, kv.data(), kv.data()));
+  EXPECT_EQ(33u, cache.stats().pages_allocated);
+  EXPECT_EQ(2 * kHugePageBytes, cache.stats().resident_bytes);
 }
 
 // ----------------------------------------------------- GQA attention
@@ -509,6 +543,104 @@ TEST(DecodeAttention, BlockedLoopBitExactAcrossKernelsGrid) {
               << "width " << Vec::kWidth << " group " << group
               << " head_dim " << head_dim << " page_tokens " << page_tokens;
         });
+      }
+    }
+  }
+}
+
+/// The per-head sweep attend's outputs are defined by, composed from
+/// public pieces: RoPE on a copy of Q, Q pre-scaled by 1/sqrt(head_dim),
+/// one simd::dot<VecScalar> per logit (the 16-lane tree every sweep
+/// reduces through), OnlineSoftmax::fold<VecScalar> per 16-token block,
+/// one simd::axpy<VecScalar> per token in token order, then finish.
+std::vector<float> block_order_oracle(DecodeAttention& op,
+                                      const KvCache::SeqView& view,
+                                      std::vector<float> q) {
+  const AttnConfig& cfg = op.config();
+  const index_t hd = cfg.head_dim;
+  const index_t group = cfg.n_heads / cfg.n_kv_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  op.rope(q.data(), cfg.n_heads, view.len - 1);
+  std::vector<float> out(q.size(), 0.0f);
+  std::vector<float> qs(static_cast<std::size_t>(hd));
+  float logits[16];
+  float w[16];
+  for (index_t h = 0; h < cfg.n_heads; ++h) {
+    for (index_t j = 0; j < hd; ++j) {
+      qs[static_cast<std::size_t>(j)] =
+          scale * q[static_cast<std::size_t>(h * hd + j)];
+    }
+    const index_t off = (h / group) * hd;
+    float* acc = out.data() + h * hd;
+    OnlineSoftmax sm;
+    for (index_t t0 = 0; t0 < view.len; t0 += 16) {
+      const index_t count = std::min<index_t>(16, view.len - t0);
+      for (index_t t = 0; t < count; ++t) {
+        logits[t] = simd::dot<VecScalar>(qs.data(), view.k(t0 + t) + off, hd);
+      }
+      EXPECT_TRUE(sm.fold<VecScalar>(logits, count, w, acc, hd));
+      for (index_t t = 0; t < count; ++t) {
+        simd::axpy<VecScalar>(w[t], view.v(t0 + t) + off, acc, hd);
+      }
+    }
+    sm.finish<VecScalar>(acc, hd);
+  }
+  return out;
+}
+
+TEST(DecodeAttention, AttendMatchesBlockOrderOracleBitForBit) {
+  // attend's block sweeps against the per-head oracle above, memcmp-equal
+  // on every description: group sizes 1 (MHA) through 8; head_dim 2 (a
+  // lone ragged tail), 24, 64 and 128; pages shorter than, equal to and
+  // longer than a block, so blocks straddle pages of 2, 3 and 7 tokens;
+  // contexts on both sides of block boundaries. Every 23rd key is
+  // scaled up so new maxima keep arriving mid-block.
+  const index_t contexts[] = {1, 15, 16, 17, 64, 65, 200};
+  const index_t max_context = 200;
+  for (index_t group : {1, 2, 4, 8}) {
+    for (index_t head_dim : {2, 24, 64, 128}) {
+      for (index_t page_tokens : {2, 3, 7, 16, 64}) {
+        AttnConfig cfg;
+        cfg.n_kv_heads = 2;
+        cfg.n_heads = 2 * group;
+        cfg.head_dim = head_dim;
+        KvCacheOptions kv_opt;
+        kv_opt.n_kv_heads = cfg.n_kv_heads;
+        kv_opt.head_dim = head_dim;
+        kv_opt.page_tokens = page_tokens;
+        kv_opt.max_tokens = max_context;
+        KvCache cache(kv_opt);
+        NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+        DecodeAttention op(cfg);
+        Rng rng(static_cast<std::uint64_t>(group * 1000 + head_dim * 10 +
+                                           page_tokens));
+        const MatrixF ks = random_matrix(max_context, cfg.kv_dim(), rng);
+        const MatrixF vs = random_matrix(max_context, cfg.kv_dim(), rng);
+        const MatrixF q0 = random_matrix(1, cfg.q_dim(), rng, -2.0f, 2.0f);
+        const std::vector<float> q(q0.row(0), q0.row(0) + cfg.q_dim());
+        index_t len = 0;
+        for (index_t context : contexts) {
+          for (; len < context; ++len) {
+            std::vector<float> k(ks.row(len), ks.row(len) + cfg.kv_dim());
+            if (len % 23 == 9) {
+              for (float& x : k) x *= 4.0f;
+            }
+            NMSPMM_ASSERT_OK(op.append(cache, 1, k.data(), vs.row(len)));
+          }
+          const auto view = cache.view(1);
+          NMSPMM_ASSERT_OK(view.status());
+          const std::vector<float> want = block_order_oracle(op, *view, q);
+          for_each_vec([&]<class Vec>() {
+            std::vector<float> qv = q;
+            std::vector<float> got(want.size());
+            NMSPMM_ASSERT_OK(op.attend<Vec>(cache, 1, qv.data(), got.data()));
+            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     want.size() * sizeof(float)))
+                << "width " << Vec::kWidth << " group " << group
+                << " head_dim " << head_dim << " page_tokens " << page_tokens
+                << " context " << context;
+          });
+        }
       }
     }
   }
@@ -657,9 +789,10 @@ TEST(DecodeAttention, AttendMatchesLongDoubleOracleOnRandomContexts) {
 }
 
 TEST(DecodeAttention, NonFiniteLogitIsTypedErrorNotThrow) {
-  // A poisoned key (±inf / NaN) in one KV head, or a poisoned query,
-  // yields FAILED_PRECONDITION from attend; a clean sequence in the same
-  // cache still attends normally afterwards.
+  // A poisoned key (±inf / NaN) or a poisoned query yields
+  // FAILED_PRECONDITION from attend, naming the KV head of the first
+  // failing 16-token block, the lowest in it; a clean sequence in the
+  // same cache still attends normally afterwards.
   AttnConfig cfg;
   cfg.n_heads = 4;
   cfg.n_kv_heads = 2;
@@ -674,8 +807,20 @@ TEST(DecodeAttention, NonFiniteLogitIsTypedErrorNotThrow) {
   Rng rng(47);
   const MatrixF clean_q = random_matrix(1, cfg.q_dim(), rng);
   const MatrixF kv = random_matrix(1, cfg.kv_dim(), rng);
+  struct Case {
+    const char* name;
+    std::vector<std::pair<int, index_t>> poisoned;  // (token, KV head)
+    bool poison_query;
+    const char* kv_head;  // what the Status must name
+  };
+  const Case cases[] = {
+      {"query", {}, true, "KV head 0"},
+      {"head 1 late", {{17, 1}}, false, "KV head 1"},
+      {"head 1 early, head 0 late", {{2, 1}, {17, 0}}, false, "KV head 1"},
+      {"both in one block", {{18, 1}, {19, 0}}, false, "KV head 0"},
+  };
   for (float bad : {inf, -inf, nan}) {
-    for (bool poison_query : {false, true}) {
+    for (const Case& c : cases) {
       KvCache cache(kv_opt);
       DecodeAttention op(cfg);
       NMSPMM_ASSERT_OK(cache.begin_sequence(1));
@@ -683,15 +828,21 @@ TEST(DecodeAttention, NonFiniteLogitIsTypedErrorNotThrow) {
       for (int t = 0; t < 20; ++t) {
         std::vector<float> k(kv.row(0), kv.row(0) + cfg.kv_dim());
         NMSPMM_ASSERT_OK(cache.append(2, k.data(), kv.row(0)));
-        if (!poison_query && t == 17) k[cfg.head_dim + 3] = bad;  // KV head 1
+        for (const auto& [token, head] : c.poisoned) {
+          if (token == t) {
+            k[static_cast<std::size_t>(head * cfg.head_dim + 3)] = bad;
+          }
+        }
         NMSPMM_ASSERT_OK(cache.append(1, k.data(), kv.row(0)));
       }
       std::vector<float> q(clean_q.row(0), clean_q.row(0) + cfg.q_dim());
-      if (poison_query) q[5] = bad;
+      if (c.poison_query) q[5] = bad;
       std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
       const Status st = op.attend(cache, 1, q.data(), out.data());
       EXPECT_EQ(StatusCode::kFailedPrecondition, st.code())
-          << bad << " query " << poison_query << ": " << st.to_string();
+          << bad << " " << c.name << ": " << st.to_string();
+      EXPECT_NE(std::string::npos, st.to_string().find(c.kv_head))
+          << bad << " " << c.name << ": " << st.to_string();
       std::copy_n(clean_q.row(0), cfg.q_dim(), q.data());
       NMSPMM_EXPECT_OK(op.attend(cache, 2, q.data(), out.data()));
       for (float o : out) EXPECT_TRUE(std::isfinite(o));

@@ -11,13 +11,18 @@
 //   - construction rejects ks beyond kMaxKs, the uint16 stream wrap
 //     guard shared with validate_params;
 //   - tiles are stored back to back: a short last k-chunk holds only its
-//     wb rows of values and of index streams, no ws_full padding.
+//     wb rows of values and of index streams, no ws_full padding;
+//   - values of 2 MiB and more are 2 MiB-aligned and, where transparent
+//     huge pages are enabled, mapped on huge pages.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <string>
 
 #include "core/nmspmm.hpp"
 #include "core/pack.hpp"
@@ -210,6 +215,50 @@ TEST(PackedWeights, TilesPackBackToBack) {
   const std::size_t index_bytes = static_cast<std::size_t>(
       B.rows() * ceil_div(n, cfg.vector_length)) * sizeof(std::uint16_t);
   EXPECT_EQ(pw.footprint_bytes(), value_bytes + index_bytes);
+}
+
+/// AnonHugePages (kB) of the /proc/self/smaps mapping that holds @p p;
+/// -1 when smaps is unreadable or no mapping holds it.
+long anon_huge_kb(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+      continue;
+    }
+    long kb = 0;
+    if (inside && std::sscanf(line.c_str(), "AnonHugePages: %ld", &kb) == 1) {
+      return kb;
+    }
+  }
+  return -1;
+}
+
+TEST(PackedWeights, LargeValuesSitOnHugePages) {
+  // 512 compressed rows x 2048 columns: 4 MiB of values.
+  Rng rng(23);
+  const CompressedNM B = random_compressed(2048, 2048, kSparsity75, rng);
+  const PackedWeights pw = PackedWeights::build(
+      B, 64, 256, PackedWeights::IndexKind::kDirect);
+  const float* values = pw.tile_values(0, 0);
+  ASSERT_GE(static_cast<std::size_t>(pw.values_end() - values) *
+                sizeof(float),
+            kHugePageBytes);
+  EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(values) % kHugePageBytes);
+
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(thp, mode);
+  if (mode.empty() || mode.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages unavailable here (mode '" << mode
+                 << "'): alignment checked, huge page mapping not";
+  }
+  EXPECT_GT(anon_huge_kb(values), 0)
+      << "THP mode '" << mode << "' but no huge page backs the values";
 }
 
 TEST(PackedWeights, BatchBucketsShareOnePackedForm) {
