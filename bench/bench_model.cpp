@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   EngineOptions engine_opt;
   engine_opt.num_threads = static_cast<unsigned>(cli.get_int("threads"));
   Engine engine(engine_opt);
-  auto plan_or = engine.plan_model(tokens, {block});
+  auto plan_or = engine.plan_model(tokens, block);
   NMSPMM_CHECK_OK(plan_or.status());
   model::ModelPlan& plan = **plan_or;
 

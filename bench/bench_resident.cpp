@@ -63,7 +63,7 @@ ResidencyResult measure_residency(mem::ResidencyMode mode, index_t hidden,
   opt.residency = mode;
   opt.weight_store = std::make_shared<mem::WeightStore>();
   Engine engine(opt);
-  auto plan = engine.plan_model(tokens, {block});
+  auto plan = engine.plan_model(tokens, block);
   NMSPMM_CHECK_OK(plan.status());
   // Steady state: the caller's copies are gone; whatever the plan (and
   // under packed-only, only the stripped form + packed tiles) retains

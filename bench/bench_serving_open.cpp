@@ -77,7 +77,7 @@ std::vector<serve::TrafficTarget> build_targets(Server& server,
     block.down = std::make_shared<const CompressedNM>(
         random_compressed(ffn, hidden, cfg, rng));
     block.residual = true;  // the PR 5 fused skip connection, served hot
-    auto plan = server.engine().plan_model(max_tokens, {std::move(block)});
+    auto plan = server.engine().plan_model(max_tokens, std::move(block));
     NMSPMM_CHECK_OK(plan.status());
     serve::TrafficTarget target;
     target.plan = *plan;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(ffn), config.to_string().c_str());
 
   // Offline: prune + compress each projection, then plan the whole block
-  // as one unit — per-layer plans out of the engine's cache, activation
+  // as one unit — per-projection plans out of the engine's cache, activation
   // scratch sized once, silu fused into the up-projection's stores.
   Timer prep;
   model::FfnBlock block;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       compress(Wd.view(), magnitude_mask(Wd.view(), config)));
   block.act = Activation::kSilu;
   Engine engine;
-  auto plan = engine.plan_model(tokens, {block});
+  auto plan = engine.plan_model(tokens, block);
   NMSPMM_CHECK_OK(plan.status());
   std::printf("offline pruning + compression + model plan: %.1f ms\n",
               prep.millis());

@@ -19,14 +19,18 @@ run of each side also builds it, and every run's output is kept in
 
 Prints, per named metric and seed, both values, their ratio (change over
 parent) and each run's mean `# calibration` dram_ms, then the median
-ratio with a seeded 95% bootstrap interval over the pairs. Exit status
-(the worst over the metrics):
+ratio with a seeded 95% bootstrap interval over the pairs. A pair where
+either run's calibration compute_ms or dram_ms moved by more than
+MAX_RUN_DRIFT from that run's start line to its end line is printed as
+dropped, with the side and the drift, and is left out of the median,
+the interval and the calibration spread; the verdict line counts it.
+Exit status (the worst over the metrics):
   0  a verdict was printed;
   1  a run failed, reported incorrect output, or failed operations;
   2  bad arguments;
-  3  no verdict: the calibration dram_ms of the runs spread by more than
-     MAX_CAL_SPREAD (max / min - 1), so the host drifted too much for
-     the ratios to mean anything.
+  3  no verdict: every pair was dropped, or the calibration dram_ms of the
+     kept runs spread by more than MAX_CAL_SPREAD (max / min - 1), so the
+     host drifted too much for the ratios to mean anything.
 """
 
 import argparse
@@ -45,6 +49,11 @@ SIDES = ("parent", "change")  # equal length on purpose
 # that still gets a verdict. Same-host runs sit well inside it; a host
 # whose memory bandwidth moved by 30% no longer compares like with like.
 MAX_CAL_SPREAD = 0.30
+# Largest start-to-end change (|end / start - 1|) of one run's calibration
+# compute_ms or dram_ms that keeps its pair. A run whose host stalled
+# inside it (compute_ms 13.5 -> 16.9, +25%, in one serve_mixed run) reads
+# like a code regression; its pair is dropped instead.
+MAX_RUN_DRIFT = 0.20
 # Resamples behind the median ratio's bootstrap interval, drawn from a
 # fixed seed so the same ratios always print the same interval.
 BOOTSTRAP_RESAMPLES = 10000
@@ -55,16 +64,20 @@ def parse_run(stdout):
     """The result of one perfbench/run.py invocation from its stdout.
 
     Returns {"metrics": {name: value}, "correct": bool, "failed": int,
-    "dram_ms": [every `# calibration ...` dram_ms]}; raises ValueError
-    when the output has no result line.
+    "dram_ms": [every `# calibration ...` dram_ms], "calibration":
+    [(when, compute_ms, dram_ms) of each such line, when being "start" or
+    "end"]}; raises ValueError when the output has no result line.
     """
-    dram = []
+    calibration = []
     result = None
     for line in stdout.splitlines():
         line = line.strip()
         if line.startswith("# calibration") and " dram_ms " in line:
             fields = line.split()
-            dram.append(float(fields[fields.index("dram_ms") + 1]))
+            calibration.append((
+                fields[2].rstrip(":"),
+                float(fields[fields.index("compute_ms") + 1]),
+                float(fields[fields.index("dram_ms") + 1])))
         elif line.startswith("{"):
             result = json.loads(line)
     if result is None:
@@ -73,8 +86,28 @@ def parse_run(stdout):
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "correct": bool(result.get("correct")),
         "failed": int(result.get("failed", 0)),
-        "dram_ms": dram,
+        "dram_ms": [dram for _, _, dram in calibration],
+        "calibration": calibration,
     }
+
+
+def run_drift(run):
+    """The run's largest start-to-end calibration change.
+
+    Returns (drift, text) for the largest |end / start - 1| of compute_ms
+    or dram_ms over each start line followed by an end line, text naming
+    the measure and both values; None when no start line has an end.
+    """
+    worst = None
+    cal = run["calibration"]
+    for (when0, *start), (when1, *end) in zip(cal, cal[1:]):
+        if (when0, when1) != ("start", "end"):
+            continue
+        for name, a, b in zip(("compute_ms", "dram_ms"), start, end):
+            drift = abs(b / a - 1.0)
+            if worst is None or drift > worst[0]:
+                worst = (drift, f"{name} {a:.3f} -> {b:.3f}")
+    return worst
 
 
 def calibration_spread(runs):
@@ -102,11 +135,14 @@ def bootstrap_interval(ratios):
 def summarize(pairs, metric, better, max_spread):
     """Report lines and exit status for a list of (seed, parent, change).
 
-    @p better is "higher" or "lower" (BENCHMARK.json's direction).
+    @p better is "higher" or "lower" (BENCHMARK.json's direction). A pair
+    with a run whose run_drift exceeds MAX_RUN_DRIFT is dropped.
     """
     lines = []
     status = 0
     ratios = []
+    kept = []
+    dropped = 0
     lines.append(f"{'seed':>6} {'parent':>12} {'change':>12} {'ratio':>7}"
                  f" {'dram_ms p/c':>15}")
     for seed, a, b in pairs:
@@ -120,14 +156,28 @@ def summarize(pairs, metric, better, max_spread):
             lines.append(f"seed {seed}: metric {metric} missing")
             return lines, 1
         ratio = vb / va if va else float("inf")
-        ratios.append(ratio)
         da = statistics.fmean(a["dram_ms"]) if a["dram_ms"] else float("nan")
         db = statistics.fmean(b["dram_ms"]) if b["dram_ms"] else float("nan")
         lines.append(f"{seed:>6} {va:>12.4g} {vb:>12.4g} {ratio:>7.3f}"
                      f" {da:>7.3f}/{db:<7.3f}")
+        drifted = [(side, drift) for side, drift in
+                   (("parent", run_drift(a)), ("change", run_drift(b)))
+                   if drift is not None and drift[0] > MAX_RUN_DRIFT]
+        for side, (drift, text) in drifted:
+            lines.append(f"seed {seed}: dropped: {side} run drifted "
+                         f"{drift:.1%} start to end ({text}; bound "
+                         f"{MAX_RUN_DRIFT:.0%})")
+        if drifted:
+            dropped += 1
+            continue
+        ratios.append(ratio)
+        kept.append((a, b))
     if status:
         return lines, status
-    spread = calibration_spread([r for _, a, b in pairs for r in (a, b)])
+    if not kept:
+        lines.append(f"no verdict: all {dropped} pairs dropped for drift")
+        return lines, 3
+    spread = calibration_spread([r for pair in kept for r in pair])
     if spread is None:
         lines.append("no verdict: no run printed a calibration line")
         return lines, 3
@@ -142,7 +192,8 @@ def summarize(pairs, metric, better, max_spread):
     lines.append(f"{metric}: median ratio {statistics.median(ratios):.3f} "
                  f"[95% bootstrap {lo:.3f}, {hi:.3f}] (change/parent, "
                  f"{better} is better); change better in {wins} of "
-                 f"{len(ratios)} pairs")
+                 f"{len(ratios)} pairs; {dropped} of {len(pairs)} pairs "
+                 f"dropped for drift")
     return lines, 0
 
 

@@ -101,15 +101,31 @@ def main(argv=None):
         else:
             print(f"ok   {line}")
 
-    base_variants = {v["variant"]: v for v in base.get("variants", [])}
-    for v in fresh.get("variants", []):
-        name = v["variant"]
-        if name not in base_variants:
-            print(f"WARN: variant {name} has no baseline; skipping")
-            continue
-        was, now = base_variants[name]["gflops"], v["gflops"]
-        if was <= 0:
-            continue
+    # Per-point sections (kernel variants, decode depths, submit-scaling
+    # thread counts) match each fresh point to the baseline point with the
+    # same key. The points sit at @p path in both artifacts; yields (key,
+    # was, now) of their @p value. A fresh point without a baseline value,
+    # or with a null one, is named (label.format(key)) in a WARN and
+    # skipped; one without the key is skipped silently.
+    def matched(path, key, value, label):
+        base_points, fresh_points = base, fresh
+        for name in path:
+            base_points = base_points.get(name, {})
+            fresh_points = fresh_points.get(name, {})
+        by_key = {p.get(key): p for p in base_points}
+        for p in fresh_points:
+            k = p.get(key)
+            was = by_key.get(k, {}).get(value)
+            now = p.get(value)
+            if not was or now is None:
+                if k is not None:
+                    print(f"WARN: {label.format(k)} has no baseline; "
+                          "skipping")
+                continue
+            yield k, was, now
+
+    for name, was, now in matched(("variants",), "variant", "gflops",
+                                  "variant {}"):
         delta = (now - was) / was
         judge(delta,
               f"{name}: {was:.2f} -> {now:.2f} GFLOP/s ({delta:+.1%})")
@@ -139,17 +155,8 @@ def main(argv=None):
     # (bench_decode), matched by context depth. Attention cost grows with
     # context, so each depth is its own quantity and gates like a kernel
     # variant: hard on a same-CPU baseline, advisory across machines.
-    bd = {p.get("context"): p
-          for p in base.get("model_decode", {}).get("points", [])}
-    for p in fresh.get("model_decode", {}).get("points", []):
-        ctx = p.get("context")
-        was = bd.get(ctx, {}).get("tokens_per_s")
-        now = p.get("tokens_per_s")
-        if not was or now is None:
-            if ctx is not None:
-                print(f"WARN: model_decode context {ctx} has no baseline; "
-                      "skipping")
-            continue
+    for ctx, was, now in matched(("model_decode", "points"), "context",
+                                 "tokens_per_s", "model_decode context {}"):
         delta = (now - was) / was
         judge(delta,
               f"model_decode ctx {ctx}: {was:.0f} -> {now:.0f} tokens/s "
@@ -218,19 +225,9 @@ def main(argv=None):
     # A point regressing means the lock-free submit path (or a shard
     # dispatcher behind it) started serializing; each point gates like a
     # kernel variant. Points are matched by thread count.
-    bp = {p.get("threads"): p
-          for p in base.get("serving_open", {})
-                       .get("submit_scaling", {}).get("points", [])}
-    for p in fresh.get("serving_open", {}) \
-                  .get("submit_scaling", {}).get("points", []):
-        threads = p.get("threads")
-        was = bp.get(threads, {}).get("rps")
-        now = p.get("rps")
-        if not was or now is None:
-            if threads is not None:
-                print(f"WARN: submit_scaling {threads}t has no baseline; "
-                      "skipping")
-            continue
+    for threads, was, now in matched(
+            ("serving_open", "submit_scaling", "points"), "threads", "rps",
+            "submit_scaling {}t"):
         delta = (now - was) / was
         judge(delta,
               f"submit_scaling {threads}t: {was:.0f} -> {now:.0f} rps "

@@ -60,12 +60,6 @@ StatusOr<std::shared_ptr<const SpmmPlan>> Engine::plan_for(
   // waiting for queued chunks.
   if (options.num_threads != 1) options.num_threads = normalized_num_threads();
   options.residency = options_.residency;
-  if (options.residency == mem::ResidencyMode::kPackedOnly &&
-      options.variant == KernelVariant::kReference) {
-    return Status::FailedPrecondition(
-        "packed-only residency releases the B' values after packing; the "
-        "reference (unpacked) variant cannot serve such a plan");
-  }
   Key key{B.get(), bucket_batch(m), options};
 
   {
@@ -136,12 +130,6 @@ Engine::CacheStats Engine::cache_stats() const {
   CacheStats stats = stats_;
   stats.size = lru_.size();
   return stats;
-}
-
-void Engine::clear_cache() {
-  std::lock_guard lock(mutex_);
-  index_.clear();
-  lru_.clear();
 }
 
 }  // namespace nmspmm

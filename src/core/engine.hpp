@@ -19,6 +19,11 @@
 // concurrency), so a process hosting several engines controls its total
 // thread count explicitly. All entry points are thread-safe and report
 // recoverable errors as Status — nothing in the serving path throws.
+//
+// plan_model (one FFN block) and plan_decoder (one decoder layer) build
+// model-level plans out of the same cache. They take no SpmmOptions:
+// each projection is planned from the defaults plus the epilogue and
+// prologue the model layer owns.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "core/spmm.hpp"
 #include "mem/weight_store.hpp"
@@ -58,7 +62,7 @@ struct EngineOptions {
   /// (mem/weight_store.hpp). kPackedOnly releases the original B' value
   /// buffer after pre-packing: steady-state resident weight bytes drop
   /// to ~1x the packed footprint, at the cost of rejecting
-  /// values-consuming entry points (reference variant, decompress,
+  /// values-consuming entry points (spmm_reference, decompress,
   /// PackedWeights::build) for those weights.
   mem::ResidencyMode residency = mem::ResidencyMode::kDefault;
   /// The WeightStore owning packed-weight residency for this engine's
@@ -89,31 +93,29 @@ class Engine {
       index_t m, std::shared_ptr<const CompressedNM> B,
       SpmmOptions options = {});
 
-  /// Plan a chain of FFN blocks (src/model/ffn.hpp) as one executable
-  /// unit serving up to @p max_tokens activation rows: per-layer plans
-  /// come from this engine's plan cache (sharing interned PackedWeights
-  /// and the worker pool), the gating activation is fused into the
-  /// up-projection's epilogue, and all activation scratch is sized here,
-  /// so ModelPlan::run never allocates. @p options seeds every layer's
-  /// SpmmOptions (variant, packing, params); its epilogue member must be
-  /// inactive — the model layer owns the epilogues. Defined in
+  /// Plan one FFN block (src/model/ffn.hpp) as one executable unit
+  /// serving up to @p max_tokens activation rows: its three projection
+  /// plans come from this engine's plan cache (sharing interned
+  /// PackedWeights and the worker pool), the gating activation is fused
+  /// into the up-projection's epilogue, and all activation scratch is
+  /// sized here, so ModelPlan::run never allocates. The model layer owns
+  /// every projection's epilogue and prologue; the rest of each
+  /// projection's SpmmOptions is the default. Defined in
   /// src/model/ffn.cpp.
   StatusOr<std::shared_ptr<model::ModelPlan>> plan_model(
-      index_t max_tokens, std::vector<model::FfnBlock> blocks,
-      SpmmOptions options = {});
+      index_t max_tokens, model::FfnBlock block);
 
   /// Plan one full decoder layer (src/model/decoder.hpp) serving decode
   /// batches of up to @p max_batch sequences: QKV and output-projection
   /// plans out of this engine's plan cache (attn_norm prologue and the
-  /// attention residual fused into their stores), a paged KV cache
-  /// sized by @p kv_options (its n_kv_heads / head_dim are taken from
-  /// the layer's attention geometry — callers pick only page_tokens and
-  /// max_tokens), and the FFN tail as a nested plan_model. @p options
-  /// seeds every projection's SpmmOptions; its epilogue and prologue
-  /// members must be inactive. Defined in src/model/decoder.cpp.
+  /// attention residual fused into their stores, default options
+  /// otherwise), a paged KV cache sized by @p kv_options (its n_kv_heads
+  /// / head_dim are taken from the layer's attention geometry — callers
+  /// pick only page_tokens and max_tokens), and the FFN tail as a nested
+  /// plan_model. Defined in src/model/decoder.cpp.
   StatusOr<std::shared_ptr<model::DecoderPlan>> plan_decoder(
       index_t max_batch, model::DecoderLayer layer,
-      attn::KvCacheOptions kv_options, SpmmOptions options = {});
+      attn::KvCacheOptions kv_options);
 
   struct CacheStats {
     std::uint64_t hits = 0;
@@ -122,7 +124,6 @@ class Engine {
     std::size_t size = 0;  ///< plans currently cached
   };
   [[nodiscard]] CacheStats cache_stats() const;
-  void clear_cache();
 
   /// The engine's worker pool (size 1 when running serially). Exposed so
   /// callers can co-schedule auxiliary work on the same threads.

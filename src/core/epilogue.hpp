@@ -236,8 +236,8 @@ Status validate_epilogue(const EpilogueSpec& spec, const EpilogueArgs& args,
 Status validate_prologue(const PrologueSpec& spec, const EpilogueArgs& args);
 
 /// Unfused reference: apply the epilogue recipe as a separate pass over
-/// @p C (which holds the plain accumulated product). The oracle for the
-/// fused path, and the fallback for the kReference kernel variant.
+/// @p C (which holds the plain accumulated product). With spmm_reference
+/// (core/spmm_ref.hpp) it is the unfused oracle for the fused kernels.
 void apply_epilogue(const EpilogueSpec& spec, const EpilogueArgs& args,
                     ViewF C);
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/spmm_ref.hpp"
 #include "util/hash.hpp"
 
 namespace nmspmm {
@@ -42,10 +41,6 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
                    "scale must precede the activation");
   NMSPMM_CHECK_MSG(!options.epilogue.act_on_other || options.epilogue.mul,
                    "epilogue act_on_other requires mul");
-  NMSPMM_CHECK_MSG(options.variant != KernelVariant::kReference ||
-                       options.residency == mem::ResidencyMode::kDefault,
-                   "the reference variant reads B' values on every execute "
-                   "and cannot run under packed-only residency");
   B->config.validate();
   SpmmPlan plan;
   plan.weights_ = std::move(B);
@@ -80,10 +75,7 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
       break;
   }
   // V1 never packs; V2 is defined as the packing kernel.
-  if (options.variant == KernelVariant::kV1 ||
-      options.variant == KernelVariant::kReference) {
-    plan.use_packing_ = false;
-  }
+  if (options.variant == KernelVariant::kV1) plan.use_packing_ = false;
   if (options.variant == KernelVariant::kV2) plan.use_packing_ = true;
 
   // Offline pre-processing, all folded into the plan-time pre-packed
@@ -92,31 +84,25 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
   // WeightStore so every batch-size bucket of one weight matrix shares
   // a single packed form — and so the store can budget, evict, and
   // NUMA-place it.
-  if (options.variant != KernelVariant::kReference) {
-    if (store == nullptr) store = mem::WeightStore::global();
-    plan.lease_ = store->acquire(
-        plan.weights_, plan.params_.ks, plan.params_.ns,
-        packed_kind_for(options.variant, plan.use_packing_),
-        options.residency, plan.pool_);
-    {
-      // Freshly acquired leases are resident; record the structural
-      // packing ratio now so later stats never force a repack.
-      const auto payload = plan.lease_->pin();
-      plan.packing_ratio_ = payload->mean_packing_ratio();
-      // Permanently resident forms skip the per-execute pin round-trip.
-      if (!plan.lease_->evictable()) plan.packed_ = payload;
-    }
-    if (options.residency == mem::ResidencyMode::kPackedOnly) {
-      // Release the original B' value buffer: the packed form is now
-      // the only resident copy of the weight values. The stripped
-      // matrix keeps shape/config/indices for execute-time validation.
-      plan.weights_ =
-          std::make_shared<const CompressedNM>(strip_values(*plan.weights_));
-    }
-  } else {
-    NMSPMM_CHECK_MSG(plan.weights_->has_values(),
-                     "the reference variant needs B' values, which were "
-                     "stripped (packed-only residency)");
+  if (store == nullptr) store = mem::WeightStore::global();
+  plan.lease_ = store->acquire(
+      plan.weights_, plan.params_.ks, plan.params_.ns,
+      packed_kind_for(options.variant, plan.use_packing_), options.residency,
+      plan.pool_);
+  {
+    // Freshly acquired leases are resident; record the structural
+    // packing ratio now so later stats never force a repack.
+    const auto payload = plan.lease_->pin();
+    plan.packing_ratio_ = payload->mean_packing_ratio();
+    // Permanently resident forms skip the per-execute pin round-trip.
+    if (!plan.lease_->evictable()) plan.packed_ = payload;
+  }
+  if (options.residency == mem::ResidencyMode::kPackedOnly) {
+    // Release the original B' value buffer: the packed form is now the
+    // only resident copy of the weight values. The stripped matrix keeps
+    // shape/config/indices for execute-time validation.
+    plan.weights_ =
+        std::make_shared<const CompressedNM>(strip_values(*plan.weights_));
   }
   return plan;
 }
@@ -170,19 +156,13 @@ Status SpmmPlan::execute(ConstViewF A, ViewF C,
     rmsnorm_rows(A, epilogue_args.rms_gain, options_.prologue.eps, staged);
     A = staged;
   }
-  if (options_.variant == KernelVariant::kReference && !B.has_values()) {
-    return Status::FailedPrecondition(
-        "this plan's weights were values-stripped (packed-only residency); "
-        "the reference variant and other unpacked entry points cannot "
-        "serve it");
-  }
   // Pin the packed form for the duration of the kernel: under a store
   // budget the tiles cannot be evicted out from under the execute, and
   // an evicted form is transparently repacked here. Permanently
   // resident plans (packed_ set) skip the round-trip.
   std::shared_ptr<const PackedWeights> pinned;
   const PackedWeights* packed = packed_.get();
-  if (packed == nullptr && lease_ != nullptr) {
+  if (packed == nullptr) {
     try {
       pinned = lease_->pin();
     } catch (const CheckError& e) {
@@ -199,12 +179,6 @@ Status SpmmPlan::execute(ConstViewF A, ViewF C,
   ThreadPool* pool = pool_.get();
   try {
     switch (options_.variant) {
-      case KernelVariant::kReference:
-        spmm_reference(A, B, C, options_.rescale);
-        // The reference variant has no fused stores; run the epilogue as
-        // the unfused oracle pass instead.
-        apply_epilogue(options_.epilogue, epilogue_args, C);
-        return Status::Ok();
       case KernelVariant::kV1:
         spmm_v1(A, B, C, params_, *packed, pool, options_.epilogue,
                 epilogue_args);

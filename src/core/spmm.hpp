@@ -20,7 +20,10 @@
 //
 // execute() returns a Status instead of throwing: a batch larger than the
 // planned m, or mismatched operand shapes, come back as recoverable
-// errors a server can reject per-request.
+// errors a server can reject per-request. Every plan runs one of the
+// V1/V2/V3 kernels over its pre-packed weights; the unpacked oracle is
+// spmm_reference (core/spmm_ref.hpp) plus apply_epilogue, called
+// directly.
 #pragma once
 
 #include <memory>
@@ -76,8 +79,8 @@ struct SpmmOptions {
   PrologueSpec prologue;
   /// Weight residency of the plan (mem/weight_store.hpp). kPackedOnly
   /// releases the original B' value buffer after pre-packing, serving
-  /// from the packed form alone (~1x packed footprint); the reference
-  /// variant and other values-consuming paths are then rejected.
+  /// from the packed form alone (~1x packed footprint); spmm_reference
+  /// and other values-consuming paths are then rejected.
   /// Engines overwrite this from EngineOptions::residency, exactly like
   /// num_threads.
   mem::ResidencyMode residency = mem::ResidencyMode::kDefault;
@@ -137,17 +140,17 @@ class SpmmPlan {
       const {
     return weights_;
   }
-  /// The permanently resident pre-packed weights (null for the
-  /// kReference variant, and for plans whose store lease is evictable —
-  /// those pin per execute instead; see weight_lease()). Pre-packed
-  /// forms are interned: plans for different batch-size buckets of the
-  /// same weights under the same blocking share one instance.
+  /// The permanently resident pre-packed weights (null for plans whose
+  /// store lease is evictable — those pin per execute instead; see
+  /// weight_lease()). Pre-packed forms are interned: plans for different
+  /// batch-size buckets of the same weights under the same blocking
+  /// share one instance.
   [[nodiscard]] const std::shared_ptr<const PackedWeights>& packed_weights()
       const {
     return packed_;
   }
-  /// The store lease owning this plan's packed-weight residency (null
-  /// only for the kReference variant).
+  /// The store lease owning this plan's packed-weight residency (never
+  /// null).
   [[nodiscard]] const std::shared_ptr<mem::WeightLease>& weight_lease()
       const {
     return lease_;

@@ -16,7 +16,6 @@ namespace nmspmm {
 
 const char* to_string(KernelVariant v) {
   switch (v) {
-    case KernelVariant::kReference: return "reference";
     case KernelVariant::kV1: return "V1";
     case KernelVariant::kV2: return "V2";
     case KernelVariant::kV3: return "V3";

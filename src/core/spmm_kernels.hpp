@@ -6,8 +6,10 @@
 //   V3 — V2 + pipeline design (Listing 4): software prefetch and the
 //        sparsity-aware choice between the packed (high sparsity) and
 //        non-packed (moderate sparsity) paths.
-// All kernels overwrite C with A (*) (B, D); correctness oracle is
-// spmm_reference().
+// All kernels overwrite C with A (*) (B, D). The variants are the only
+// ways to serve a product; the correctness oracle they are checked
+// against is spmm_reference() (core/spmm_ref.hpp) followed by
+// apply_epilogue() (core/epilogue.hpp), called directly.
 //
 // Every variant executes against a PackedWeights — the plan-time
 // pre-packed form of B' (tile-major resident values + flattened uint16
@@ -54,7 +56,7 @@
 
 namespace nmspmm {
 
-enum class KernelVariant { kReference, kV1, kV2, kV3 };
+enum class KernelVariant { kV1, kV2, kV3 };
 
 const char* to_string(KernelVariant v);
 

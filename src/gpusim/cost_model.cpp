@@ -21,7 +21,6 @@ double inner_efficiency(const BlockingParams& p, KernelVariant variant,
   double idx = 0.0;
   if (!dense) {
     switch (variant) {
-      case KernelVariant::kReference:
       case KernelVariant::kV1: idx = 1.0; break;  // D read + address math
       case KernelVariant::kV2: idx = 0.5; break;  // reordered D read
       case KernelVariant::kV3: idx = 0.125; break; // hoisted to registers
@@ -50,7 +49,7 @@ CostBreakdown predict_impl(const CostInputs& in, double bw_derate,
   const bool dense = cfg.n == cfg.m;
 
   CostBreakdown out;
-  out.num_blocks = ceil_div(in.m, p.ms) * ceil_div(in.n, p.ns);
+  out.grid_blocks = ceil_div(in.m, p.ms) * ceil_div(in.n, p.ns);
 
   // --- Occupancy: threads = (ms/mt)*(ns/nt); registers from the Ct/At/Bt
   // footprint plus a fixed bookkeeping allowance; double-buffered smem.
@@ -70,7 +69,7 @@ CostBreakdown predict_impl(const CostInputs& in, double bw_derate,
   out.occupancy = compute_occupancy(gpu, res);
   const int concurrent =
       std::max(1, out.occupancy.blocks_per_sm) * gpu.num_sms;
-  out.waves = ceil_div(out.num_blocks, concurrent);
+  out.waves = ceil_div(out.grid_blocks, concurrent);
 
   // --- Per-chunk compute cycles.
   const double flops_chunk = 2.0 * static_cast<double>(p.ms) *
@@ -115,10 +114,10 @@ CostBreakdown predict_impl(const CostInputs& in, double bw_derate,
       l2_resident ? gpu.l2_bandwidth_gbps : gpu.dram_bandwidth_gbps;
   const double active_sms =
       std::min<double>(gpu.num_sms,
-                       std::max<index_t>(out.num_blocks, 1));
+                       std::max<index_t>(out.grid_blocks, 1));
   const index_t resident_blocks = std::max<index_t>(
       1, std::min<index_t>(out.occupancy.blocks_per_sm,
-                           ceil_div(out.num_blocks, gpu.num_sms)));
+                           ceil_div(out.grid_blocks, gpu.num_sms)));
   const double bytes_per_clock_sm =
       stream_bw_gbps * 1e9 * bw_derate /
       (gpu.boost_clock_mhz * 1e6) / active_sms /
@@ -131,7 +130,6 @@ CostBreakdown predict_impl(const CostInputs& in, double bw_derate,
       static_cast<double>(p.ms) * static_cast<double>(p.ns) * 4.0 /
       bytes_per_clock_sm;
   switch (in.variant) {
-    case KernelVariant::kReference:
     case KernelVariant::kV1:
     case KernelVariant::kV2:
       // Load, __syncthreads, compute — no overlap (Listings 1/3).

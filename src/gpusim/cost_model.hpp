@@ -49,7 +49,7 @@ struct CostBreakdown {
   double g2s_cycles_per_chunk = 0.0;
   double bytes_total = 0.0;       ///< DRAM traffic of the whole kernel
   Occupancy occupancy;
-  index_t num_blocks = 0;
+  index_t grid_blocks = 0;  ///< thread blocks in the launch grid
   index_t waves = 0;
 };
 

@@ -235,16 +235,11 @@ DecoderPlan::Stats DecoderPlan::stats() const {
 
 StatusOr<std::shared_ptr<model::DecoderPlan>> Engine::plan_decoder(
     index_t max_batch, model::DecoderLayer layer,
-    attn::KvCacheOptions kv_options, SpmmOptions options) {
+    attn::KvCacheOptions kv_options) {
   if (max_batch < 1) {
     return Status::InvalidArgument("max_batch must be positive");
   }
   NMSPMM_RETURN_IF_ERROR(layer.validate());
-  if (options.epilogue.active() || options.prologue.active()) {
-    return Status::InvalidArgument(
-        "plan_decoder owns the per-stage epilogues and prologues; pass "
-        "options with inactive Epilogue/PrologueSpecs");
-  }
   // The cache geometry is the layer's; callers pick only the paging and
   // the token budget.
   kv_options.n_kv_heads = layer.attn.n_kv_heads;
@@ -256,8 +251,7 @@ StatusOr<std::shared_ptr<model::DecoderPlan>> Engine::plan_decoder(
   plan->hidden_ = layer.hidden();
   plan->planned_tokens_ = max_batch;
 
-  SpmmOptions qkv_opt = options;
-  qkv_opt.epilogue = EpilogueSpec{};
+  SpmmOptions qkv_opt;
   qkv_opt.epilogue.bias = !layer.qkv_bias.empty();
   qkv_opt.prologue.rmsnorm = !layer.attn_norm.empty();
   qkv_opt.prologue.eps = layer.norm_eps;
@@ -267,15 +261,14 @@ StatusOr<std::shared_ptr<model::DecoderPlan>> Engine::plan_decoder(
 
   // The attention residual: x1 = (attn_out Wo + b) + x in the output
   // projection's final-chunk stores.
-  SpmmOptions proj_opt = options;
-  proj_opt.epilogue = EpilogueSpec{};
+  SpmmOptions proj_opt;
   proj_opt.epilogue.bias = !layer.out_bias.empty();
   proj_opt.epilogue.add = true;
   auto proj = plan_for(max_batch, layer.out_proj, proj_opt);
   NMSPMM_RETURN_IF_ERROR(proj.status());
   plan->proj_plan_ = *proj;
 
-  auto ffn = plan_model(max_batch, {std::move(layer.ffn)}, options);
+  auto ffn = plan_model(max_batch, std::move(layer.ffn));
   NMSPMM_RETURN_IF_ERROR(ffn.status());
   plan->ffn_plan_ = *ffn;
 

@@ -1,4 +1,5 @@
-// Model layer: chained sparse projections planned and run as one unit.
+// Model layer: one FFN block's three sparse projections planned and run
+// as one unit.
 //
 // The paper motivates N:M SpMM with LLM inference, where a sparse
 // projection never runs alone — it sits inside a SwiGLU/GELU FFN block:
@@ -9,28 +10,29 @@
 // Driving that with three engine.spmm calls plus a scalar activation
 // loop (what examples/llama_ffn.cpp used to do) pays two avoidable full
 // passes over the ffn-wide intermediates and re-allocates them per
-// step. model::ModelPlan owns the whole chain instead:
+// step. model::ModelPlan owns the whole block instead:
 //
-//   - per-layer plans come from the engine's plan cache, so every block
+//   - its three plans come from the engine's plan cache, so the block
 //     shares the interned PackedWeights of its weight matrices and the
 //     engine's worker pool;
 //   - the SiLU(gate) (.) up fusion runs in the up-projection's epilogue
 //     (core/epilogue.hpp): the activation and the elementwise product
 //     are applied in the final k-chunk's stores, never as a separate
 //     pass over the tokens x ffn intermediate;
-//   - ping-pong activation scratch is sized once at plan time, so
+//   - the gate and h scratch is sized once at plan time, so
 //     steady-state run() calls perform zero heap allocation;
 //   - each projection runs as a gate / up / down stage of a
 //     StageProfile (model/stage_profile.hpp), so stats().stages says
 //     where the time went, in wall time, without a lock.
 //
 //   nmspmm::Engine engine;
-//   auto plan = engine.plan_model(max_tokens, {block});   // StatusOr
+//   auto plan = engine.plan_model(max_tokens, block);     // StatusOr
 //   NMSPMM_CHECK_OK((*plan)->run(A.view(), out.view()));  // any m <= max
 //
-// Batched serving traffic submits whole FFN requests through
-// Server::submit_ffn, which coalesces concurrent token rows into one
-// pass over all three weight matrices.
+// A stack of layers is one plan per block (DecoderPlan nests one for
+// its FFN tail). Batched serving traffic submits whole FFN requests
+// through Server::submit_ffn, which coalesces concurrent token rows into
+// one pass over all three weight matrices.
 #pragma once
 
 #include <cstddef>
@@ -92,41 +94,37 @@ struct FfnBlock {
   [[nodiscard]] Status validate() const;
 };
 
-/// An executable plan over a chain of FFN blocks: per-layer plans out of
-/// the engine's plan cache (PackedWeights shared through the interning
-/// registry), epilogue-fused activation, and plan-time-sized ping-pong
+/// An executable plan over one FFN block: its three projection plans out
+/// of the engine's plan cache (PackedWeights shared through the
+/// interning registry), epilogue-fused activation, and plan-time-sized
 /// scratch. Build through Engine::plan_model. run() serializes on an
 /// internal mutex (one scratch set); submit concurrent traffic through
 /// Server::submit_ffn instead of sharing one plan across threads.
 class ModelPlan {
  public:
-  /// out = FFN_chain(A). A must be m x hidden_in of the first block with
-  /// m <= planned_tokens(); out must be m x hidden_out of the last.
-  /// Zero heap allocation in steady state; FailedPrecondition when the
-  /// batch exceeds the planned token budget.
+  /// out = FFN(A). A must be m x hidden_in with m <= planned_tokens();
+  /// out must be m x hidden_out and, for a residual block, must not
+  /// alias A. Zero heap allocation in steady state; FailedPrecondition
+  /// when the batch exceeds the planned token budget.
   [[nodiscard]] Status run(ConstViewF A, ViewF out);
 
   [[nodiscard]] index_t planned_tokens() const { return planned_tokens_; }
-  [[nodiscard]] index_t hidden_in() const { return blocks_.front().hidden_in(); }
-  [[nodiscard]] index_t hidden_out() const {
-    return blocks_.back().hidden_out();
-  }
-  [[nodiscard]] std::size_t num_blocks() const { return blocks_.size(); }
+  [[nodiscard]] index_t hidden_in() const { return block_.hidden_in(); }
+  [[nodiscard]] index_t hidden_out() const { return block_.hidden_out(); }
 
-  /// Resident-memory accounting of the whole chain: compressed weights
-  /// (under kPackedOnly only their index matrices — the B' values are
-  /// released after packing), their plan-time pre-packed forms
-  /// (PackedWeights::footprint_bytes, deduplicated — interned forms
-  /// shared between blocks count once), the activation scratch, plus
-  /// the residency mode, NUMA placement, and the backing WeightStore's
-  /// hit/miss/evict/repack counters.
+  /// Resident-memory accounting of the block: compressed weights (under
+  /// kPackedOnly only their index matrices — the B' values are released
+  /// after packing), their plan-time pre-packed forms
+  /// (PackedWeights::footprint_bytes, deduplicated — tied weights and
+  /// interned forms shared between projections count once), the
+  /// activation scratch, plus the residency mode, NUMA placement, and
+  /// the backing WeightStore's hit/miss/evict/repack counters.
   struct Stats {
     index_t planned_tokens = 0;
-    std::size_t blocks = 0;
     std::size_t weight_bytes = 0;   ///< CompressedNM values + indices
     std::size_t packed_bytes = 0;   ///< interned PackedWeights forms
-    std::size_t scratch_bytes = 0;  ///< ping-pong activation buffers
-    /// Residency mode every layer plan was built under.
+    std::size_t scratch_bytes = 0;  ///< gate and h activation buffers
+    /// Residency mode every projection plan was built under.
     mem::ResidencyMode residency = mem::ResidencyMode::kDefault;
     /// NUMA node of the packed value tiles when they all agree; -1 for
     /// mixed placement, single-node hosts, or unknown.
@@ -134,7 +132,7 @@ class ModelPlan {
     /// Counters of the WeightStore owning the packed forms.
     mem::WeightStore::Stats store;
     /// Per-stage wall time and call counts of every run() (gate / up /
-    /// down, summed over the blocks; see model/stage_profile.hpp).
+    /// down; see model/stage_profile.hpp).
     StageProfile::Snapshot stages;
     [[nodiscard]] std::size_t resident_bytes() const {
       return weight_bytes + packed_bytes + scratch_bytes;
@@ -146,26 +144,20 @@ class ModelPlan {
   friend class nmspmm::Engine;
   ModelPlan() = default;
 
-  struct LayerPlans {
-    std::shared_ptr<const SpmmPlan> gate;
-    std::shared_ptr<const SpmmPlan> up;
-    std::shared_ptr<const SpmmPlan> down;
-  };
-
-  std::vector<FfnBlock> blocks_;
-  std::vector<LayerPlans> plans_;
+  FfnBlock block_;
+  std::shared_ptr<const SpmmPlan> gate_plan_;
+  std::shared_ptr<const SpmmPlan> up_plan_;
+  std::shared_ptr<const SpmmPlan> down_plan_;
   index_t planned_tokens_ = 0;
   mem::ResidencyMode residency_ = mem::ResidencyMode::kDefault;
   std::shared_ptr<mem::WeightStore> store_;  ///< owns the packed forms
 
-  // Ping-pong scratch: the gate output and the fused h = act(gate)(.)up
-  // live in separate ffn-wide buffers (the epilogue reads gate after h's
-  // stores, so they cannot alias); chains longer than one block bounce
-  // the hidden-wide activations between two more.
+  // The gate output and the fused h = act(gate)(.)up live in separate
+  // ffn-wide buffers: the epilogue reads gate after h's stores, so they
+  // cannot alias.
   std::mutex run_mutex_;
-  MatrixF gate_buf_;    ///< planned_tokens x max ffn
-  MatrixF h_buf_;       ///< planned_tokens x max ffn
-  MatrixF hidden_buf_[2];  ///< planned_tokens x max hidden (chains only)
+  MatrixF gate_buf_;  ///< planned_tokens x ffn
+  MatrixF h_buf_;     ///< planned_tokens x ffn
 
   StageProfile profile_;  ///< written under run_mutex_
 };

@@ -42,8 +42,6 @@ void unpack_attrs(std::uint64_t w5, TraceSpan& s) {
 
 std::atomic<TraceRecorder*> g_recorder{nullptr};
 std::atomic<std::uint64_t> g_repack_events{0};
-std::atomic<std::uint64_t> g_attn_events{0};
-std::atomic<std::uint64_t> g_kv_append_events{0};
 
 }  // namespace
 
@@ -332,23 +330,13 @@ void count_repack_event(std::uint64_t bytes, std::uint64_t dur_us) {
   record_window(SpanKind::kRepack, 0, bytes, dur_us);
 }
 
-std::uint64_t attn_events() {
-  return g_attn_events.load(std::memory_order_relaxed);
-}
-
-std::uint64_t kv_append_events() {
-  return g_kv_append_events.load(std::memory_order_relaxed);
-}
-
 void count_attn_event(std::uint32_t rows, std::uint64_t context_tokens,
                       std::uint64_t dur_us) {
-  g_attn_events.fetch_add(1, std::memory_order_relaxed);
   record_window(SpanKind::kAttn, rows, context_tokens, dur_us);
 }
 
 void count_kv_append_event(std::uint32_t rows, std::uint64_t bytes,
                            std::uint64_t dur_us) {
-  g_kv_append_events.fetch_add(1, std::memory_order_relaxed);
   record_window(SpanKind::kKvAppend, rows, bytes, dur_us);
 }
 

@@ -189,19 +189,14 @@ void clear_global_recorder(TraceRecorder* recorder);
 /// mem::WeightStore; lock-free.
 void count_repack_event(std::uint64_t bytes, std::uint64_t dur_us);
 
-/// Monotone process-wide counts of decoder attention / KV-append
-/// windows (one each per decode batch), mirroring repack_events().
-[[nodiscard]] std::uint64_t attn_events();
-[[nodiscard]] std::uint64_t kv_append_events();
-
-/// Count one per-batch attention window over @p rows sequences totalling
-/// @p context_tokens of attended context, and emit a kAttn span into the
+/// Emit a kAttn span for one per-batch attention window over @p rows
+/// sequences totalling @p context_tokens of attended context into the
 /// global recorder when one is installed. Called by model::DecoderPlan.
 void count_attn_event(std::uint32_t rows, std::uint64_t context_tokens,
                       std::uint64_t dur_us);
 
-/// Count one per-batch KV-append window that wrote @p bytes of K/V
-/// payload for @p rows sequences, and emit a kKvAppend span likewise.
+/// Emit a kKvAppend span likewise for one per-batch KV-append window
+/// that wrote @p bytes of K/V payload for @p rows sequences.
 void count_kv_append_event(std::uint32_t rows, std::uint64_t bytes,
                            std::uint64_t dur_us);
 

@@ -245,7 +245,7 @@ class Server {
                              SpmmOptions options = {},
                              std::uint64_t deadline_us = 0);
 
-  /// Enqueue out = FFN_chain(A) against @p plan (built by
+  /// Enqueue out = FFN(A) against @p plan (built by
   /// Engine::plan_model — any engine; plans carry their own weights and
   /// pool). Concurrent submissions against the same plan coalesce into
   /// one ModelPlan::run over the gathered token rows. A and out must

@@ -143,7 +143,7 @@ TEST(Ffn, InputNormFusesTheFfnPreNorm) {
   block.residual = true;
 
   Engine engine;
-  auto plan = engine.plan_model(m, {block});
+  auto plan = engine.plan_model(m, block);
   NMSPMM_ASSERT_OK(plan.status());
   const MatrixF x = random_matrix(m, hidden, rng, -0.5f, 0.5f);
   MatrixF fused(m, hidden);
@@ -688,7 +688,7 @@ TEST(ServerDecode, MixedTargetKindsShareOneShard) {
   auto weights = std::make_shared<const CompressedNM>(
       random_compressed_int(k, n, cfg, rng));
   const model::DecoderLayer layer = make_layer(rng, cfg);
-  auto ffn_or = server.engine().plan_model(8, {layer.ffn});
+  auto ffn_or = server.engine().plan_model(8, layer.ffn);
   NMSPMM_ASSERT_OK(ffn_or.status());
   std::shared_ptr<model::ModelPlan> ffn = *ffn_or;
   auto decode_or = server.engine().plan_decoder(4, layer, cache_for(64));

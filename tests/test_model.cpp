@@ -1,8 +1,8 @@
 // model::FfnBlock / model::ModelPlan: the fused FFN pipeline must match
 // the unfused three-call pipeline bit-for-bit (same plans, epilogue
 // applied by hand), and stay within accumulation tolerance of the pure
-// reference; plus validation, chained blocks, resident-memory stats, the
-// per-stage wall times of model::StageProfile, and Server::submit_ffn
+// reference; plus validation, resident-memory stats, the per-stage wall
+// times of model::StageProfile, and Server::submit_ffn
 // batched serving.
 #include <gtest/gtest.h>
 
@@ -116,7 +116,7 @@ TEST(ModelPlan, FusedRunMatchesUnfusedPipelineBitExactly) {
   for (const bool with_bias : {false, true}) {
     const model::FfnBlock block = make_block(hidden, ffn, cfg, rng, with_bias);
     Engine engine;
-    auto plan = engine.plan_model(tokens, {block});
+    auto plan = engine.plan_model(tokens, block);
     NMSPMM_ASSERT_OK(plan.status());
 
     const MatrixF A = random_int_matrix(tokens, hidden, rng);
@@ -155,7 +155,7 @@ TEST(ModelPlan, FusedResidualMatchesUnfusedResidualPassBitExactly) {
     model::FfnBlock block = make_block(hidden, ffn, cfg, rng, with_bias);
     block.residual = true;
     Engine engine;
-    auto plan = engine.plan_model(tokens, {block});
+    auto plan = engine.plan_model(tokens, block);
     NMSPMM_ASSERT_OK(plan.status());
 
     const MatrixF A = random_int_matrix(tokens, hidden, rng);
@@ -175,25 +175,6 @@ TEST(ModelPlan, FusedResidualMatchesUnfusedResidualPassBitExactly) {
     EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0)
         << "with_bias=" << with_bias;
   }
-
-  // Chained residual blocks: each block adds its own input.
-  model::FfnBlock b0 = make_block(hidden, ffn, cfg, rng, true);
-  model::FfnBlock b1 = make_block(hidden, 112, cfg, rng, false);
-  b0.residual = b1.residual = true;
-  Engine engine;
-  auto chain = engine.plan_model(tokens, {b0, b1});
-  NMSPMM_ASSERT_OK(chain.status());
-  const MatrixF A = random_int_matrix(tokens, hidden, rng);
-  MatrixF out(tokens, hidden);
-  NMSPMM_ASSERT_OK((*chain)->run(A.view(), out.view()));
-  auto p0 = engine.plan_model(tokens, {b0});
-  auto p1 = engine.plan_model(tokens, {b1});
-  NMSPMM_ASSERT_OK(p0.status());
-  NMSPMM_ASSERT_OK(p1.status());
-  MatrixF mid(tokens, hidden), want(tokens, hidden);
-  NMSPMM_ASSERT_OK((*p0)->run(A.view(), mid.view()));
-  NMSPMM_ASSERT_OK((*p1)->run(mid.view(), want.view()));
-  EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0);
 }
 
 TEST(ModelPlan, ResidualRequiresMatchingHiddenDims) {
@@ -203,10 +184,30 @@ TEST(ModelPlan, ResidualRequiresMatchingHiddenDims) {
   model::FfnBlock block = make_block(64, 112, cfg, rng, false);
   block.down = int_weights(112, 80, cfg, rng);  // hidden 64 -> 80
   block.residual = true;
-  EXPECT_EQ(engine.plan_model(8, {block}).status().code(),
+  EXPECT_EQ(engine.plan_model(8, block).status().code(),
             StatusCode::kInvalidArgument);
   block.residual = false;  // without the skip connection the shape is fine
-  NMSPMM_ASSERT_OK(engine.plan_model(8, {block}).status());
+  NMSPMM_ASSERT_OK(engine.plan_model(8, block).status());
+}
+
+TEST(ModelPlan, ResidualRejectsOutAliasingInput) {
+  // The fused residual stores write out before they read the block
+  // input, so a residual run whose out is A is refused, not computed.
+  Rng rng(960);
+  const NMConfig cfg{2, 4, 16};
+  model::FfnBlock block = make_block(64, 112, cfg, rng, false);
+  block.residual = true;
+  Engine engine;
+  auto plan = engine.plan_model(8, block);
+  NMSPMM_ASSERT_OK(plan.status());
+  MatrixF x = random_int_matrix(8, 64, rng);
+  const MatrixF before = x;
+  EXPECT_EQ((*plan)->run(x.view(), x.view()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(max_abs_diff(before.cview(), x.cview()), 0.0);
+  // A separate out buffer runs.
+  MatrixF out(8, 64);
+  NMSPMM_ASSERT_OK((*plan)->run(x.view(), out.view()));
 }
 
 TEST(ModelPlan, GeluGatingAndMultiThreadedRunsAgree) {
@@ -221,7 +222,7 @@ TEST(ModelPlan, GeluGatingAndMultiThreadedRunsAgree) {
     EngineOptions opt;
     opt.num_threads = 1;
     Engine engine(opt);
-    auto plan = engine.plan_model(32, {block});
+    auto plan = engine.plan_model(32, block);
     NMSPMM_ASSERT_OK(plan.status());
     NMSPMM_ASSERT_OK((*plan)->run(A.view(), serial_out.view()));
   }
@@ -229,7 +230,7 @@ TEST(ModelPlan, GeluGatingAndMultiThreadedRunsAgree) {
     EngineOptions opt;
     opt.num_threads = 4;
     Engine engine(opt);
-    auto plan = engine.plan_model(32, {block});
+    auto plan = engine.plan_model(32, block);
     NMSPMM_ASSERT_OK(plan.status());
     NMSPMM_ASSERT_OK((*plan)->run(A.view(), parallel_out.view()));
   }
@@ -238,30 +239,6 @@ TEST(ModelPlan, GeluGatingAndMultiThreadedRunsAgree) {
   EXPECT_EQ(max_abs_diff(serial_out.cview(), parallel_out.cview()), 0.0);
   const MatrixF ref = reference_ffn(A.view(), block);
   EXPECT_LT(max_abs_diff(ref.cview(), serial_out.cview()), 1e-3);
-}
-
-TEST(ModelPlan, ChainedBlocksMatchSequentialSingleBlockRuns) {
-  Rng rng(952);
-  const NMConfig cfg{2, 4, 16};
-  const model::FfnBlock b0 = make_block(64, 112, cfg, rng, true);
-  const model::FfnBlock b1 = make_block(64, 80, cfg, rng, false);
-  Engine engine;
-  auto chain = engine.plan_model(16, {b0, b1});
-  NMSPMM_ASSERT_OK(chain.status());
-  EXPECT_EQ((*chain)->num_blocks(), 2u);
-
-  const MatrixF A = random_int_matrix(9, 64, rng);
-  MatrixF out(9, 64);
-  NMSPMM_ASSERT_OK((*chain)->run(A.view(), out.view()));
-
-  auto p0 = engine.plan_model(16, {b0});
-  auto p1 = engine.plan_model(16, {b1});
-  NMSPMM_ASSERT_OK(p0.status());
-  NMSPMM_ASSERT_OK(p1.status());
-  MatrixF mid(9, 64), want(9, 64);
-  NMSPMM_ASSERT_OK((*p0)->run(A.view(), mid.view()));
-  NMSPMM_ASSERT_OK((*p1)->run(mid.view(), want.view()));
-  EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0);
 }
 
 TEST(ModelPlan, ValidatesBlocksAndBatches) {
@@ -273,44 +250,32 @@ TEST(ModelPlan, ValidatesBlocksAndBatches) {
   {  // null weights
     model::FfnBlock bad = block;
     bad.down = nullptr;
-    EXPECT_EQ(engine.plan_model(8, {bad}).status().code(),
+    EXPECT_EQ(engine.plan_model(8, bad).status().code(),
               StatusCode::kInvalidArgument);
   }
   {  // up projection disagrees with gate
     model::FfnBlock bad = block;
     bad.up = int_weights(64, 80, cfg, rng);
-    EXPECT_EQ(engine.plan_model(8, {bad}).status().code(),
+    EXPECT_EQ(engine.plan_model(8, bad).status().code(),
               StatusCode::kInvalidArgument);
   }
   {  // down consumes the wrong width
     model::FfnBlock bad = block;
     bad.down = int_weights(80, 64, cfg, rng);
-    EXPECT_EQ(engine.plan_model(8, {bad}).status().code(),
+    EXPECT_EQ(engine.plan_model(8, bad).status().code(),
               StatusCode::kInvalidArgument);
   }
   {  // bias width mismatch
     model::FfnBlock bad = block;
     bad.up_bias = int_bias(7, rng);
-    EXPECT_EQ(engine.plan_model(8, {bad}).status().code(),
+    EXPECT_EQ(engine.plan_model(8, bad).status().code(),
               StatusCode::kInvalidArgument);
   }
-  {  // chain with a broken hidden dimension
-    const model::FfnBlock other = make_block(80, 96, cfg, rng, false);
-    EXPECT_EQ(engine.plan_model(8, {block, other}).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  // plan_model owns the epilogues.
-  SpmmOptions opt;
-  opt.epilogue.act = Activation::kSilu;
-  EXPECT_EQ(engine.plan_model(8, {block}, opt).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.plan_model(0, {block}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.plan_model(8, {}).status().code(),
+  EXPECT_EQ(engine.plan_model(0, block).status().code(),
             StatusCode::kInvalidArgument);
 
   // Batch-time validation.
-  auto plan = engine.plan_model(8, {block});
+  auto plan = engine.plan_model(8, block);
   NMSPMM_ASSERT_OK(plan.status());
   const MatrixF A = random_int_matrix(9, 64, rng);  // > planned tokens
   MatrixF out(9, 64);
@@ -331,12 +296,11 @@ TEST(ModelPlan, StatsReportResidentFootprint) {
   const NMConfig cfg{2, 4, 16};
   model::FfnBlock block = make_block(64, 112, cfg, rng, false);
   Engine engine;
-  auto plan = engine.plan_model(16, {block});
+  auto plan = engine.plan_model(16, block);
   NMSPMM_ASSERT_OK(plan.status());
 
   const model::ModelPlan::Stats stats = (*plan)->stats();
   EXPECT_EQ(stats.planned_tokens, 16);
-  EXPECT_EQ(stats.blocks, 1u);
   EXPECT_EQ(stats.weight_bytes, block.gate->footprint_bytes() +
                                     block.up->footprint_bytes() +
                                     block.down->footprint_bytes());
@@ -347,18 +311,21 @@ TEST(ModelPlan, StatsReportResidentFootprint) {
   EXPECT_EQ(stats.resident_bytes(),
             stats.weight_bytes + stats.packed_bytes + stats.scratch_bytes);
 
-  // Tied weights (same shared_ptr in two blocks) count once, and the
-  // interning registry means their packed form counts once too.
-  auto tied = engine.plan_model(16, {block, block});
+  // Tied gate and up (one shared_ptr) count once, and the interning
+  // registry means their packed form counts once too.
+  model::FfnBlock tied_block = block;
+  tied_block.up = block.gate;
+  auto tied = engine.plan_model(16, tied_block);
   NMSPMM_ASSERT_OK(tied.status());
   const model::ModelPlan::Stats tied_stats = (*tied)->stats();
-  EXPECT_EQ(tied_stats.weight_bytes, stats.weight_bytes);
-  EXPECT_EQ(tied_stats.packed_bytes, stats.packed_bytes);
+  EXPECT_EQ(tied_stats.weight_bytes, block.gate->footprint_bytes() +
+                                         block.down->footprint_bytes());
+  EXPECT_LT(tied_stats.packed_bytes, stats.packed_bytes);
 }
 
 std::shared_ptr<model::ModelPlan> small_ffn_plan(Engine& engine, Rng& rng) {
-  auto plan = engine.plan_model(8, {make_block(64, 112, {2, 4, 16}, rng,
-                                               /*with_bias=*/false)});
+  auto plan = engine.plan_model(
+      8, make_block(64, 112, {2, 4, 16}, rng, /*with_bias=*/false));
   NMSPMM_CHECK_OK(plan.status());
   return *plan;
 }
@@ -471,7 +438,7 @@ TEST(ServerFfn, SubmitFfnCoalescesAndMatchesDirectRuns) {
   opt.max_wait_us = 200000;          // only full batches flush early
   opt.bypass_single_rows = false;    // force everything through batching
   Server server(opt);
-  auto plan_or = server.engine().plan_model(32, {block});
+  auto plan_or = server.engine().plan_model(32, block);
   NMSPMM_ASSERT_OK(plan_or.status());
   std::shared_ptr<model::ModelPlan> plan = *plan_or;
 
@@ -511,7 +478,7 @@ TEST(ServerFfn, RejectsRequestsBeyondThePlanTokenBudget) {
   const NMConfig cfg{2, 4, 16};
   const model::FfnBlock block = make_block(64, 96, cfg, rng, false);
   Server server;
-  auto plan_or = server.engine().plan_model(4, {block});
+  auto plan_or = server.engine().plan_model(4, block);
   NMSPMM_ASSERT_OK(plan_or.status());
 
   const MatrixF big = random_int_matrix(5, 64, rng);
@@ -527,7 +494,7 @@ TEST(ServerFfn, SingleRowFfnRequestsBypassTheDispatcher) {
   const NMConfig cfg{2, 4, 16};
   const model::FfnBlock block = make_block(64, 96, cfg, rng, false);
   Server server;  // bypass on by default
-  auto plan_or = server.engine().plan_model(16, {block});
+  auto plan_or = server.engine().plan_model(16, block);
   NMSPMM_ASSERT_OK(plan_or.status());
   std::shared_ptr<model::ModelPlan> plan = *plan_or;
 

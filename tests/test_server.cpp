@@ -1314,7 +1314,7 @@ TEST(ServerOverload, StatusTaxonomyCoversEveryServingErrorPath) {
          block.up = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
          block.down = shared_weights(n, k, NMConfig{2, 4, 16}, rng);
          Engine engine;
-         auto plan = engine.plan_model(/*max_tokens=*/2, {block});
+         auto plan = engine.plan_model(/*max_tokens=*/2, block);
          if (!plan.ok()) return plan.status();  // wrong code → test fails
          Server server;
          const MatrixF a = random_int_matrix(4, k, rng);  // 4 > 2 tokens

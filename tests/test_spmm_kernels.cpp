@@ -257,7 +257,6 @@ TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV1, false, l16));
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV2, true, l16));
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, true, l16));
-  EXPECT_FALSE(takes_row_walk(KernelVariant::kReference, false, l16));
   // Only L = 16 pruning units.
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{2, 4, 8}));
   EXPECT_FALSE(takes_row_walk(KernelVariant::kV3, false, NMConfig{1, 16, 32}));

@@ -71,8 +71,7 @@ TEST(SpmmPlan, EveryVariantMatchesReference) {
     const MatrixF expect = reference_for(A.view(), B);
     auto shared = std::make_shared<const CompressedNM>(B);
     for (const KernelVariant v :
-         {KernelVariant::kReference, KernelVariant::kV1, KernelVariant::kV2,
-          KernelVariant::kV3}) {
+         {KernelVariant::kV1, KernelVariant::kV2, KernelVariant::kV3}) {
       SpmmOptions opt;
       opt.variant = v;
       MatrixF C(m, n);

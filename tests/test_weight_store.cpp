@@ -122,11 +122,10 @@ TEST(WeightStore, PackedOnlyPlanDropsValuesAndKeepsOnePackedCopy) {
   EXPECT_THROW((void)PackedWeights::build((*plan)->weights(), 64, 64,
                                           PackedWeights::IndexKind::kDirect),
                CheckError);
-  // The unpacked reference variant cannot serve packed-only residency.
-  SpmmOptions ref;
-  ref.variant = KernelVariant::kReference;
-  auto ref_plan = engine.plan_for(8, B, ref);
-  EXPECT_EQ(ref_plan.status().code(), StatusCode::kFailedPrecondition);
+  const CompressedNM& stripped = (*plan)->weights();
+  EXPECT_THROW(spmm_reference(MatrixF(8, stripped.orig_rows).view(), stripped,
+                              MatrixF(8, stripped.cols).view()),
+               CheckError);
 }
 
 TEST(WeightStore, PackedOnlyModelPlanResidencyStats) {
@@ -142,7 +141,7 @@ TEST(WeightStore, PackedOnlyModelPlanResidencyStats) {
     EngineOptions opt;
     opt.num_threads = 1;
     Engine engine(opt);
-    auto plan = engine.plan_model(tokens, {block});
+    auto plan = engine.plan_model(tokens, block);
     NMSPMM_ASSERT_OK(plan.status());
     NMSPMM_ASSERT_OK((*plan)->run(A.view(), out_default.view()));
     const auto stats = (*plan)->stats();
@@ -159,7 +158,7 @@ TEST(WeightStore, PackedOnlyModelPlanResidencyStats) {
   opt.residency = ResidencyMode::kPackedOnly;
   opt.weight_store = std::make_shared<WeightStore>();
   Engine engine(opt);
-  auto plan = engine.plan_model(tokens, {block});
+  auto plan = engine.plan_model(tokens, block);
   NMSPMM_ASSERT_OK(plan.status());
   // Drop the originals: the ModelPlan holds only stripped weights, so
   // from here the packed forms are the sole resident copy of the values.
