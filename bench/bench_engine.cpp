@@ -2,7 +2,8 @@
 //
 //   1. Parallel execute — the same plan run serially (num_threads=1) vs
 //      on a pool sized to hardware concurrency; reports the speedup of
-//      the partitioned mc/nc block loops (≈1x on single-core machines).
+//      spmm_blocked's one fork-join over C's blocks (≈1x on
+//      single-core machines).
 //   2. Plan caching — a ragged stream of batch sizes served through the
 //      engine's bucketed plan cache vs re-planning per request (what the
 //      seed API forced on callers whose batch size varied).

@@ -74,9 +74,14 @@ index_t registers_per_thread(const BlockingParams& p);
 void validate_params(const BlockingParams& p, const NMConfig& cfg,
                      std::size_t smem_bytes, index_t k);
 
+/// The block working-set budget CPU plans size ks by (Eq. 5) and are
+/// validated against: the A100's 192 KiB per-SM shared memory, which also
+/// matches CPU L2 blocking.
+inline constexpr std::size_t kPlanSmemBytes = 192 * 1024;
+
 /// Convenience: preset for the size class, with ks derived for cfg.
 BlockingParams make_params(index_t m, index_t n, index_t k,
                            const NMConfig& cfg,
-                           std::size_t smem_bytes = 192 * 1024);
+                           std::size_t smem_bytes = kPlanSmemBytes);
 
 }  // namespace nmspmm

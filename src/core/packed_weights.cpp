@@ -104,8 +104,8 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
   // instead of thousands of 4 KiB-page walks.
   pw.values_ = huge_page_buffer(pw.value_count_ * sizeof(float));
   float* const values = pw.values_.as<float>();
-  // Partition by n-block, mirroring spmm_blocked's nc partitioning:
-  // tiles are nb-major, so each worker touches one contiguous range.
+  // Partition by n-block, as spmm_blocked does: tiles are nb-major, so
+  // each worker touches one contiguous range.
   parallel_for(first_touch_pool, 0, pw.num_nblocks_,
                [&](index_t nb_lo, index_t nb_hi) {
     numa::first_touch_zero(

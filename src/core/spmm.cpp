@@ -10,8 +10,6 @@ std::size_t hash_value(const SpmmOptions& o) {
   std::size_t h = 0;
   hash_combine(h, static_cast<std::size_t>(o.variant));
   hash_combine(h, static_cast<std::size_t>(o.packing));
-  hash_combine(h, o.smem_bytes);
-  hash_combine(h, o.rescale ? 1u : 0u);
   hash_combine(h, o.num_threads);
   hash_combine(h, hash_value(o.epilogue));
   hash_combine(h, hash_value(o.prologue));
@@ -36,9 +34,6 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
                           std::shared_ptr<mem::WeightStore> store) {
   NMSPMM_CHECK(B != nullptr);
   NMSPMM_CHECK_MSG(m >= 1, "planned batch m must be positive");
-  NMSPMM_CHECK_MSG(!(options.epilogue.active() && options.rescale),
-                   "epilogue fusion is incompatible with rescale: the M/N "
-                   "scale must precede the activation");
   NMSPMM_CHECK_MSG(!options.epilogue.act_on_other || options.epilogue.mul,
                    "epilogue act_on_other requires mul");
   B->config.validate();
@@ -54,12 +49,12 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
 
   const CompressedNM& w = *plan.weights_;
   plan.params_ = options.params.value_or(
-      make_params(m, w.cols, w.orig_rows, w.config, options.smem_bytes));
+      make_params(m, w.cols, w.orig_rows, w.config));
   if (plan.params_.ks == 0) {
     plan.params_.ks = derive_ks(w.config, plan.params_.ms, plan.params_.ns,
-                                options.smem_bytes, w.orig_rows);
+                                kPlanSmemBytes, w.orig_rows);
   }
-  validate_params(plan.params_, w.config, options.smem_bytes, w.orig_rows);
+  validate_params(plan.params_, w.config, kPlanSmemBytes, w.orig_rows);
 
   switch (options.packing) {
     case PackingMode::kAlways: plan.use_packing_ = true; break;
@@ -191,14 +186,6 @@ Status SpmmPlan::execute(ConstViewF A, ViewF C,
         spmm_v3(A, B, C, params_, use_packing_, *packed, pool,
                 options_.epilogue, epilogue_args);
         break;
-    }
-    if (options_.rescale) {
-      const float scale = static_cast<float>(B.config.m) /
-                          static_cast<float>(B.config.n);
-      for (index_t r = 0; r < C.rows(); ++r) {
-        float* row = C.row(r);
-        for (index_t c = 0; c < C.cols(); ++c) row[c] *= scale;
-      }
     }
   } catch (const std::bad_alloc& e) {
     // Worker-side allocation failure (e.g. surfaced by run_chunks) —

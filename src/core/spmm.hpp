@@ -55,11 +55,6 @@ struct SpmmOptions {
   PackingMode packing = PackingMode::kAuto;
   /// Override the Table I preset (ks of 0 is derived from Eq. 4).
   std::optional<BlockingParams> params;
-  /// Shared-memory budget used when deriving ks (defaults to the A100's
-  /// 192 KiB per-SM shared memory, which also matches CPU L2 blocking).
-  std::size_t smem_bytes = 192 * 1024;
-  /// Apply the Eq. 1 M/N rescale (off for magnitude-pruned inference).
-  bool rescale = false;
   /// Worker threads for execute(): 0 = hardware concurrency (the shared
   /// global pool), 1 = strictly serial (bit-exact reference ordering —
   /// though parallel runs are bit-exact too, see spmm_kernels.hpp).
@@ -68,8 +63,7 @@ struct SpmmOptions {
   /// Post-ops fused into the final k-chunk's stores (bias, SiLU/GELU,
   /// elementwise mul, residual add — see core/epilogue.hpp). Structural
   /// only: the operands are bound per call via execute(A, C,
-  /// EpilogueArgs). Incompatible with rescale (the scale would land
-  /// after the nonlinearity instead of before it).
+  /// EpilogueArgs).
   EpilogueSpec epilogue;
   /// Pre-op applied to the A operand before the kernels read it
   /// (RMSNorm — see core/epilogue.hpp). Structural only: the per-feature

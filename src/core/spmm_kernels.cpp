@@ -248,13 +248,13 @@ void run_segment(index_t wb, APanel a, const float* bpack, index_t ldb,
 /// The k-chunk 0 pass stores (beta = 0) instead of accumulating, fusing
 /// the former C zero-fill pass into the first micro-kernel stores.
 ///
-/// Parallelism: a null @p pool runs the nest serially. With a pool, the
-/// driver picks the partitioning axis — m-blocks when there are enough
-/// of them to occupy every worker (large batches), otherwise whole
-/// n-blocks per worker (small batches, wide outputs: the serving shape).
-/// Either way each worker writes a disjoint region of C and computes
-/// every element with the same accumulation order as the serial nest, so
-/// output is bit-exact regardless of thread count.
+/// Parallelism: a null @p pool runs the nest serially. With a pool, one
+/// parallel_for splits C into (n-block, m-block range) units — whole
+/// n-blocks when there are enough of them to occupy every worker, the
+/// form of the paper's one thread block per C tile. Each worker writes a
+/// disjoint region of C and computes every element with the same
+/// accumulation order as the serial nest, so output is bit-exact
+/// regardless of thread count.
 template <class Policy>
 void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
                   const BlockingParams& prm, const PackedWeights& packed,
@@ -399,38 +399,30 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
     }
   };
 
+  // One fork-join for the product. The work units are (n-block, m-range)
+  // pairs, n-block-major, each n-block cut into `ranges` even ranges of
+  // m-blocks: one range whenever the n-blocks alone cover the workers
+  // (always without a pool), else as many as there are workers, so a
+  // narrow output still feeds every worker. A worker's contiguous run of
+  // units is, per n-block, one m-range, over which it runs the k-chunks
+  // in order. A staging is the executing thread's reusable scratch, so
+  // the steady-state serving path performs zero per-call heap allocation.
   const index_t workers = pool != nullptr ? pool->size() : 1;
-  if (workers > 1 && num_mblocks < workers && num_nblocks > 1) {
-    // nc partitioning: each worker owns whole n-blocks. With resident
-    // weights there is no Bs staging at all — per-worker scratch is just
-    // the (thread-local, reused across calls) A panel.
-    parallel_for(pool, 0, num_nblocks, [&](index_t nb_lo, index_t nb_hi) {
-      for (index_t nb = nb_lo; nb < nb_hi; ++nb) {
-        const index_t j0 = nb * prm.ns;
-        const index_t jb = std::min(prm.ns, n - j0);
-        for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
-          run_tile(make_tile(nb, chunk), j0, jb, 0, num_mblocks);
-        }
+  const index_t ranges =
+      num_nblocks >= workers ? 1 : std::min(num_mblocks, workers);
+  parallel_for(pool, 0, num_nblocks * ranges, [&](index_t u_lo,
+                                                  index_t u_hi) {
+    for (index_t nb = u_lo / ranges; nb * ranges < u_hi; ++nb) {
+      const index_t r_lo = std::max(u_lo, nb * ranges) - nb * ranges;
+      const index_t r_hi = std::min(u_hi, (nb + 1) * ranges) - nb * ranges;
+      const index_t j0 = nb * prm.ns;
+      const index_t jb = std::min(prm.ns, n - j0);
+      for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
+        run_tile(make_tile(nb, chunk), j0, jb, r_lo * num_mblocks / ranges,
+                 r_hi * num_mblocks / ranges);
       }
-    });
-    return;
-  }
-
-  // mc partitioning (or serial): m-blocks of each tile split across
-  // workers, each reading the same resident Bs tile. A staging is the
-  // executing thread's reusable scratch, so the steady-state serving
-  // path performs zero per-call heap allocation.
-  for (index_t nb = 0; nb < num_nblocks; ++nb) {
-    const index_t j0 = nb * prm.ns;
-    const index_t jb = std::min(prm.ns, n - j0);
-    for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const TileCtx t = make_tile(nb, chunk);
-      parallel_for(pool, 0, num_mblocks,
-                   [&](index_t mb_lo, index_t mb_hi) {
-        run_tile(t, j0, jb, mb_lo, mb_hi);
-      });
     }
-  }
+  });
 }
 
 /// Run the blocked driver under PolicyResident<Packing, Prefetch> once

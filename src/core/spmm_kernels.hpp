@@ -69,16 +69,17 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
 /// True when the blocked driver runs every m-block through the row walk
 /// (see the header comment) instead of the per-column-group micro
 /// kernels: V3's non-packed path with L = 16, in every build, at any
-/// batch size. Fixed, like the nc/mc choice — no option selects it.
+/// batch size. Fixed, like the work partitioning — no option selects it.
 bool takes_row_walk(KernelVariant variant, bool use_packing,
                     const NMConfig& cfg);
 
 // Every kernel takes an optional ThreadPool. A null pool runs the exact
-// serial loop nest (the bit-exact reference ordering); a pool partitions
-// the outer block loops — m-blocks when the batch provides enough of
-// them, n-blocks for the small-m serving shapes where m-blocks alone
-// cannot feed every worker. Both partitionings preserve the per-element
-// accumulation order, so results are bit-exact across thread counts.
+// serial loop nest (the bit-exact reference ordering); a pool forks once
+// per call over C's n-blocks, splitting each n-block's m-blocks too only
+// when the n-blocks alone cannot feed every worker. Each worker runs the
+// k-chunks in order over its own C region, so the per-element
+// accumulation order is the serial one and results are bit-exact across
+// thread counts.
 //
 // Every kernel also takes an optional epilogue (core/epilogue.hpp):
 // when @p epilogue is active, the final k-chunk's stores apply

@@ -2,8 +2,7 @@
 
 namespace nmspmm {
 
-void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C,
-                    bool rescale) {
+void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C) {
   NMSPMM_CHECK_MSG(A.cols() == B.orig_rows,
                    "A depth " << A.cols() << " != B rows " << B.orig_rows);
   NMSPMM_CHECK(C.rows() == A.rows() && C.cols() == B.cols);
@@ -12,9 +11,6 @@ void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C,
                    "(packed-only residency)");
   const index_t w = B.rows();
   const index_t L = B.config.vector_length;
-  const float scale =
-      rescale ? static_cast<float>(B.config.m) / static_cast<float>(B.config.n)
-              : 1.0f;
   for (index_t i = 0; i < A.rows(); ++i) {
     float* crow = C.row(i);
     for (index_t j = 0; j < B.cols; ++j) crow[j] = 0.0f;
@@ -30,8 +26,6 @@ void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C,
         for (index_t c = c0; c < c1; ++c) crow[c] += a * brow[c];
       }
     }
-    if (scale != 1.0f)
-      for (index_t j = 0; j < B.cols; ++j) crow[j] *= scale;
   }
 }
 

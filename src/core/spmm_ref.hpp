@@ -7,11 +7,10 @@
 namespace nmspmm {
 
 /// C = A (*) (B', D) — Eq. 1. A is m x k, compressed B is w x n,
-/// C is m x n (overwritten). When @p rescale is true the M/N factor of
-/// Eq. 1 is applied (dropout-style magnitude compensation); inference on
-/// magnitude-pruned weights runs without it.
-void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C,
-                    bool rescale = false);
+/// C is m x n (overwritten). Eq. 1's M/N rescale (dropout-style
+/// magnitude compensation) is not applied: inference on magnitude-pruned
+/// weights runs without it.
+void spmm_reference(ConstViewF A, const CompressedNM& B, ViewF C);
 
 /// Dense reference GEMM C = A * B (naive triple loop, f64 accumulation),
 /// the oracle for the dense baselines.

@@ -107,18 +107,6 @@ ThreadPool& ThreadPool::global() {
 void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t, std::int64_t)>& body,
                   std::int64_t min_grain) {
-  parallel_for_slots(
-      pool, begin, end,
-      [&body](std::int64_t, std::int64_t lo, std::int64_t hi) {
-        body(lo, hi);
-      },
-      min_grain);
-}
-
-void parallel_for_slots(
-    ThreadPool* pool, std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body,
-    std::int64_t min_grain) {
   const std::int64_t total = end - begin;
   if (total <= 0) return;
   const std::int64_t max_chunks =
@@ -127,14 +115,14 @@ void parallel_for_slots(
       ? 1
       : std::min<std::int64_t>(pool->size(), max_chunks);
   if (chunks == 1) {
-    body(0, begin, end);
+    body(begin, end);
     return;
   }
   const std::int64_t per = ceil_div(total, chunks);
   std::function<void(std::int64_t)> chunk_fn = [&](std::int64_t c) {
     const std::int64_t lo = begin + c * per;
     const std::int64_t hi = std::min(end, lo + per);
-    if (lo < hi) body(c, lo, hi);
+    if (lo < hi) body(lo, hi);
   };
   pool->run_chunks(chunks, chunk_fn);
 }

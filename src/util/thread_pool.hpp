@@ -86,18 +86,6 @@ void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t, std::int64_t)>& body,
                   std::int64_t min_grain = 1);
 
-/// As parallel_for, but the body also receives its chunk slot, a value in
-/// [0, pool->size()) distinct for every chunk of one call. Callers can
-/// use it to hand each concurrently running chunk a private scratch
-/// buffer. (The kernels themselves now reach scratch through
-/// thread_local storage instead — plan-time pre-packing left them no
-/// per-tile staging — so this is a general-purpose utility.)
-void parallel_for_slots(
-    ThreadPool* pool, std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t slot, std::int64_t lo,
-                             std::int64_t hi)>& body,
-    std::int64_t min_grain = 1);
-
 /// Convenience overload on the process-global pool.
 void parallel_for(std::int64_t begin, std::int64_t end,
                   const std::function<void(std::int64_t, std::int64_t)>& body,

@@ -26,7 +26,7 @@ std::shared_ptr<const CompressedNM> shared_weights(index_t k, index_t n,
 
 MatrixF reference_for(ConstViewF A, const CompressedNM& B) {
   MatrixF C(A.rows(), B.cols);
-  spmm_reference(A, B, C.view(), false);
+  spmm_reference(A, B, C.view());
   return C;
 }
 

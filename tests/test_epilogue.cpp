@@ -73,6 +73,14 @@ EpilogueArgs args_for(const Problem& p, const EpilogueSpec& spec) {
 /// product identical on both paths, and both paths then run the same
 /// scalar activation on the same value — so fused vs unfused must agree
 /// bit-for-bit (well within the 1-ulp-scale budget).
+/// The small preset with ks sized for a 32 KiB budget: several k-chunks
+/// at k = 512.
+BlockingParams small_ks_params(const NMConfig& cfg, index_t k) {
+  BlockingParams params = table1_preset(SizeClass::kSmall);
+  params.ks = derive_ks(cfg, params.ms, params.ns, 32 * 1024, k);
+  return params;
+}
+
 MatrixF unfused_expect(const Problem& p, SpmmOptions opt,
                        const EpilogueSpec& spec) {
   opt.epilogue = EpilogueSpec{};
@@ -221,7 +229,7 @@ TEST(Epilogue, FusedMatchesUnfusedAcrossVariantsThreadsAndShapes) {
         SpmmOptions opt;
         opt.variant = variant;
         opt.num_threads = threads;
-        opt.smem_bytes = 32 * 1024;  // small ks: several k-chunks at k=512
+        opt.params = small_ks_params(cfg, shape.k);
         for (const EpilogueSpec& spec : all_specs()) {
           opt.epilogue = spec;
           const MatrixF want = unfused_expect(p, opt, spec);
@@ -250,7 +258,7 @@ TEST(Epilogue, FusedMatchesUnfusedOnBothV3PackingPaths) {
   for (const PackingMode packing : {PackingMode::kAlways, PackingMode::kNever}) {
     SpmmOptions opt;
     opt.packing = packing;
-    opt.smem_bytes = 32 * 1024;
+    opt.params = small_ks_params(cfg, 192);
     opt.epilogue = spec;
     const MatrixF want = unfused_expect(p, opt, spec);
     const auto plan = SpmmPlan::create(21, p.weights, opt);
@@ -265,8 +273,7 @@ TEST(Epilogue, KernelEntryPointsApplyTheEpilogue) {
   Rng rng(44);
   const NMConfig cfg{2, 4, 8};
   Problem p = make_problem(19, 128, 88, cfg, rng);
-  BlockingParams params = table1_preset(SizeClass::kSmall);
-  params.ks = derive_ks(cfg, params.ms, params.ns, 32 * 1024, 128);
+  const BlockingParams params = small_ks_params(cfg, 128);
   EpilogueSpec spec;
   spec.bias = true;
   spec.act = Activation::kGelu;
@@ -276,7 +283,7 @@ TEST(Epilogue, KernelEntryPointsApplyTheEpilogue) {
 
   // Unfused oracle straight from the reference kernel + hand-rolled pass.
   MatrixF want(19, 88);
-  spmm_reference(p.a.view(), *p.weights, want.view(), /*rescale=*/false);
+  spmm_reference(p.a.view(), *p.weights, want.view());
   hand_rolled(spec, p.bias.data(), p.other.cview(), p.residual.cview(),
               want.view());
 
@@ -321,7 +328,7 @@ TEST(Epilogue, ReferenceOracleMatchesFusedPlan) {
   // The unfused oracle: the Eq. 1 reference kernel, then the epilogue as
   // a separate pass.
   MatrixF want(12, 64);
-  spmm_reference(p.a.view(), *p.weights, want.view(), /*rescale=*/false);
+  spmm_reference(p.a.view(), *p.weights, want.view());
   apply_epilogue(spec, args_for(p, spec), want.view());
 
   SpmmOptions opt;
@@ -348,7 +355,7 @@ TEST(Epilogue, FloatOperandsStayWithinUlpScaleOfReference) {
   spec.mul = true;
 
   MatrixF want(m, n);
-  spmm_reference(A.view(), *B, want.view(), false);
+  spmm_reference(A.view(), *B, want.view());
   hand_rolled(spec, nullptr, other.cview(), ConstViewF{}, want.view());
 
   SpmmOptions opt;
@@ -408,11 +415,7 @@ TEST(Epilogue, ValidatesOperandsAndRejectsBadCombinations) {
   EXPECT_EQ(plan.execute(p.a.view(), c.view()).code(),
             StatusCode::kInvalidArgument);
 
-  // rescale and epilogue cannot compose (scale would follow the
-  // nonlinearity); act_on_other without mul has no operand to activate.
-  SpmmOptions bad = opt;
-  bad.rescale = true;
-  EXPECT_THROW(SpmmPlan::create(8, p.weights, bad), CheckError);
+  // act_on_other without mul has no operand to activate.
   SpmmOptions dangling;
   dangling.epilogue.act_on_other = true;
   dangling.epilogue.mul = false;
@@ -421,7 +424,7 @@ TEST(Epilogue, ValidatesOperandsAndRejectsBadCombinations) {
 
   // Engine surfaces the same misuse as Status instead of throwing.
   Engine engine;
-  auto bad_plan = engine.plan_for(8, p.weights, bad);
+  auto bad_plan = engine.plan_for(8, p.weights, dangling);
   EXPECT_EQ(bad_plan.status().code(), StatusCode::kInvalidArgument);
 }
 

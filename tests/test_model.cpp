@@ -59,8 +59,8 @@ MatrixF reference_ffn(ConstViewF A, const model::FfnBlock& block) {
   const index_t ffn = block.ffn_dim();
   const index_t hidden = block.hidden_out();
   MatrixF gate(m, ffn), up(m, ffn), out(m, hidden);
-  spmm_reference(A, *block.gate, gate.view(), false);
-  spmm_reference(A, *block.up, up.view(), false);
+  spmm_reference(A, *block.gate, gate.view());
+  spmm_reference(A, *block.up, up.view());
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < ffn; ++j) {
       float g = gate(i, j);
@@ -70,7 +70,7 @@ MatrixF reference_ffn(ConstViewF A, const model::FfnBlock& block) {
       gate(i, j) = u * apply_activation(block.act, g);
     }
   }
-  spmm_reference(gate.view(), *block.down, out.view(), false);
+  spmm_reference(gate.view(), *block.down, out.view());
   if (!block.down_bias.empty()) {
     for (index_t i = 0; i < m; ++i) {
       for (index_t j = 0; j < hidden; ++j) out(i, j) += block.down_bias[j];

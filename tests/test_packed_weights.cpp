@@ -58,7 +58,7 @@ namespace {
 
 MatrixF run_reference(ConstViewF A, const CompressedNM& B) {
   MatrixF C(A.rows(), B.cols);
-  spmm_reference(A, B, C.view(), /*rescale=*/false);
+  spmm_reference(A, B, C.view());
   return C;
 }
 
@@ -140,7 +140,7 @@ TEST(PackedWeights, AllVariantsBitExactFourThreads) {
   ThreadPool pool(4);
   const NMConfig cfg{2, 4, 8};
   expect_all_variants_bit_exact(37, 150, 118, cfg, 11, &pool);
-  // Small m forces the nc partitioning (whole n-blocks per worker).
+  // A single m-block, a wide L = 16 output.
   const NMConfig wide{4, 32, 16};
   expect_all_variants_bit_exact(9, 203, 97, wide, 12, &pool);
 }
@@ -319,7 +319,7 @@ TEST(PackedWeights, SteadyStateStagesZeroWeightBytes) {
         << to_string(variant) << " allocates on the warm serving path";
 
     MatrixF expect(m, n);
-    spmm_reference(A.view(), *B, expect.view(), false);
+    spmm_reference(A.view(), *B, expect.view());
     EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
   }
 }

@@ -1,8 +1,8 @@
-// Regression test for per-task scratch churn in the mc-partitioning
-// kernel path: a_scratch / idxbuf used to be heap-allocated inside every
-// parallel_for task for every (n-block, k-chunk) tile. The test counts
-// large heap allocations during a warm plan execution — with hoisted
-// per-worker scratch the count stays O(workers), not O(tiles * workers).
+// Regression test for per-task scratch churn in the pooled kernel path:
+// a_scratch / idxbuf used to be heap-allocated inside every parallel_for
+// task for every (n-block, k-chunk) tile. The test counts large heap
+// allocations during a warm plan execution — with per-worker scratch the
+// count stays O(workers), not O(tiles * workers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,15 +41,14 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace nmspmm {
 namespace {
 
-TEST(ScratchReuse, McPartitioningDoesNotAllocatePerTile) {
+TEST(ScratchReuse, PooledExecuteDoesNotAllocatePerTile) {
   Rng rng(700);
   const index_t m = 128, k = 512, n = 512;
   const auto B = std::make_shared<const CompressedNM>(
       random_compressed_int(k, n, kSparsity75, rng));
 
   // Small preset (ms = ns = 32) with ks = 64: 4 m-blocks, 16 n-blocks,
-  // 8 k-chunks = 128 tiles. Two pool threads and 4 >= 2 m-blocks force
-  // the mc-partitioning path.
+  // 8 k-chunks = 128 tiles, split over two pool threads.
   SpmmOptions opt;
   opt.num_threads = 2;
   BlockingParams params = table1_preset(SizeClass::kSmall);
@@ -65,15 +64,15 @@ TEST(ScratchReuse, McPartitioningDoesNotAllocatePerTile) {
   NMSPMM_ASSERT_OK(plan.execute(A.view(), C.view()));
   const std::uint64_t allocs = g_large_allocs.load() - before;
 
-  // Pre-fix the mc path allocated one >= 8 KiB A-staging buffer per
+  // Pre-fix the pooled path allocated one >= 8 KiB A-staging buffer per
   // (tile, worker) = 128 * 2 = 256 large allocations per execute. With
-  // hoisted per-worker scratch, one execute allocates the Bs panel plus
-  // one scratch set per worker — single digits.
-  EXPECT_LT(allocs, 32u) << "mc path is heap-allocating per tile again";
+  // per-worker scratch, one execute allocates at most one scratch set
+  // per worker — single digits.
+  EXPECT_LT(allocs, 32u) << "pooled path is heap-allocating per tile again";
 
   // And the result is still correct.
   MatrixF expect(m, n);
-  spmm_reference(A.view(), *B, expect.view(), false);
+  spmm_reference(A.view(), *B, expect.view());
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "core/nmspmm.hpp"
 #include "tests/testing.hpp"
@@ -18,7 +19,7 @@ namespace {
 
 MatrixF run_reference(ConstViewF A, const CompressedNM& B) {
   MatrixF C(A.rows(), B.cols);
-  spmm_reference(A, B, C.view(), /*rescale=*/false);
+  spmm_reference(A, B, C.view());
   return C;
 }
 
@@ -208,39 +209,88 @@ INSTANTIATE_TEST_SUITE_P(Shapes, KernelSweep,
                                   std::to_string(c.n);
                          });
 
-// Kernel-level pool plumbing: explicit pools of several sizes must give
-// the exact serial result on both partitioning axes (many m-blocks for
-// the mc split, a single m-block with many n-blocks for the nc split).
+bool same_bits(ConstViewF a, ConstViewF b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.row(i), b.row(i),
+                    static_cast<std::size_t>(a.cols()) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Kernel-level pool plumbing: explicit pools of 2-4 workers give the
+// serial bits on both sides of spmm_blocked's work split — n-blocks enough
+// to cover the workers (whole n-blocks per worker), and one or two
+// n-blocks whose m-blocks are split across the workers too. Ragged m and
+// n tails, a ragged last k-chunk, an active epilogue, and float operands,
+// so a changed accumulation order would show in the bits.
 TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
   Rng rng(10);
-  const NMConfig cfg{2, 8, 16};
+  const NMConfig cfg = kSparsity75;  // L = 16: V3's non-packed path walks
+  const index_t k = 200;             // ks = 64: chunks of 64, 64, 64, 32
   struct Shape {
-    index_t m, k, n;
+    index_t m, n;
   };
-  for (const Shape s : {Shape{256, 128, 64},    // mc-partitioned
-                        Shape{16, 128, 512}}) { // nc-partitioned
-    const MatrixF A = random_int_matrix(s.m, s.k, rng);
-    const CompressedNM B = random_compressed_int(s.k, s.n, cfg, rng);
-    const BlockingParams p = small_params(cfg, s.k);
+  // ms = ns = 32: nine n-blocks over two m-blocks, then one and two
+  // n-blocks over eight m-blocks.
+  const Shape shapes[] = {{45, 269}, {250, 27}, {250, 45}};
+  EpilogueSpec spec;
+  spec.bias = true;
+  spec.act = Activation::kSilu;
+  spec.mul = true;
+  spec.add = true;
+  ThreadPool pool2(2), pool3(3), pool4(4);
+
+  for (const Shape s : shapes) {
+    const MatrixF A = random_matrix(s.m, k, rng);
+    const CompressedNM B = random_compressed(k, s.n, cfg, rng);
+    BlockingParams p = table1_preset(SizeClass::kSmall);
+    p.ks = 64;
+    ASSERT_EQ(p.ms, 32);
+    ASSERT_EQ(p.ns, 32);
     const ColInfo info = build_col_info(B, p.ks, p.ns);
     const PackedWeights direct = pack(B, p, kDirect);
     const PackedWeights remapped = pack(B, p, kRemapped, &info);
+    const MatrixF bias = random_matrix(1, s.n, rng);
+    const MatrixF other = random_matrix(s.m, s.n, rng);
+    const MatrixF resid = random_matrix(s.m, s.n, rng);
+    EpilogueArgs args;
+    args.bias = bias.data();
+    args.other = other.cview();
+    args.residual = resid.cview();
 
-    MatrixF serial(s.m, s.n);
-    spmm_v3(A.view(), B, serial.view(), p, false, direct, nullptr);
-    for (const unsigned workers : {2u, 5u}) {
-      ThreadPool pool(workers);
-      MatrixF C(s.m, s.n);
-      spmm_v1(A.view(), B, C.view(), p, direct, &pool);
-      const MatrixF expect = run_reference(A.view(), B);
-      EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
-          << "V1 pool=" << workers;
-      spmm_v2(A.view(), B, C.view(), p, remapped, &pool);
-      EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
-          << "V2 pool=" << workers;
-      spmm_v3(A.view(), B, C.view(), p, false, direct, &pool);
-      EXPECT_EQ(max_abs_diff(serial.cview(), C.cview()), 0.0)
-          << "V3 pool=" << workers;
+    using Kernel = std::function<void(ViewF, ThreadPool*)>;
+    const std::pair<const char*, Kernel> kernels[] = {
+        {"V1",
+         [&](ViewF C, ThreadPool* pool) {
+           spmm_v1(A.cview(), B, C, p, direct, pool, spec, args);
+         }},
+        {"V2",
+         [&](ViewF C, ThreadPool* pool) {
+           spmm_v2(A.cview(), B, C, p, remapped, pool, spec, args);
+         }},
+        {"V3 walk",
+         [&](ViewF C, ThreadPool* pool) {
+           spmm_v3(A.cview(), B, C, p, false, direct, pool, spec, args);
+         }},
+        {"V3 packed",
+         [&](ViewF C, ThreadPool* pool) {
+           spmm_v3(A.cview(), B, C, p, true, remapped, pool, spec, args);
+         }},
+    };
+    for (const auto& [name, kernel] : kernels) {
+      MatrixF serial(s.m, s.n);
+      kernel(serial.view(), nullptr);
+      for (ThreadPool* pool : {&pool2, &pool3, &pool4}) {
+        MatrixF C(s.m, s.n);
+        C.fill(-7.0f);  // poison: the first chunk must store, not add
+        kernel(C.view(), pool);
+        EXPECT_TRUE(same_bits(C.cview(), serial.cview()))
+            << name << " m=" << s.m << " n=" << s.n
+            << " threads=" << pool->size();
+      }
     }
   }
 }
@@ -276,17 +326,6 @@ TEST(RowWalk, SelectionPredicatePinsTheDecodeShapes) {
   }
 }
 
-bool same_bits(ConstViewF a, ConstViewF b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (index_t i = 0; i < a.rows(); ++i) {
-    if (std::memcmp(a.row(i), b.row(i),
-                    static_cast<std::size_t>(a.cols()) * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct WalkShape {
   index_t k, n, ns;
 };
@@ -307,8 +346,8 @@ TEST(RowWalk, MatchesV1BitForBit) {
       {256, 120, 64},  // a 24-column last strip (second group masked)
   };
   // ms = 32: m = 40 and 100 end in a ragged m-block, m = 9 and 17 in a
-  // one-row 8-row strip. With 4 workers, m = 100 (4 m-blocks) splits
-  // m-blocks and the rest split n-blocks.
+  // one-row 8-row strip. With 4 workers, n = 120 at ns = 64 (two
+  // n-blocks) splits m-blocks too; the rest split n-blocks only.
   const index_t batch_rows[] = {1, 7, 8, 9, 17, 40, 64, 100};
   EpilogueSpec bias;
   bias.bias = true;
@@ -359,7 +398,7 @@ TEST(RowWalk, MatchesV1BitForBit) {
           EXPECT_TRUE(same_bits(C.cview(), unfused.cview())) << where;
 
           MatrixF expect(m, s.n);
-          spmm_reference(A.cview(), B, expect.view(), /*rescale=*/false);
+          spmm_reference(A.cview(), B, expect.view());
           apply_epilogue(spec, args, expect.view());
           EXPECT_LT(max_abs_diff(expect.cview(), C.cview()), 1e-4) << where;
         }
@@ -406,49 +445,53 @@ TEST(RowWalk, StagesColumnSubViewOfA) {
 
 // Two callers share one 4-worker plan: each stages its own A in its own
 // thread's buffer, and the pool's workers must read the staging of the
-// call they work for. Both partition axes: m = 100 splits m-blocks, m = 9
-// splits n-blocks.
+// call they work for. Both sides of the work split: ns = 32 gives seven
+// n-blocks, whole n-blocks per worker; ns = 128 gives two, and m = 100's
+// four m-blocks are split too.
 TEST(RowWalk, ConcurrentCallersOnOnePooledPlan) {
   Rng rng(74);
   const index_t k = 200, n = 203;
   const auto B = std::make_shared<const CompressedNM>(
       random_compressed(k, n, kSparsity75, rng));
-  BlockingParams p = table1_preset(SizeClass::kSmall);
-  p.ks = 64;
-  SpmmOptions opt;
-  opt.params = p;
-  SpmmOptions serial_opt = opt;
-  serial_opt.num_threads = 1;
-  opt.num_threads = 4;
-  for (const index_t m : {9, 100}) {
-    const SpmmPlan plan = SpmmPlan::create(m, B, opt);
-    const SpmmPlan serial = SpmmPlan::create(m, B, serial_opt);
-    ASSERT_EQ(plan.variant(), KernelVariant::kV3);
-    ASSERT_FALSE(plan.uses_packing());
-    const MatrixF a0 = random_matrix(m, k, rng);
-    const MatrixF a1 = random_matrix(m, k, rng);
-    MatrixF want0(m, n), want1(m, n);
-    NMSPMM_ASSERT_OK(serial.execute(a0.cview(), want0.view()));
-    NMSPMM_ASSERT_OK(serial.execute(a1.cview(), want1.view()));
+  for (const index_t ns : {32, 128}) {
+    BlockingParams p = table1_preset(SizeClass::kSmall);
+    p.ks = 64;
+    p.ns = ns;
+    SpmmOptions opt;
+    opt.params = p;
+    SpmmOptions serial_opt = opt;
+    serial_opt.num_threads = 1;
+    opt.num_threads = 4;
+    for (const index_t m : {9, 100}) {
+      const SpmmPlan plan = SpmmPlan::create(m, B, opt);
+      const SpmmPlan serial = SpmmPlan::create(m, B, serial_opt);
+      ASSERT_EQ(plan.variant(), KernelVariant::kV3);
+      ASSERT_FALSE(plan.uses_packing());
+      const MatrixF a0 = random_matrix(m, k, rng);
+      const MatrixF a1 = random_matrix(m, k, rng);
+      MatrixF want0(m, n), want1(m, n);
+      NMSPMM_ASSERT_OK(serial.execute(a0.cview(), want0.view()));
+      NMSPMM_ASSERT_OK(serial.execute(a1.cview(), want1.view()));
 
-    constexpr int kRounds = 20;
-    auto caller = [&](const MatrixF& a, const MatrixF& want, int* bad) {
-      MatrixF C(m, n);
-      for (int r = 0; r < kRounds; ++r) {
-        C.fill(-7.0f);
-        if (!plan.execute(a.cview(), C.view()).ok() ||
-            !same_bits(C.cview(), want.cview())) {
-          ++*bad;
+      constexpr int kRounds = 20;
+      auto caller = [&](const MatrixF& a, const MatrixF& want, int* bad) {
+        MatrixF C(m, n);
+        for (int r = 0; r < kRounds; ++r) {
+          C.fill(-7.0f);
+          if (!plan.execute(a.cview(), C.view()).ok() ||
+              !same_bits(C.cview(), want.cview())) {
+            ++*bad;
+          }
         }
-      }
-    };
-    int bad0 = 0, bad1 = 0;
-    std::thread t0(caller, std::cref(a0), std::cref(want0), &bad0);
-    std::thread t1(caller, std::cref(a1), std::cref(want1), &bad1);
-    t0.join();
-    t1.join();
-    EXPECT_EQ(bad0, 0) << "m=" << m;
-    EXPECT_EQ(bad1, 0) << "m=" << m;
+      };
+      int bad0 = 0, bad1 = 0;
+      std::thread t0(caller, std::cref(a0), std::cref(want0), &bad0);
+      std::thread t1(caller, std::cref(a1), std::cref(want1), &bad1);
+      t0.join();
+      t1.join();
+      EXPECT_EQ(bad0, 0) << "ns=" << ns << " m=" << m;
+      EXPECT_EQ(bad1, 0) << "ns=" << ns << " m=" << m;
+    }
   }
 }
 
@@ -495,21 +538,6 @@ TEST(RowWalk, RmsNormPrologueThroughSpmmPlan) {
           << "m=" << m << " threads=" << threads;
     }
   }
-}
-
-// Rescale semantics (Eq. 1's M/N factor) must match the reference.
-TEST(SpmmKernels, ReferenceRescaleScalesByMOverN) {
-  Rng rng(9);
-  const NMConfig cfg{2, 4, 8};
-  const index_t m = 16, k = 32, n = 32;
-  const MatrixF A = random_int_matrix(m, k, rng);
-  const CompressedNM B = random_compressed_int(k, n, cfg, rng);
-  MatrixF plain(m, n), scaled(m, n);
-  spmm_reference(A.view(), B, plain.view(), false);
-  spmm_reference(A.view(), B, scaled.view(), true);
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < n; ++j)
-      EXPECT_FLOAT_EQ(scaled(i, j), plain(i, j) * 2.0f);
 }
 
 }  // namespace

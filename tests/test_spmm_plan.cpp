@@ -1,6 +1,6 @@
 // Public SpmmPlan API: auto-dispatch (variant, packing threshold, Table I
-// preset selection), correctness through the plan, rescale option, and
-// precondition failures (reported as Status, not thrown).
+// preset selection), correctness through the plan, and precondition
+// failures (reported as Status, not thrown).
 #include <gtest/gtest.h>
 
 #include "core/nmspmm.hpp"
@@ -12,7 +12,7 @@ namespace {
 
 MatrixF reference_for(ConstViewF A, const CompressedNM& B) {
   MatrixF C(A.rows(), B.cols);
-  spmm_reference(A, B, C.view(), false);
+  spmm_reference(A, B, C.view());
   return C;
 }
 
@@ -109,25 +109,6 @@ TEST(SpmmPlan, LargerBatchThanPlannedIsFailedPrecondition) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(s.message().find("planned m"), std::string::npos);
-}
-
-TEST(SpmmPlan, RescaleAppliesMOverN) {
-  Rng rng(46);
-  const index_t m = 16, k = 32, n = 32;
-  const NMConfig cfg{2, 4, 8};
-  const MatrixF A = random_int_matrix(m, k, rng);
-  const CompressedNM B = random_compressed_int(k, n, cfg, rng);
-  auto shared = std::make_shared<const CompressedNM>(B);
-  MatrixF plain(m, n), scaled(m, n);
-  NMSPMM_ASSERT_OK(
-      SpmmPlan::create(m, shared).execute(A.view(), plain.view()));
-  SpmmOptions opt;
-  opt.rescale = true;
-  NMSPMM_ASSERT_OK(
-      SpmmPlan::create(m, shared, opt).execute(A.view(), scaled.view()));
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < n; ++j)
-      EXPECT_FLOAT_EQ(scaled(i, j), 2.0f * plain(i, j));
 }
 
 TEST(SpmmPlan, PresetTracksProblemSize) {

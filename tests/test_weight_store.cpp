@@ -190,8 +190,8 @@ TEST(WeightStore, BudgetEvictsColdFormsAndRepacksOnDemand) {
   Rng rng(133);
   const MatrixF A = random_int_matrix(m, k, rng);
   MatrixF expect1(m, n), expect2(m, n);
-  spmm_reference(A.view(), *W1, expect1.view(), false);
-  spmm_reference(A.view(), *W2, expect2.view(), false);
+  spmm_reference(A.view(), *W1, expect1.view());
+  spmm_reference(A.view(), *W2, expect2.view());
 
   // Probe one packed footprint so the budget can be sized to hold
   // exactly one of the two (identically shaped) matrices.
@@ -362,8 +362,8 @@ TEST(WeightStore, ConcurrentExecutesUnderBudgetStayCorrect) {
   Rng rng(203);
   const MatrixF A = random_int_matrix(m, k, rng);
   MatrixF expect1(m, n), expect2(m, n);
-  spmm_reference(A.view(), *W1, expect1.view(), false);
-  spmm_reference(A.view(), *W2, expect2.view(), false);
+  spmm_reference(A.view(), *W1, expect1.view());
+  spmm_reference(A.view(), *W2, expect2.view());
 
   WeightStoreOptions store_opt;
   store_opt.max_resident_bytes = 1;  // nothing unpinned survives
@@ -433,7 +433,7 @@ TEST(WeightStore, StripValuesKeepsShapeAndIndices) {
   EXPECT_THROW((void)decompress(stripped), CheckError);
   MatrixF A(1, 96), C(1, 72);
   A.zero();
-  EXPECT_THROW(spmm_reference(A.view(), stripped, C.view(), false),
+  EXPECT_THROW(spmm_reference(A.view(), stripped, C.view()),
                CheckError);
 }
 
